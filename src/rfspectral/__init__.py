@@ -9,7 +9,6 @@ from .closedform import (
     frac_lap_lambda,
     frac_lap_lambda_s,
     op_lambda,
-    op_mu,
     reference_operator,
 )
 from .errors import (
@@ -53,14 +52,12 @@ from .specfun import (
     RatioKind,
     RatioTable,
     RieszFellerCoeffs,
-    SignedLogGamma,
     c_alpha,
     gamma,
     hyp2f1_terminating,
     kummer_1f1,
     ratio_table,
     rf_coeffs,
-    signed_log_gamma,
 )
 
 __version__ = "0.1.0"

@@ -19,20 +19,12 @@ import numpy as np
 
 from . import evolve as ev
 from .basis import make_grid
+from ._fanout import fan_out
 from .closedform import CLOSED_FORMS, OperatorKind
 from .errors import NumericError
 from .operators import apply_reference, sweep_errors, write_nodal_csv
 from .opmatrix import build_base_matrix, deserialize, scale_to_operator, serialize
 from .oracle import QuadratureConfig, quad_operator
-
-_FUNC_DERIVS = {
-    "erf": lambda x: 2.0 / math.sqrt(math.pi) * math.exp(-x * x),
-    "arctan": lambda x: 1.0 / (1.0 + x * x),
-    "log1psq": lambda x: 2.0 * x / (1.0 + x * x),
-}
-
-_FUNC_SUP = {"erf": 1.0, "arctan": math.pi / 2.0, "log1psq": 30.0}
-
 
 def _kind(op: str) -> OperatorKind:
     return OperatorKind(op)
@@ -82,8 +74,8 @@ def cmd_apply(args) -> int:
         base = deserialize(args.matrix_in)
         if not base.is_base:
             raise ValueError("--matrix-in must hold an unscaled base matrix")
-        if base.alpha != args.alpha or base.n != args.N:
-            raise ValueError("--matrix-in does not match --alpha/--N")
+        if base.alpha != args.alpha or base.n != args.N or base.l_lim != args.llim:
+            raise ValueError("--matrix-in does not match --alpha/--N/--llim")
     else:
         base = build_base_matrix(args.alpha, args.N, args.llim)
     report = apply_reference(
@@ -222,23 +214,14 @@ def cmd_evolve(args) -> int:
         raise ValueError("--fit-window expects t0,t1 with t0 < t1")
     gammas = _parse_float_list(args.gamma)
     out_dir = Path(args.out_dir)
-    runs = []
     if len(gammas) == 1:
-        runs.append(_run_evolution(args, gammas[0], out_dir))
+        targets = [(gammas[0], out_dir)]
     else:
         targets = [
             (g, out_dir / f"gamma_{g:+.4f}".replace("+", "p").replace("-", "m"))
             for g in gammas
         ]
-        if args.jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                runs = list(
-                    pool.map(lambda gd: _run_evolution(args, gd[0], gd[1]), targets)
-                )
-        else:
-            runs = [_run_evolution(args, g, d) for g, d in targets]
+    runs = fan_out(lambda gd: _run_evolution(args, *gd), targets, args.jobs)
     outputs = [p for r in runs for p in r["outputs"]]
     _write_manifest(
         out_dir / "manifest.json",
@@ -276,10 +259,9 @@ def cmd_oracle(args) -> int:
     grid = report.grid
     idx = np.linspace(grid.n * 0.25, grid.n * 0.75, args.num_points).astype(int)
     cfg = QuadratureConfig.for_function(
-        args.alpha, u_sup=_FUNC_SUP[args.func], abs_tol=args.quad_tol,
-        rel_tol=args.quad_tol,
+        args.alpha, u_sup=func.sup, abs_tol=args.quad_tol, rel_tol=args.quad_tol,
     )
-    du = _FUNC_DERIVS[args.func]
+    du = func.derivative
     value = lambda x: float(func.value(x))
     rows = []
     for j in idx:
@@ -317,15 +299,18 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _add_common(p, with_func=True):
-    p.add_argument("--op", required=True,
+def _add_common(p, op_default=None, with_func=True, with_grid=True):
+    """--op/--alpha/--gamma/--llim, plus --func and the required --N/--L.
+    --op is required unless op_default is given."""
+    p.add_argument("--op", required=op_default is None, default=op_default,
                    choices=[k.value for k in OperatorKind])
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--gamma", type=float, default=0.0)
     if with_func:
         p.add_argument("--func", required=True, choices=sorted(CLOSED_FORMS))
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--L", type=float, required=True)
+    if with_grid:
+        p.add_argument("--N", type=int, required=True)
+        p.add_argument("--L", type=float, required=True)
     p.add_argument("--llim", type=int, default=100)
 
 
@@ -343,22 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_apply)
 
     p = sub.add_parser("matrix", help="build and serialize an operator matrix")
-    p.add_argument("--op", default="fl", choices=[k.value for k in OperatorKind])
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--gamma", type=float, default=0.0)
+    _add_common(p, op_default="fl", with_func=False, with_grid=False)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--L", type=float, default=1.0)
-    p.add_argument("--llim", type=int, default=100)
     p.add_argument("--jobs", type=int, default=_default_jobs())
     p.add_argument("--out", required=True)
     p.set_defaults(run=cmd_matrix)
 
     p = sub.add_parser("sweep", help="L x N error sweep against a closed form")
-    p.add_argument("--op", required=True, choices=[k.value for k in OperatorKind])
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--func", required=True, choices=sorted(CLOSED_FORMS))
-    p.add_argument("--llim", type=int, default=100)
+    _add_common(p, with_grid=False)
     p.add_argument("--N-list", required=True, dest="N_list",
                    help="comma-separated node counts, e.g. 8,16,32")
     p.add_argument("--L-range", required=True, dest="L_range",

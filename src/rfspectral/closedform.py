@@ -258,44 +258,29 @@ def weyl_phi_at_zero(alpha: float, k: int) -> tuple[complex, complex, complex]:
     return d_right, d_left_neg, lap
 
 
-# --- Reference solutions -------------------------------­-------------------
+# --- Reference solutions --------------------------------------------------
 #
-# For each reference function the right-sided and dx-right-sided closed forms
-# are one and the same expression in (alpha, x); the minus-left and
-# dx-minus-left ones differ only by an overall sign.  The helpers below keep
-# that shared expression in a single place.
+# Every supported operator of a reference function u is
+# Re(phase_factor(kind, alpha, gamma, +1) * A(x)) for one complex amplitude
+# A: the same phases the matrix columns of positive modes pick up, so the
+# symmetric operator is Re A and the other five kinds are rotations of it.
 
 
-def _arctan_right(alpha, x):
+def _power_amplitude(alpha, x):
+    # Gamma(alpha) (1 + x^2)^(-alpha/2) exp(-i alpha atan x)
     return (
         math.gamma(alpha)
         * (1.0 + x * x) ** (-alpha / 2.0)
-        * np.sin(alpha * math.pi / 2.0 + alpha * np.arctan(x))
+        * np.exp(-1j * alpha * np.arctan(x))
     )
 
 
-def _arctan_left(alpha, x):
-    return (
-        math.gamma(alpha)
-        * (1.0 + x * x) ** (-alpha / 2.0)
-        * np.sin(alpha * math.pi / 2.0 - alpha * np.arctan(x))
-    )
+def _arctan_amplitude(alpha, x):
+    return 1j * _power_amplitude(alpha, x)
 
 
-def _arctan_rf(alpha, gamma, x):
-    return (
-        math.gamma(alpha)
-        * (1.0 + x * x) ** (-alpha / 2.0)
-        * np.sin(gamma * math.pi / 2.0 - alpha * np.arctan(x))
-    )
-
-
-def _arctan_lap(alpha, x):
-    return (
-        math.gamma(alpha)
-        * (1.0 + x * x) ** (-alpha / 2.0)
-        * np.sin(alpha * np.arctan(x))
-    )
+def _log1psq_amplitude(alpha, x):
+    return -2.0 * _power_amplitude(alpha, x)
 
 
 def _erf_terms(alpha, x):
@@ -315,114 +300,46 @@ def _erf_terms(alpha, x):
     return a_term, b_term
 
 
-def _erf_right(alpha, x):
+def _erf_amplitude(alpha, x):
     a_term, b_term = _erf_terms(alpha, x)
-    return np.sin(alpha * math.pi / 2.0) * a_term + np.cos(alpha * math.pi / 2.0) * b_term
-
-
-def _erf_left(alpha, x):
-    a_term, b_term = _erf_terms(alpha, x)
-    return np.sin(alpha * math.pi / 2.0) * a_term - np.cos(alpha * math.pi / 2.0) * b_term
-
-
-def _erf_rf(alpha, gamma, x):
-    a_term, b_term = _erf_terms(alpha, x)
-    return np.sin(gamma * math.pi / 2.0) * a_term - np.cos(gamma * math.pi / 2.0) * b_term
-
-
-def _erf_lap(alpha, x):
-    return _erf_terms(alpha, x)[1]
-
-
-def _log1psq_right(alpha, x):
-    return (
-        -2.0
-        * math.gamma(alpha)
-        * (1.0 + x * x) ** (-alpha / 2.0)
-        * np.cos(alpha * math.pi / 2.0 + alpha * np.arctan(x))
-    )
-
-
-def _log1psq_left(alpha, x):
-    return (
-        2.0
-        * math.gamma(alpha)
-        * (1.0 + x * x) ** (-alpha / 2.0)
-        * np.cos(alpha * math.pi / 2.0 - alpha * np.arctan(x))
-    )
-
-
-def _log1psq_rf(alpha, gamma, x):
-    return (
-        2.0
-        * math.gamma(alpha)
-        * (1.0 + x * x) ** (-alpha / 2.0)
-        * np.cos(gamma * math.pi / 2.0 - alpha * np.arctan(x))
-    )
-
-
-def _log1psq_lap(alpha, x):
-    return (
-        -2.0
-        * math.gamma(alpha)
-        * (1.0 + x * x) ** (-alpha / 2.0)
-        * np.cos(alpha * np.arctan(x))
-    )
+    return b_term + 1j * a_term
 
 
 @dataclass(frozen=True)
 class ClosedFormFunction:
-    """A test function with exact formulas for every supported operator."""
+    """A reference function: its value, its derivative (scalar, for the
+    quadrature oracle), a bound on |u| and the complex amplitude whose phase
+    rotations give every supported operator exactly."""
 
     name: str
     value: Callable
-    unbounded: bool
-    _right: Callable
-    _left: Callable
-    _rf: Callable
-    _lap: Callable
-
-    def operator_exact(self, kind: OperatorKind, alpha: float, gamma: float, x):
-        validate_kind(kind, alpha, gamma)
-        if kind is OperatorKind.WEYL_RIGHT or kind is OperatorKind.DX_WEYL_RIGHT:
-            return self._right(alpha, x)
-        if kind is OperatorKind.WEYL_LEFT_NEG:
-            return self._left(alpha, x)
-        if kind is OperatorKind.DX_WEYL_LEFT_NEG:
-            return -self._left(alpha, x)
-        if kind is OperatorKind.RIESZ_FELLER:
-            return self._rf(alpha, gamma, x)
-        return self._lap(alpha, x)
+    derivative: Callable
+    sup: float
+    amplitude: Callable
 
 
 ARCTAN = ClosedFormFunction(
     name="arctan",
     value=np.arctan,
-    unbounded=False,
-    _right=_arctan_right,
-    _left=_arctan_left,
-    _rf=_arctan_rf,
-    _lap=_arctan_lap,
+    derivative=lambda x: 1.0 / (1.0 + x * x),
+    sup=math.pi / 2.0,
+    amplitude=_arctan_amplitude,
 )
 
 ERF = ClosedFormFunction(
     name="erf",
     value=_erf,
-    unbounded=False,
-    _right=_erf_right,
-    _left=_erf_left,
-    _rf=_erf_rf,
-    _lap=_erf_lap,
+    derivative=lambda x: 2.0 / math.sqrt(math.pi) * math.exp(-x * x),
+    sup=1.0,
+    amplitude=_erf_amplitude,
 )
 
 LOG1PSQ = ClosedFormFunction(
     name="log1psq",
     value=lambda x: np.log1p(np.asarray(x) ** 2),
-    unbounded=True,
-    _right=_log1psq_right,
-    _left=_log1psq_left,
-    _rf=_log1psq_rf,
-    _lap=_log1psq_lap,
+    derivative=lambda x: 2.0 * x / (1.0 + x * x),
+    sup=30.0,
+    amplitude=_log1psq_amplitude,
 )
 
 CLOSED_FORMS = {f.name: f for f in (ARCTAN, ERF, LOG1PSQ)}
@@ -441,4 +358,5 @@ def reference_operator(
             func = CLOSED_FORMS[func]
         except KeyError:
             raise ValueError(f"no closed form registered under {func!r}") from None
-    return func.operator_exact(kind, alpha, gamma, x)
+    validate_kind(kind, alpha, gamma)
+    return np.real(phase_factor(kind, alpha, gamma, 1) * func.amplitude(alpha, x))

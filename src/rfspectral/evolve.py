@@ -136,12 +136,6 @@ class FisherSystem:
         return out
 
 
-def fisher_rhs(u_nodes, matrix: OperatorMatrix, decomp: AuxDecomposition,
-               grid: SpectralGrid) -> np.ndarray:
-    """One right-hand side evaluation D[u] + u(1 - u) at the nodes."""
-    return FisherSystem(matrix, grid, decomp).rhs(np.asarray(u_nodes, dtype=np.float64))
-
-
 def rk4_step(system: FisherSystem, u: np.ndarray, dt: float) -> np.ndarray:
     k1 = system.rhs(u)
     k2 = system.rhs(u + 0.5 * dt * k1)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fanout import fan_out
 from .basis import KRASNY_EPS, SpectralGrid, analyze, make_grid
 from .closedform import (
     ARCTAN,
@@ -151,7 +152,8 @@ def sweep_errors(
     l_list = list(l_list)
     errors = np.empty((len(l_list), len(n_list)))
 
-    def run_column(col, n):
+    def run_column(cell):
+        col, n = cell
         base = build_base_matrix(alpha, n, l_lim)
         for row, l_scale in enumerate(l_list):
             report = apply_reference(
@@ -159,14 +161,7 @@ def sweep_errors(
             )
             errors[row, col] = report.linf_error
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(lambda cn: run_column(*cn), enumerate(n_list)))
-    else:
-        for col, n in enumerate(n_list):
-            run_column(col, n)
+    fan_out(run_column, enumerate(n_list), jobs)
     return errors
 
 

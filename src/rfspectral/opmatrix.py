@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fanout import fan_out
 from .basis import CoeffVector, make_grid, mode_numbers
 from .closedform import OperatorKind, phase_factor, validate_kind
 from .errors import BudgetError, FormatError, NumericError, StateError
@@ -147,14 +148,7 @@ def _series_columns(entries, alpha, n, l_lim, s, jobs=1):
         entries[:, k] = col
         entries[:, n - k] = np.conj(col)
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(fill_column, range(1, half_up)))
-    else:
-        for k in range(1, half_up):
-            fill_column(k)
+    fan_out(fill_column, range(1, half_up), jobs)
 
 
 def scale_to_operator(
@@ -221,9 +215,22 @@ def serialize(matrix: OperatorMatrix, sink) -> None:
     sink.write(np.ascontiguousarray(matrix.entries, dtype=np.complex128).tobytes())
 
 
+def _bytes_left(source) -> int | None:
+    # Bytes between the read position and the end, or None if the source
+    # cannot seek.
+    try:
+        pos = source.tell()
+        end = source.seek(0, io.SEEK_END)
+        source.seek(pos)
+    except (AttributeError, OSError):
+        return None
+    return end - pos
+
+
 def deserialize(source) -> OperatorMatrix:
     """Read back a serialized matrix; raises FormatError on bad magic or a
-    truncated payload."""
+    truncated payload.  On a seekable source the payload size the header
+    asks for is checked against the bytes left before anything is read."""
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             return deserialize(fh)
@@ -240,10 +247,16 @@ def deserialize(source) -> OperatorMatrix:
         kind = _TAG_KINDS[tag]
     except KeyError:
         raise FormatError(f"unknown operator kind tag {tag}") from None
-    payload = source.read(16 * n * n)
-    if len(payload) != 16 * n * n:
+    size = 16 * n * n
+    left = _bytes_left(source)
+    if left is not None and left < size:
         raise FormatError(
-            f"truncated payload: expected {16 * n * n} bytes, got {len(payload)}"
+            f"truncated payload: header asks for {size} bytes, source holds {left}"
+        )
+    payload = source.read(size)
+    if len(payload) != size:
+        raise FormatError(
+            f"truncated payload: expected {size} bytes, got {len(payload)}"
         )
     entries = np.frombuffer(payload, dtype=np.complex128).reshape(n, n).copy()
     return OperatorMatrix(

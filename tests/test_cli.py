@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from rfspectral.cli import main
 
@@ -64,16 +65,21 @@ class TestApply:
             ".csv"
         ).read_bytes()
 
-    def test_matrix_mismatch_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "alpha,llim", [("0.9", "10"), ("0.62", "20")], ids=["alpha", "llim"]
+    )
+    def test_matrix_mismatch_rejected(self, tmp_path, capsys, alpha, llim):
         matrix_file = tmp_path / "base.rfm"
         run(["matrix", "--alpha", "0.62", "--N", "32", "--llim", "10",
              "--out", matrix_file])
         code = run([
-            "apply", "--op", "fl", "--alpha", "0.9", "--gamma", "0",
-            "--func", "erf", "--N", "32", "--L", "1", "--llim", "10",
+            "apply", "--op", "fl", "--alpha", alpha, "--gamma", "0",
+            "--func", "erf", "--N", "32", "--L", "1", "--llim", llim,
             "--matrix-in", matrix_file, "--out", tmp_path / "y",
         ])
         assert code == 2
+        assert "does not match" in capsys.readouterr().err
+        assert not (tmp_path / "y.json").exists()
 
 
 class TestSweep:

@@ -299,19 +299,19 @@ class TestReferenceOperator:
         assert got == pytest.approx(expected, rel=1e-13)
 
     def test_right_and_dx_right_share_one_expression(self):
-        # The right-sided formulas are literally the same function of
-        # (alpha, x); the minus-left pair differs only in overall sign.
+        # At any order the right-sided and dx-right-sided operators rotate by
+        # one and the same phase; the dx-minus-left phase is minus the
+        # minus-left one.
         rng = np.random.default_rng(55)
-        for func in (ARCTAN, ERF, LOG1PSQ):
-            x = rng.normal(scale=2.0, size=50)
-            lo = reference_operator(func, OperatorKind.WEYL_RIGHT, 0.73, 0.0, x)
-            hi = reference_operator(func, OperatorKind.DX_WEYL_RIGHT, 1.73, 0.0, x)
-            assert np.array_equal(lo, func._right(0.73, x))
-            assert np.array_equal(hi, func._right(1.73, x))
-            left = reference_operator(func, OperatorKind.WEYL_LEFT_NEG, 0.73, 0.0, x)
-            dx_left = reference_operator(func, OperatorKind.DX_WEYL_LEFT_NEG, 1.73, 0.0, x)
-            assert np.array_equal(left, func._left(0.73, x))
-            assert np.array_equal(dx_left, -func._left(1.73, x))
+        for alpha in np.concatenate([[0.73, 1.0, 1.73], rng.uniform(0.0, 2.0, 20)]):
+            for sign in (1, -1):
+                right, dx_right, left, dx_left = (
+                    phase_factor(kind, alpha, 0.0, sign)
+                    for kind in (OperatorKind.WEYL_RIGHT, OperatorKind.DX_WEYL_RIGHT,
+                                 OperatorKind.WEYL_LEFT_NEG, OperatorKind.DX_WEYL_LEFT_NEG)
+                )
+                assert dx_right == right
+                assert dx_left == -left
 
     def test_symmetric_case_consistency(self):
         # gamma = 0 reduces the skewed operator to minus the symmetric one.

@@ -10,11 +10,9 @@ from scipy.optimize import brentq
 from rfspectral.basis import lambda_k, make_grid
 from rfspectral.errors import BudgetError, DivergenceError, TrackingError
 from rfspectral.evolve import (
-    FISHER_AUX,
     EvolutionConfig,
     FisherSystem,
     FrontTrace,
-    fisher_rhs,
     fit_exponential,
     front_position,
     initial_condition,
@@ -58,12 +56,6 @@ class TestRhs:
         rhs = system.rhs(u0)
         j0 = int(np.argmin(np.abs(system.grid.x_nodes)))
         assert np.isfinite(rhs[j0]) and rhs[j0] > 0.0
-
-    def test_module_level_wrapper(self, small_system):
-        _, system = small_system
-        u0 = initial_condition(system.grid.x_nodes, 1.37)
-        direct = fisher_rhs(u0, system.matrix, FISHER_AUX, system.grid)
-        assert np.array_equal(direct, system.rhs(u0))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detection(self, small_system):

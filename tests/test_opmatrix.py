@@ -248,6 +248,26 @@ class TestSerialization:
         with pytest.raises(FormatError):
             deserialize(data[:-8])
 
+    def test_payload_size_checked_before_read(self):
+        # A header claiming n = 64 followed by only 10 payload bytes must be
+        # rejected without ever asking the source for more than it holds.
+        reads = []
+
+        class RecordingStream(io.BytesIO):
+            def read(self, size=-1):
+                reads.append((size, len(self.getvalue()) - self.tell()))
+                return super().read(size)
+
+        matrix = random_matrix(64, np.random.default_rng(5))
+        buf = io.BytesIO()
+        serialize(matrix, buf)
+        header_end = len(buf.getvalue()) - 16 * 64 * 64
+        stream = RecordingStream(buf.getvalue()[: header_end + 10])
+        with pytest.raises(FormatError, match=r"65536 bytes.*holds 10"):
+            deserialize(stream)
+        assert reads
+        assert all(0 <= size <= left for size, left in reads)
+
     def test_unknown_kind_tag(self):
         rng = np.random.default_rng(3)
         buf = io.BytesIO()

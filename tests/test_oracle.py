@@ -6,7 +6,7 @@ import math
 import pytest
 from scipy.special import erf
 
-from rfspectral.closedform import OperatorKind, reference_operator
+from rfspectral.closedform import CLOSED_FORMS, OperatorKind, reference_operator
 from rfspectral.errors import ConvergenceError
 from rfspectral.oracle import QuadratureConfig, quad_operator
 from rfspectral.specfun import rf_coeffs
@@ -66,6 +66,28 @@ class TestRepresentations:
             quad_operator(OperatorKind.WEYL_RIGHT, 0.4, 0.0, erf, 0.0)
 
 
+_KIND_CASES = [
+    (OperatorKind.WEYL_RIGHT, 0.62, 0.0),
+    (OperatorKind.WEYL_LEFT_NEG, 0.62, 0.0),
+    (OperatorKind.DX_WEYL_RIGHT, 1.37, 0.0),
+    (OperatorKind.DX_WEYL_LEFT_NEG, 1.37, 0.0),
+    (OperatorKind.FRAC_LAPLACIAN, 1.12, 0.0),
+]
+_RF_CASES = [
+    (OperatorKind.RIESZ_FELLER, 0.62, 0.4),
+    (OperatorKind.RIESZ_FELLER, 1.37, -0.5),
+]
+# The erf cases keep their original ids; the others are prefixed by name.
+BATTERY = [
+    pytest.param("erf", kind, alpha, skew, id=f"{kind}-{alpha}")
+    for kind, alpha, skew in _KIND_CASES
+] + [
+    pytest.param(func, kind, alpha, skew, id=f"{func}-{kind}-{alpha}-{skew}")
+    for func in ("erf", "arctan", "log1psq")
+    for kind, alpha, skew in (_RF_CASES if func == "erf" else _KIND_CASES + _RF_CASES)
+]
+
+
 class TestClosedFormAgreement:
     def test_weyl_right_arctan(self):
         got = quad_operator(OperatorKind.WEYL_RIGHT, 0.3, 0.0, math.atan, 1.0, du=datan)
@@ -76,19 +98,13 @@ class TestClosedFormAgreement:
         )
         assert abs(got - expected) < 1e-7
 
-    @pytest.mark.parametrize(
-        "kind,alpha",
-        [
-            (OperatorKind.WEYL_RIGHT, 0.62),
-            (OperatorKind.WEYL_LEFT_NEG, 0.62),
-            (OperatorKind.DX_WEYL_RIGHT, 1.37),
-            (OperatorKind.DX_WEYL_LEFT_NEG, 1.37),
-            (OperatorKind.FRAC_LAPLACIAN, 1.12),
-        ],
-    )
-    def test_erf_battery(self, kind, alpha):
-        got = quad_operator(kind, alpha, 0.0, erf, -0.6, du=derf)
-        expected = reference_operator("erf", kind, alpha, 0.0, -0.6)
+    @pytest.mark.parametrize("func,kind,alpha,skew", BATTERY)
+    def test_erf_battery(self, func, kind, alpha, skew):
+        # The references and the matrix share phase_factor, so this is where
+        # a wrong phase shows: each reference is checked against quadrature.
+        ref = CLOSED_FORMS[func]
+        got = quad_operator(kind, alpha, skew, ref.value, -0.6, du=ref.derivative)
+        expected = reference_operator(func, kind, alpha, skew, -0.6)
         assert abs(got - expected) < 1e-7
 
     def test_riesz_feller_gamma_zero(self):

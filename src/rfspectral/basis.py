@@ -32,9 +32,15 @@ class SpectralGrid:
 
 @dataclass(frozen=True)
 class CoeffVector:
-    """N complex coefficients in DFT mode order."""
+    """N complex coefficients in DFT mode order.
+
+    real_samples is set by `analyze` when the samples were real, so that
+    u_{-k} = conj(u_k): opmatrix.apply then runs the real path 2 Re(M+ u+)
+    over the stored k >= 1 columns only, and the general complex path
+    otherwise."""
 
     coeffs: np.ndarray
+    real_samples: bool = False
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
@@ -99,7 +105,8 @@ def mu_k(x, k: int):
 
 def analyze(samples, grid: SpectralGrid, krasny_eps: float = KRASNY_EPS) -> CoeffVector:
     """Coefficients u_k = (exp(-i pi k / N) / N) * DFT(samples), with entries
-    of magnitude <= krasny_eps zeroed."""
+    of magnitude <= krasny_eps zeroed, tagged with whether the samples were
+    real."""
     samples = np.asarray(samples)
     if samples.shape != (grid.n,):
         raise ValueError(
@@ -110,7 +117,7 @@ def analyze(samples, grid: SpectralGrid, krasny_eps: float = KRASNY_EPS) -> Coef
     coeffs = np.fft.fft(samples) * np.exp(-1j * math.pi * k / n) / n
     if krasny_eps > 0.0:
         coeffs[np.abs(coeffs) <= krasny_eps] = 0.0
-    return CoeffVector(coeffs=coeffs)
+    return CoeffVector(coeffs=coeffs, real_samples=np.isrealobj(samples))
 
 
 def synthesize(coeffs: CoeffVector, s):

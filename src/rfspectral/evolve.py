@@ -125,7 +125,7 @@ class FisherSystem:
     def rhs(self, u: np.ndarray) -> np.ndarray:
         jump = (u[-1] - u[0]) / self.v_jump
         w = u - jump * self.v_nodes
-        diffusion = matrix_apply(self.matrix, analyze(w, self.grid)).real
+        diffusion = matrix_apply(self.matrix, analyze(w, self.grid))
         out = diffusion + jump * self.dv_nodes + u * (1.0 - u)
         if not np.all(np.isfinite(out)):
             bad = int(np.flatnonzero(~np.isfinite(out))[0])

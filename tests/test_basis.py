@@ -150,6 +150,13 @@ class TestAnalyzeSynthesize:
                 nyquist = np.flatnonzero(k == -(n // 2))[0]
                 assert abs(coeffs[nyquist].real) < 1e-12
 
+    def test_real_samples_are_tagged(self):
+        grid = make_grid(8, 1.0)
+        samples = np.linspace(-1.0, 1.0, 8)
+        assert analyze(samples, grid).real_samples
+        assert not analyze(samples + 0j, grid).real_samples
+        assert not CoeffVector(np.zeros(8, dtype=np.complex128)).real_samples
+
     def test_lambda_orthogonality_on_grid(self):
         n = 64
         grid = make_grid(n, 1.0)

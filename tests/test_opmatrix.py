@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from rfspectral.basis import CoeffVector, make_grid, mode_numbers
-from rfspectral.closedform import OperatorKind, frac_lap_lambda
+from rfspectral.basis import CoeffVector, analyze, make_grid, mode_numbers
+from rfspectral.closedform import OperatorKind, frac_lap_lambda, phase_factor
 from rfspectral.errors import BudgetError, FormatError, StateError
 from rfspectral.opmatrix import (
     OperatorMatrix,
@@ -17,8 +17,17 @@ from rfspectral.opmatrix import (
     deserialize,
     scale_to_operator,
     serialize,
+    stored_columns,
 )
 from rfspectral.specfun import RatioKind, c_alpha, ratio_table
+
+
+def full_payload(matrix):
+    """The full N x N matrix as RFM1 writes it, implied columns included."""
+    buf = io.BytesIO()
+    serialize(matrix, buf)
+    payload = buf.getvalue()[-16 * matrix.n * matrix.n :]
+    return np.frombuffer(payload, dtype=np.complex128).reshape(matrix.n, matrix.n)
 
 
 def reference_base_matrix(alpha, n, l_lim):
@@ -62,37 +71,42 @@ def reference_base_matrix(alpha, n, l_lim):
 
 class TestBuild:
     def test_zero_columns(self):
-        base = build_base_matrix(0.62, 16, 10)
-        assert np.all(base.entries[:, 0] == 0.0)
-        assert np.all(base.entries[:, 8] == 0.0)
+        full = full_payload(build_base_matrix(0.62, 16, 10))
+        assert np.all(full[:, 0] == 0.0)
+        assert np.all(full[:, 8] == 0.0)
 
     def test_odd_n_has_no_nyquist_column(self):
-        base = build_base_matrix(0.62, 9, 10)
-        assert np.all(base.entries[:, 0] == 0.0)
-        assert np.count_nonzero(np.all(base.entries == 0.0, axis=0)) == 1
+        full = full_payload(build_base_matrix(0.62, 9, 10))
+        assert np.all(full[:, 0] == 0.0)
+        assert np.count_nonzero(np.all(full == 0.0, axis=0)) == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17])
+    def test_only_positive_modes_are_stored(self, n):
+        base = build_base_matrix(0.62, n, 5)
+        assert base.entries.shape == (n, stored_columns(n)) == (n, (n + 1) // 2 - 1)
 
     def test_alpha_one_entries(self):
         grid = make_grid(8, 1.0)
         base = build_base_matrix(1.0, 8, 1)
         expected = 2.0 * np.sin(grid.s_nodes) ** 2 * np.exp(2j * grid.s_nodes)
-        assert np.max(np.abs(base.entries[:, 1] - expected)) < 1e-13
+        assert np.max(np.abs(base.entries[:, 0] - expected)) < 1e-13
 
     def test_column_matches_hypergeometric_form(self):
         base = build_base_matrix(0.62, 32, 100)
         grid = make_grid(32, 1.0)
         exact = np.array([frac_lap_lambda(0.62, 2, x) for x in grid.x_nodes])
-        assert np.max(np.abs(base.entries[:, 2] - exact)) < 1e-10
+        assert np.max(np.abs(base.entries[:, 1] - exact)) < 1e-10
 
     @pytest.mark.parametrize("alpha", [0.62, 1.37])
     @pytest.mark.parametrize("n", [8, 16])
     def test_symmetric_fill_equals_direct_build(self, alpha, n):
         l_lim = 10
-        fast = build_base_matrix(alpha, n, l_lim).entries
+        fast = full_payload(build_base_matrix(alpha, n, l_lim))
         slow = reference_base_matrix(alpha, n, l_lim)
         assert np.max(np.abs(fast - slow)) < 1e-13
 
     def test_row_and_column_conjugation(self):
-        base = build_base_matrix(1.37, 16, 20).entries
+        base = full_payload(build_base_matrix(1.37, 16, 20))
         # row mirror: row n-1-j is the conjugate of row j
         assert np.array_equal(base[::-1, :], np.conj(base))
         # column mirror: column for -k is the conjugate of column for k
@@ -147,15 +161,14 @@ class TestScale:
     def test_weyl_right_column_rotation(self):
         alpha = 0.62
         base = build_base_matrix(alpha, 16, 10)
-        scaled = scale_to_operator(base, OperatorKind.WEYL_RIGHT, 0.0, 1.0)
+        scaled = full_payload(scale_to_operator(base, OperatorKind.WEYL_RIGHT, 0.0, 1.0))
+        base = full_payload(base)
         k = mode_numbers(16)
         pos = cmath.exp(-1j * alpha * math.pi / 2.0)
         for col in np.flatnonzero(k > 0):
-            assert np.allclose(scaled.entries[:, col], pos * base.entries[:, col])
+            assert np.allclose(scaled[:, col], pos * base[:, col])
         for col in np.flatnonzero(k < 0):
-            assert np.allclose(
-                scaled.entries[:, col], np.conj(pos) * base.entries[:, col]
-            )
+            assert np.allclose(scaled[:, col], np.conj(pos) * base[:, col])
 
     def test_alpha_one_scaling_halves_magnitudes(self):
         base = build_base_matrix(1.0, 8, 1)
@@ -189,7 +202,28 @@ class TestApply:
         c = np.zeros(16, dtype=np.complex128)
         c[1] = 1.0
         out = apply(base, CoeffVector(c))
-        assert np.array_equal(out, base.entries[:, 1])
+        assert np.array_equal(out, base.entries[:, 0])
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["base", "rf"])
+    @pytest.mark.parametrize("alpha", [0.62, 1.0, 1.37])
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_equals_full_product(self, n, alpha, scaled):
+        # Both paths (real samples and generic complex coefficients) against
+        # the full matrix rebuilt from the serialized payload.
+        matrix = build_base_matrix(alpha, n, 20)
+        if scaled:
+            gamma = 0.5 * min(alpha, 2.0 - alpha)
+            matrix = scale_to_operator(matrix, OperatorKind.RIESZ_FELLER, gamma, 1.7)
+        full = full_payload(matrix)
+        rng = np.random.default_rng(n)
+        real = analyze(rng.normal(size=n), make_grid(n, 1.7), krasny_eps=0.0)
+        generic = CoeffVector(rng.normal(size=n) + 1j * rng.normal(size=n))
+        assert real.real_samples and not generic.real_samples
+        for coeffs in (real, generic):
+            expected = full @ coeffs.coeffs
+            out = apply(matrix, coeffs)
+            assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert np.isrealobj(apply(matrix, real))
 
     def test_dimension_mismatch(self):
         base = build_base_matrix(0.62, 16, 10)
@@ -198,7 +232,10 @@ class TestApply:
 
 
 def random_matrix(n, rng):
-    entries = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    """Random positive-mode columns; the implied ones make the full matrix
+    column-conjugate-symmetric with zero mode-0 and Nyquist columns."""
+    shape = (n, stored_columns(n))
+    entries = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return OperatorMatrix(
         kind=OperatorKind.RIESZ_FELLER,
         alpha=1.37,
@@ -223,6 +260,35 @@ class TestSerialization:
         assert back.l_scale == matrix.l_scale
         assert back.l_lim == matrix.l_lim
         assert np.array_equal(back.entries, matrix.entries)
+
+    @pytest.mark.parametrize("kind, gamma, l_scale", [
+        (OperatorKind.FRAC_LAPLACIAN, 0.0, 2.0),
+        (OperatorKind.RIESZ_FELLER, 0.0, 1.5),
+        (OperatorKind.RIESZ_FELLER, 0.3, 1.5),
+    ], ids=["fl", "rf0", "rf"])
+    @pytest.mark.parametrize("alpha", [0.62, 1.37])
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_scaled_payload_is_the_scaled_full_matrix(self, n, alpha, kind, gamma, l_scale):
+        # Byte for byte what scaling the full base matrix column by column
+        # gives, signs of zero included: at odd N the middle row has entries
+        # with zero imaginary parts.
+        base = build_base_matrix(alpha, n, 10)
+        if n % 2:
+            assert np.any(base.entries.imag == 0.0)
+        full = full_payload(base) / l_scale ** alpha
+        if kind is not OperatorKind.FRAC_LAPLACIAN:
+            k = mode_numbers(n)
+            pos = phase_factor(kind, alpha, gamma, 1)
+            mult = np.ones(n, dtype=np.complex128)
+            mult[k > 0] = pos
+            mult[k < 0] = np.conj(pos)
+            full *= mult[None, :]
+        scaled = scale_to_operator(base, kind, gamma, l_scale)
+        buf = io.BytesIO()
+        serialize(scaled, buf)
+        assert buf.getvalue()[-16 * n * n :] == full.tobytes()
+        back = deserialize(buf.getvalue())
+        assert back.entries.tobytes() == scaled.entries.tobytes()
 
     def test_file_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -267,6 +333,42 @@ class TestSerialization:
             deserialize(stream)
         assert reads
         assert all(0 <= size <= left for size, left in reads)
+
+    def test_payload_without_conjugate_columns_rejected(self):
+        # One flipped byte in the column of mode -3 leaves a payload that
+        # the positive-mode columns cannot represent.
+        n = 16
+        buf = io.BytesIO()
+        serialize(build_base_matrix(0.62, n, 10), buf)
+        data = bytearray(buf.getvalue())
+        header_end = len(data) - 16 * n * n
+        data[header_end + 16 * (5 * n + n - 3) + 3] ^= 0x10
+        with pytest.raises(FormatError, match=r"column 13 \(mode -3\)"):
+            deserialize(bytes(data))
+
+    @pytest.mark.parametrize("col", [0, 8])
+    def test_zero_columns_checked(self, col):
+        # Mode 0 and the Nyquist mode must hold zeros; either sign passes.
+        n = 16
+        matrix = build_base_matrix(0.62, n, 10)
+        buf = io.BytesIO()
+        serialize(matrix, buf)
+        offset = len(buf.getvalue()) - 16 * n * n + 16 * (4 * n + col)
+        data = bytearray(buf.getvalue())
+        data[offset : offset + 16] = np.array([-0.0, -0.0]).tobytes()
+        assert np.array_equal(deserialize(bytes(data)).entries, matrix.entries)
+        data[offset : offset + 8] = np.array([1e-300]).tobytes()
+        with pytest.raises(FormatError, match=rf"column {col} "):
+            deserialize(bytes(data))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_size_below_two_rejected(self, n):
+        buf = io.BytesIO()
+        serialize(random_matrix(2, np.random.default_rng(6)), buf)
+        data = bytearray(buf.getvalue()[:40])
+        data[4:8] = n.to_bytes(4, "little")
+        with pytest.raises(FormatError, match="size must be >= 2"):
+            deserialize(bytes(data) + b"\x00" * (16 * n * n))
 
     def test_unknown_kind_tag(self):
         rng = np.random.default_rng(3)

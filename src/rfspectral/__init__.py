@@ -17,7 +17,6 @@ from .errors import (
     DivergenceError,
     FormatError,
     NumericError,
-    StateError,
     TrackingError,
 )
 from .evolve import (

@@ -26,12 +26,12 @@ from .operators import apply_reference, sweep_errors, write_nodal_csv
 from .opmatrix import build_base_matrix, deserialize, scale_to_operator, serialize
 from .oracle import QuadratureConfig, quad_operator
 
-def _kind(op: str) -> OperatorKind:
-    return OperatorKind(op)
-
-
 def _default_jobs() -> int:
-    return int(os.environ.get("RF_SPECTRAL_JOBS", "1"))
+    text = os.environ.get("RF_SPECTRAL_JOBS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"RF_SPECTRAL_JOBS must be an integer, got {text!r}") from None
 
 
 def _write_manifest(path: Path, command: str, parameters: dict, outputs: list,
@@ -58,22 +58,24 @@ def _parse_range(text: str) -> list[float]:
     """start:stop:step, inclusive of stop up to roundoff."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}")
+        raise ValueError(f"--L-range expects start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
-    if step <= 0:
-        raise argparse.ArgumentTypeError("step must be positive")
+    if not (start > 0.0 and step > 0.0 and math.isfinite(stop)):
+        raise ValueError(
+            f"--L-range needs start > 0, step > 0 and a finite stop, got {text!r}"
+        )
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    if count < 1:
+        raise ValueError(f"--L-range {text!r} is empty: start exceeds stop")
     return [start + i * step for i in range(count)]
 
 
 def cmd_apply(args) -> int:
     t0 = time.monotonic()
-    kind = _kind(args.op)
+    kind = OperatorKind(args.op)
     out = Path(args.out)
     if args.matrix_in:
         base = deserialize(args.matrix_in)
-        if not base.is_base:
-            raise ValueError("--matrix-in must hold an unscaled base matrix")
         if base.alpha != args.alpha or base.n != args.N or base.l_lim != args.llim:
             raise ValueError("--matrix-in does not match --alpha/--N/--llim")
     else:
@@ -108,10 +110,7 @@ def cmd_apply(args) -> int:
 def cmd_matrix(args) -> int:
     t0 = time.monotonic()
     base = build_base_matrix(args.alpha, args.N, args.llim, jobs=args.jobs)
-    if args.op != "fl" or args.L != 1.0:
-        matrix = scale_to_operator(base, _kind(args.op), args.gamma, args.L)
-    else:
-        matrix = base
+    matrix = scale_to_operator(base, OperatorKind(args.op), args.gamma, args.L)
     serialize(matrix, args.out)
     out = Path(args.out)
     _write_manifest(
@@ -137,7 +136,7 @@ def cmd_sweep(args) -> int:
     n_list = _parse_int_list(args.N_list)
     l_list = _parse_range(args.L_range)
     errors = sweep_errors(
-        args.func, _kind(args.op), args.alpha, args.gamma, n_list, l_list,
+        args.func, OperatorKind(args.op), args.alpha, args.gamma, n_list, l_list,
         args.llim, jobs=args.jobs,
     )
     out = Path(args.out)
@@ -166,32 +165,23 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _run_evolution(args, gamma: float, out_dir: Path) -> dict:
-    config = ev.EvolutionConfig(
-        alpha=args.alpha,
-        gamma=gamma,
-        n=args.N,
-        l_scale=args.L,
-        l_lim=args.llim,
-        dt=args.dt,
-        t_end=args.t_end,
-        snapshot_stride=args.stride,
-    )
-    result = ev.rk4_evolve(config, wall_budget=args.budget)
+def _run_evolution(args, base, grid, config, out_dir: Path) -> dict:
+    matrix = scale_to_operator(base, OperatorKind.RIESZ_FELLER, config.gamma, args.L)
+    system = ev.FisherSystem(matrix, grid)
+    result = ev.rk4_evolve(config, system=system, wall_budget=args.budget)
     out_dir.mkdir(parents=True, exist_ok=True)
-    x_nodes = make_grid(args.N, args.L).x_nodes
     outputs = []
     for i, snap in enumerate(result.snapshots):
         path = out_dir / f"snapshot_{i:04d}.csv"
         with open(path, "w") as fh:
             fh.write("x,u\n")
-            for x, u in zip(x_nodes, snap):
+            for x, u in zip(grid.x_nodes, snap):
                 fh.write(f"{x:.17g},{u:.17g}\n")
         outputs.append(path)
     fit = ev.fit_exponential(result.trace, (args.fit_window[0], args.fit_window[1]))
     summary = {
         "alpha": args.alpha,
-        "gamma": gamma,
+        "gamma": config.gamma,
         "N": args.N,
         "L": args.L,
         "dt": args.dt,
@@ -214,14 +204,24 @@ def cmd_evolve(args) -> int:
         raise ValueError("--fit-window expects t0,t1 with t0 < t1")
     gammas = _parse_float_list(args.gamma)
     out_dir = Path(args.out_dir)
-    if len(gammas) == 1:
-        targets = [(gammas[0], out_dir)]
-    else:
-        targets = [
-            (g, out_dir / f"gamma_{g:+.4f}".replace("+", "p").replace("-", "m"))
-            for g in gammas
-        ]
-    runs = fan_out(lambda gd: _run_evolution(args, *gd), targets, args.jobs)
+    # Every input is checked before the one base build that all gammas share.
+    targets = [
+        (
+            ev.EvolutionConfig(
+                alpha=args.alpha, gamma=g, n=args.N, l_scale=args.L,
+                l_lim=args.llim, dt=args.dt, t_end=args.t_end,
+                snapshot_stride=args.stride,
+            ),
+            out_dir if len(gammas) == 1
+            else out_dir / f"gamma_{g:+.4f}".replace("+", "p").replace("-", "m"),
+        )
+        for g in gammas
+    ]
+    grid = make_grid(args.N, args.L)
+    base = build_base_matrix(args.alpha, args.N, args.llim, jobs=args.jobs)
+    runs = fan_out(
+        lambda target: _run_evolution(args, base, grid, *target), targets, args.jobs
+    )
     outputs = [p for r in runs for p in r["outputs"]]
     _write_manifest(
         out_dir / "manifest.json",
@@ -251,7 +251,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_oracle(args) -> int:
     t0 = time.monotonic()
-    kind = _kind(args.op)
+    kind = OperatorKind(args.op)
     func = CLOSED_FORMS[args.func]
     report = apply_reference(
         args.func, kind, args.alpha, args.gamma, args.N, args.L, args.llim
@@ -373,9 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

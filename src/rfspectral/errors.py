@@ -10,10 +10,6 @@ class FormatError(ValueError):
     """Malformed serialized payload (bad magic, truncation, bad header)."""
 
 
-class StateError(ValueError):
-    """Operation applied to an object in the wrong state."""
-
-
 class NumericError(RuntimeError):
     """A numerical procedure failed to reach its accuracy target."""
 

@@ -1,11 +1,12 @@
 """Operational matrix mapping basis coefficients to nodal operator values.
 
 The base matrix holds the symmetric fractional operator at map scale 1; any
-of the six operator kinds is obtained from it by a 1/L^alpha scaling plus
-column phase multipliers.  The series entries come from the gamma-ratio sum
-folded onto the grid through the aliasing identity, truncated at |l1| <=
-l_lim, with the top half of the rows computed directly and the rest filled
-by conjugation.
+of the six operator kinds at map scale L is the base with its k > 0 columns
+times one complex number, the kind's phase over L^alpha (its k < 0 columns
+times the conjugate).  Every OperatorMatrix stores the base entries.  The
+series entries come from the gamma-ratio sum folded onto the grid through
+the aliasing identity, truncated at |l1| <= l_lim, with the top half of the
+rows computed directly and the rest filled by conjugation.
 
 Every matrix is kept as its positive-mode columns k = 1..ceil(N/2)-1 only.
 The rest of the full N x N matrix is implied: the mode-0 column and, for
@@ -18,7 +19,7 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from ._fanout import fan_out
 from .basis import CoeffVector, make_grid, mode_numbers
 from .closedform import OperatorKind, phase_factor, validate_kind
-from .errors import BudgetError, FormatError, NumericError, StateError
+from .errors import BudgetError, FormatError, NumericError
 from .specfun import RatioKind, c_alpha, ratio_table
 
 _MAGIC = b"RFM1"
@@ -51,15 +52,23 @@ def stored_columns(n: int) -> int:
     return (n + 1) // 2 - 1
 
 
+def _is_base(kind: OperatorKind, l_scale: float) -> bool:
+    return kind is OperatorKind.FRAC_LAPLACIAN and l_scale == 1.0
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Complex operator matrix taking DFT-ordered coefficients to nodal
     values.
 
+    `entries` always holds the base matrix: the symmetric operator at map
+    scale 1.  The matrix of (kind, gamma, l_scale) is `factor` times its
+    k > 0 columns and conj(factor) times its k < 0 columns.
+
     `entries` is N x (ceil(N/2) - 1): column k - 1 holds the column of mode
-    k = 1..ceil(N/2)-1 of the full N x N matrix.  The mode-0 column and the
-    even-N Nyquist column are zero and the column of -k is the conjugate of
-    the column of k, so they are not stored.
+    k = 1..ceil(N/2)-1 of the full N x N base matrix.  The mode-0 column and
+    the even-N Nyquist column are zero and the column of -k is the conjugate
+    of the column of k, so they are not stored.
     """
 
     kind: OperatorKind
@@ -80,8 +89,10 @@ class OperatorMatrix:
         self.entries.setflags(write=False)
 
     @property
-    def is_base(self) -> bool:
-        return self.kind is OperatorKind.FRAC_LAPLACIAN and self.l_scale == 1.0
+    def factor(self) -> complex:
+        """Multiplier of the k > 0 columns: the kind's phase over L^alpha."""
+        phase = phase_factor(self.kind, self.alpha, self.gamma, 1)
+        return phase / self.l_scale ** self.alpha
 
 
 def _nodal_transform(coeff_l2: np.ndarray, phase: np.ndarray, n: int) -> np.ndarray:
@@ -178,54 +189,41 @@ def scale_to_operator(
     gamma: float = 0.0,
     l_scale: float = 1.0,
 ) -> OperatorMatrix:
-    """Turn a base matrix into the matrix of an operator kind at map scale L:
-    every entry is divided by L^alpha and the stored k > 0 columns pick up
-    the kind's phase multiplier (the implied k < 0 columns its conjugate)."""
-    if not base.is_base:
-        raise StateError("matrix has already been scaled; start from a base matrix")
+    """The matrix of an operator kind at map scale L: the same read-only
+    base entries under the new labels, whose `factor` is the kind's phase
+    over L^alpha.  Nothing is copied, and rescaling a scaled matrix just
+    relabels it."""
     validate_kind(kind, base.alpha, gamma)
     if not l_scale > 0.0:
         raise ValueError(f"map scale must be positive, got {l_scale}")
-    entries = base.entries / l_scale ** base.alpha
-    if kind is not OperatorKind.FRAC_LAPLACIAN:
-        entries *= phase_factor(kind, base.alpha, gamma, 1)
-    return OperatorMatrix(
+    return replace(
+        base,
         kind=kind,
-        alpha=base.alpha,
         gamma=float(gamma) if kind is OperatorKind.RIESZ_FELLER else 0.0,
         l_scale=float(l_scale),
-        l_lim=base.l_lim,
-        n=base.n,
-        entries=entries,
     )
 
 
 def apply(matrix: OperatorMatrix, coeffs: CoeffVector) -> np.ndarray:
     """Nodal operator values, the full matrix times the coefficients.
 
-    Coefficients of real samples have u_{-k} = conj(u_k), so the product is
-    the real vector 2 Re(M+ u+) over the stored k >= 1 columns M+.  Any other
-    vector gets the complex M+ u+ + conj(M+ conj(u-)), with u- the modes
-    -1..-(ceil(N/2)-1).  Modes 0 and -N/2 meet zero columns either way."""
+    With f = matrix.factor and E the stored base columns k >= 1, coefficients
+    of real samples (u_{-k} = conj(u_k)) give the real vector 2 Re(f E u+).
+    Any other vector gets the complex f E u+ + conj(f E conj(u-)), with u-
+    the modes -1..-(ceil(N/2)-1).  Modes 0 and -N/2 meet zero columns either
+    way."""
     if coeffs.n != matrix.n:
         raise ValueError(
             f"coefficient length {coeffs.n} does not match matrix size {matrix.n}"
         )
     half = matrix.entries.shape[1]
     c = coeffs.coeffs
+    f = matrix.factor
+    pos = f * (matrix.entries @ c[1 : half + 1])
     if coeffs.real_samples:
-        return 2.0 * (matrix.entries @ c[1 : half + 1]).real
+        return 2.0 * pos.real
     neg = c[: -half - 1 : -1]
-    return matrix.entries @ c[1 : half + 1] + np.conj(matrix.entries @ np.conj(neg))
-
-
-def _nyquist_entry(matrix: OperatorMatrix) -> complex:
-    # The implied Nyquist column is zero, with the signs of zero that scaling
-    # the full matrix leaves there: +0 times the conjugate phase.
-    zero = np.zeros(1, dtype=np.complex128)
-    if matrix.kind is not OperatorKind.FRAC_LAPLACIAN:
-        zero *= np.conj(phase_factor(matrix.kind, matrix.alpha, matrix.gamma, 1))
-    return zero[0]
+    return pos + np.conj(f * (matrix.entries @ np.conj(neg)))
 
 
 def _rows_per_block(n: int) -> int:
@@ -236,7 +234,10 @@ def serialize(matrix: OperatorMatrix, sink) -> None:
     """Write the bit-exact binary form: magic, little-endian header
     (u32 n, u32 kind, f64 alpha, f64 gamma, f64 l_scale, u32 l_lim), then
     n^2 row-major (re, im) f64 pairs of the full matrix, implied columns
-    included.  The payload is written in row blocks of a few MiB."""
+    included.  A scaled matrix is written as the full base matrix divided by
+    L^alpha, then, except for the fractional Laplacian, with its columns of
+    modes k > 0 (k < 0, including -N/2) multiplied by the kind's phase (its
+    conjugate).  The payload is written in row blocks of a few MiB."""
     if isinstance(sink, (str, Path)):
         with open(sink, "wb") as fh:
             serialize(matrix, fh)
@@ -253,22 +254,20 @@ def serialize(matrix: OperatorMatrix, sink) -> None:
         )
     )
     n, half = matrix.n, matrix.entries.shape[1]
+    scaled = not _is_base(matrix.kind, matrix.l_scale)
+    phase = phase_factor(matrix.kind, matrix.alpha, matrix.gamma, 1)
     rows = _rows_per_block(n)
     block = np.zeros((min(rows, n), n), dtype=np.complex128)
-    if n % 2 == 0:
-        block[:, n // 2] = _nyquist_entry(matrix)
     for start in range(0, n, rows):
         part = matrix.entries[start : start + rows]
         out = block[: len(part)]
         out[:, 1 : half + 1] = part
-        neg = out[:, n - half :]
-        neg[:] = np.conj(part[:, ::-1])
-        if not matrix.is_base:
-            # Scaling the full matrix divided the conjugated base columns by
-            # L^alpha, and complex division by a real leaves b - a*0 in the
-            # imaginary part: where that part is zero (odd N, middle row)
-            # the file carries this sign of zero.
-            neg.imag -= neg.real * 0.0
+        out[:, n - half :] = np.conj(part[:, ::-1])
+        if scaled:
+            out = out / matrix.l_scale ** matrix.alpha
+            if matrix.kind is not OperatorKind.FRAC_LAPLACIAN:
+                out[:, 1 : half + 1] *= phase
+                out[:, half + 1 :] *= np.conj(phase)
         sink.write(out.data)
 
 
@@ -287,8 +286,7 @@ def _bytes_left(source) -> int | None:
 def _first_unimplied_column(block: np.ndarray, half: int) -> int | None:
     # First column of a full-matrix row block that the positive-mode columns
     # cannot represent: a nonzero mode-0 or Nyquist entry, or a -k column
-    # that is not bitwise conj(column k).  A zero matches a zero of either
-    # sign, since scaling leaves both signs in those places.
+    # that is not bitwise conj(column k).  A zero matches either sign.
     n = block.shape[1]
     bad = np.zeros(n, dtype=bool)
     bad[0] = np.any(block[:, 0] != 0.0)
@@ -305,13 +303,15 @@ def _first_unimplied_column(block: np.ndarray, half: int) -> int | None:
 
 
 def deserialize(source) -> OperatorMatrix:
-    """Read back a serialized matrix and keep its positive-mode columns.
+    """Read back a serialized base matrix and keep its positive-mode columns.
 
-    Raises FormatError on bad magic, a truncated payload, or a payload the
-    positive-mode columns cannot represent: a nonzero mode-0 or Nyquist
-    column, or a column of -k other than the conjugate of that of k.  On a
-    seekable source the payload size the header asks for is checked against
-    the bytes left before anything is read."""
+    Only base files (kind fl, map scale 1) are read: a scaled header raises
+    FormatError before any payload is read.  FormatError is also raised on
+    bad magic, a truncated payload, or a payload the positive-mode columns
+    cannot represent: a nonzero mode-0 or Nyquist column, or a column of -k
+    other than the conjugate of that of k.  On a seekable source the payload
+    size the header asks for is checked against the bytes left before
+    anything is read."""
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             return deserialize(fh)
@@ -328,6 +328,11 @@ def deserialize(source) -> OperatorMatrix:
         kind = _TAG_KINDS[tag]
     except KeyError:
         raise FormatError(f"unknown operator kind tag {tag}") from None
+    if not _is_base(kind, l_scale):
+        raise FormatError(
+            f"only base matrices (kind fl, L = 1) can be read, header says "
+            f"kind {kind.value}, L = {l_scale!r}"
+        )
     if n < 2:
         raise FormatError(f"matrix size must be >= 2, header says {n}")
     size = 16 * n * n

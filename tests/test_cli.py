@@ -1,11 +1,14 @@
 """Command-line interface: outputs, determinism and exit codes."""
 
+import io
 import json
 
 import numpy as np
 import pytest
 
+from rfspectral import cli, operators
 from rfspectral.cli import main
+from rfspectral.opmatrix import build_base_matrix, serialize
 
 
 def run(args):
@@ -81,6 +84,61 @@ class TestApply:
         assert "does not match" in capsys.readouterr().err
         assert not (tmp_path / "y.json").exists()
 
+    def test_scaled_matrix_in_rejected(self, tmp_path, capsys):
+        matrix_file = tmp_path / "rf.rfm"
+        assert run(["matrix", "--op", "rf", "--alpha", "0.62", "--gamma", "0.3",
+                    "--N", "32", "--L", "2", "--llim", "10",
+                    "--out", matrix_file]) == 0
+        code = run([
+            "apply", "--op", "rf", "--alpha", "0.62", "--gamma", "0.3",
+            "--func", "erf", "--N", "32", "--L", "2", "--llim", "10",
+            "--matrix-in", matrix_file, "--out", tmp_path / "y",
+        ])
+        assert code == 2
+        assert "only base matrices" in capsys.readouterr().err
+        assert not (tmp_path / "y.json").exists()
+
+
+class TestMatrix:
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_fl_at_unit_scale_writes_the_base(self, tmp_path, n):
+        out = tmp_path / "fl.rfm"
+        assert run(["matrix", "--op", "fl", "--alpha", "1.37", "--N", n,
+                    "--L", "1", "--llim", "10", "--out", out]) == 0
+        buf = io.BytesIO()
+        serialize(build_base_matrix(1.37, n, 10), buf)
+        assert out.read_bytes() == buf.getvalue()
+
+
+class TestUsageErrors:
+    APPLY = ["apply", "--op", "fl", "--alpha", "0.62", "--func", "erf",
+             "--N", "16", "--L", "1"]
+    SWEEP = ["sweep", "--op", "fl", "--alpha", "0.62", "--func", "erf",
+             "--N-list", "16", "--llim", "5"]
+
+    @pytest.mark.parametrize("jobs_env, argv", [
+        ("two", APPLY),
+        (None, SWEEP + ["--L-range", "1:2"]),
+        (None, SWEEP + ["--L-range", "1:2:0"]),
+        (None, SWEEP + ["--L-range", "1:2:-0.5"]),
+        (None, SWEEP + ["--L-range", "2:1:0.5"]),
+        (None, SWEEP + ["--L-range", "0:1:0.5"]),
+    ], ids=["jobs-env", "range-parts", "step-zero", "step-negative",
+            "range-empty", "scale-zero"])
+    def test_exit_2_before_any_build(self, tmp_path, capsys, monkeypatch,
+                                     jobs_env, argv):
+        def no_build(*args, **kwargs):
+            raise AssertionError("matrix built before the inputs were checked")
+
+        monkeypatch.setattr(cli, "build_base_matrix", no_build)
+        monkeypatch.setattr(operators, "build_base_matrix", no_build)
+        if jobs_env is not None:
+            monkeypatch.setenv("RF_SPECTRAL_JOBS", jobs_env)
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweep:
     def test_grid_csv(self, tmp_path):
@@ -131,6 +189,27 @@ class TestEvolve:
         assert code == 0
         subdirs = sorted(p.name for p in out_dir.iterdir() if p.is_dir())
         assert subdirs == ["gamma_m0.2000", "gamma_p0.2000"]
+
+    def test_gammas_share_one_base(self, tmp_path, monkeypatch):
+        builds = []
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return build_base_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_base_matrix", counted)
+        common = ["evolve", "--alpha", "1.37", "--N", "64", "--L", "10",
+                  "--llim", "10", "--dt", "0.05", "--t-end", "1",
+                  "--stride", "10", "--fit-window", "0,1"]
+        assert run(common + ["--gamma=-0.2,0.2", "--out-dir", tmp_path / "fan",
+                             "--jobs", "2"]) == 0
+        assert len(builds) == 1
+        for gamma, name in (("-0.2", "gamma_m0.2000"), ("0.2", "gamma_p0.2000")):
+            single = tmp_path / f"single_{name}"
+            assert run(common + [f"--gamma={gamma}", "--out-dir", single]) == 0
+            assert (single / "summary.json").read_bytes() == (
+                tmp_path / "fan" / name / "summary.json"
+            ).read_bytes()
 
     def test_bad_fit_window(self, tmp_path, capsys):
         code = run([

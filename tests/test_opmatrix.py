@@ -9,7 +9,7 @@ import pytest
 
 from rfspectral.basis import CoeffVector, analyze, make_grid, mode_numbers
 from rfspectral.closedform import OperatorKind, frac_lap_lambda, phase_factor
-from rfspectral.errors import BudgetError, FormatError, StateError
+from rfspectral.errors import BudgetError, FormatError
 from rfspectral.opmatrix import (
     OperatorMatrix,
     apply,
@@ -28,6 +28,18 @@ def full_payload(matrix):
     serialize(matrix, buf)
     payload = buf.getvalue()[-16 * matrix.n * matrix.n :]
     return np.frombuffer(payload, dtype=np.complex128).reshape(matrix.n, matrix.n)
+
+
+class RecordingStream(io.BytesIO):
+    """BytesIO that records (requested size, bytes left) for every read."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.reads = []
+
+    def read(self, size=-1):
+        self.reads.append((size, len(self.getvalue()) - self.tell()))
+        return super().read(size)
 
 
 def reference_base_matrix(alpha, n, l_lim):
@@ -152,11 +164,24 @@ class TestBuild:
 
 
 class TestScale:
+    @pytest.mark.parametrize("kind, gamma", [
+        (OperatorKind.FRAC_LAPLACIAN, 0.0),
+        (OperatorKind.WEYL_RIGHT, 0.0),
+        (OperatorKind.WEYL_LEFT_NEG, 0.0),
+        (OperatorKind.RIESZ_FELLER, 0.3),
+    ], ids=["fl", "dr", "dl", "rf"])
+    def test_scaling_shares_the_base_entries(self, kind, gamma):
+        base = build_base_matrix(0.62, 16, 10)
+        scaled = scale_to_operator(base, kind, gamma, 1.5)
+        assert np.shares_memory(scaled.entries, base.entries)
+        assert not scaled.entries.flags.writeable
+        assert scaled.factor == phase_factor(kind, 0.62, gamma, 1) / 1.5 ** 0.62
+
     def test_symmetric_gamma_zero_is_minus_base(self):
         base = build_base_matrix(0.62, 16, 10)
         scaled = scale_to_operator(base, OperatorKind.RIESZ_FELLER, 0.0, 1.5)
-        expected = -base.entries / 1.5 ** 0.62
-        assert np.max(np.abs(scaled.entries - expected)) < 1e-15
+        expected = -full_payload(base) / 1.5 ** 0.62
+        assert np.max(np.abs(full_payload(scaled) - expected)) < 1e-15
 
     def test_weyl_right_column_rotation(self):
         alpha = 0.62
@@ -173,13 +198,18 @@ class TestScale:
     def test_alpha_one_scaling_halves_magnitudes(self):
         base = build_base_matrix(1.0, 8, 1)
         scaled = scale_to_operator(base, OperatorKind.FRAC_LAPLACIAN, 0.0, 2.0)
-        assert np.allclose(np.abs(scaled.entries), np.abs(base.entries) / 2.0)
+        assert np.allclose(np.abs(full_payload(scaled)), np.abs(full_payload(base)) / 2.0)
 
-    def test_double_scaling_rejected(self):
+    def test_rescaling_equals_scaling_the_base(self):
         base = build_base_matrix(0.62, 8, 5)
         scaled = scale_to_operator(base, OperatorKind.RIESZ_FELLER, 0.3, 2.0)
-        with pytest.raises(StateError):
-            scale_to_operator(scaled, OperatorKind.WEYL_RIGHT, 0.0, 1.0)
+        again = scale_to_operator(scaled, OperatorKind.WEYL_RIGHT, 0.0, 1.3)
+        direct = scale_to_operator(base, OperatorKind.WEYL_RIGHT, 0.0, 1.3)
+        assert (again.kind, again.alpha, again.gamma, again.l_scale, again.l_lim) == (
+            direct.kind, direct.alpha, direct.gamma, direct.l_scale, direct.l_lim
+        )
+        assert again.factor == direct.factor
+        assert full_payload(again).tobytes() == full_payload(direct).tobytes()
 
     def test_kind_constraints_enforced(self):
         base = build_base_matrix(0.62, 8, 5)
@@ -232,15 +262,16 @@ class TestApply:
 
 
 def random_matrix(n, rng):
-    """Random positive-mode columns; the implied ones make the full matrix
-    column-conjugate-symmetric with zero mode-0 and Nyquist columns."""
+    """Random positive-mode columns under base labels (fl, L = 1); the
+    implied columns make the full matrix column-conjugate-symmetric with
+    zero mode-0 and Nyquist columns."""
     shape = (n, stored_columns(n))
     entries = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return OperatorMatrix(
-        kind=OperatorKind.RIESZ_FELLER,
+        kind=OperatorKind.FRAC_LAPLACIAN,
         alpha=1.37,
-        gamma=-0.63,
-        l_scale=2.5,
+        gamma=0.0,
+        l_scale=1.0,
         l_lim=77,
         n=n,
         entries=entries,
@@ -287,8 +318,21 @@ class TestSerialization:
         buf = io.BytesIO()
         serialize(scaled, buf)
         assert buf.getvalue()[-16 * n * n :] == full.tobytes()
-        back = deserialize(buf.getvalue())
-        assert back.entries.tobytes() == scaled.entries.tobytes()
+        with pytest.raises(FormatError, match="only base matrices"):
+            deserialize(buf.getvalue())
+
+    @pytest.mark.parametrize("kind, gamma, l_scale", [
+        (OperatorKind.FRAC_LAPLACIAN, 0.0, 2.0),
+        (OperatorKind.RIESZ_FELLER, 0.3, 1.0),
+    ], ids=["fl", "rf"])
+    def test_scaled_header_rejected_before_payload(self, kind, gamma, l_scale):
+        scaled = scale_to_operator(build_base_matrix(0.62, 16, 5), kind, gamma, l_scale)
+        buf = io.BytesIO()
+        serialize(scaled, buf)
+        stream = RecordingStream(buf.getvalue())
+        with pytest.raises(FormatError, match="only base matrices"):
+            deserialize(stream)
+        assert sum(size for size, _ in stream.reads) == 4 + 36
 
     def test_file_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -317,13 +361,6 @@ class TestSerialization:
     def test_payload_size_checked_before_read(self):
         # A header claiming n = 64 followed by only 10 payload bytes must be
         # rejected without ever asking the source for more than it holds.
-        reads = []
-
-        class RecordingStream(io.BytesIO):
-            def read(self, size=-1):
-                reads.append((size, len(self.getvalue()) - self.tell()))
-                return super().read(size)
-
         matrix = random_matrix(64, np.random.default_rng(5))
         buf = io.BytesIO()
         serialize(matrix, buf)
@@ -331,8 +368,8 @@ class TestSerialization:
         stream = RecordingStream(buf.getvalue()[: header_end + 10])
         with pytest.raises(FormatError, match=r"65536 bytes.*holds 10"):
             deserialize(stream)
-        assert reads
-        assert all(0 <= size <= left for size, left in reads)
+        assert stream.reads
+        assert all(0 <= size <= left for size, left in stream.reads)
 
     def test_payload_without_conjugate_columns_rejected(self):
         # One flipped byte in the column of mode -3 leaves a payload that

@@ -7,7 +7,6 @@ from .closedform import (
     ClosedFormFunction,
     OperatorKind,
     frac_lap_lambda,
-    frac_lap_lambda_s,
     op_lambda,
     reference_operator,
 )

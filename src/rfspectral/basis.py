@@ -59,11 +59,6 @@ def mode_numbers(n: int) -> np.ndarray:
     return k
 
 
-def arccot(x):
-    """arccot with values in (0, pi), computed as pi/2 - arctan."""
-    return math.pi / 2.0 - np.arctan(x)
-
-
 def make_grid(n: int, l_scale: float) -> SpectralGrid:
     """Build the N-node grid for map scale L."""
     if n < 2:

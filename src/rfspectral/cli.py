@@ -20,11 +20,23 @@ import numpy as np
 from . import evolve as ev
 from .basis import make_grid
 from ._fanout import fan_out
-from .closedform import CLOSED_FORMS, OperatorKind
+from .closedform import CLOSED_FORMS, OperatorKind, validate_kind
 from .errors import NumericError
 from .operators import apply_reference, sweep_errors, write_nodal_csv
-from .opmatrix import build_base_matrix, deserialize, scale_to_operator, serialize
+from .opmatrix import (
+    DEFAULT_L_LIM,
+    build_base_matrix,
+    deserialize,
+    scale_to_operator,
+    serialize,
+)
 from .oracle import QuadratureConfig, quad_operator
+
+# Parsed arguments left out of a manifest's parameters: the subcommand and
+# its handler, where the outputs go and how many threads made them.  Every
+# other flag, defaults included, is recorded.
+_UNRECORDED = {"command", "run", "out", "out_dir", "jobs"}
+
 
 def _default_jobs() -> int:
     text = os.environ.get("RF_SPECTRAL_JOBS", "1")
@@ -34,11 +46,13 @@ def _default_jobs() -> int:
         raise ValueError(f"RF_SPECTRAL_JOBS must be an integer, got {text!r}") from None
 
 
-def _write_manifest(path: Path, command: str, parameters: dict, outputs: list,
-                    wall_time: float, **extra) -> None:
+def _write_manifest(path: Path, args, outputs: list, wall_time: float,
+                    **extra) -> None:
     payload = {
-        "command": command,
-        "parameters": parameters,
+        "command": args.command,
+        "parameters": {
+            k: v for k, v in vars(args).items() if k not in _UNRECORDED
+        },
         "outputs": [str(p) for p in outputs],
         "wall_time": wall_time,
     }
@@ -87,22 +101,8 @@ def cmd_apply(args) -> int:
     csv_path = out.with_suffix(".csv")
     write_nodal_csv(csv_path, report.grid.x_nodes, report.approx, report.exact)
     json_path = out.with_suffix(".json")
-    _write_manifest(
-        json_path,
-        "apply",
-        {
-            "op": args.op,
-            "alpha": args.alpha,
-            "gamma": args.gamma,
-            "func": args.func,
-            "N": args.N,
-            "L": args.L,
-            "llim": args.llim,
-        },
-        [csv_path, json_path],
-        time.monotonic() - t0,
-        linf_error=report.linf_error,
-    )
+    _write_manifest(json_path, args, [csv_path, json_path], time.monotonic() - t0,
+                    linf_error=report.linf_error)
     print(f"linf_error {report.linf_error:.6e}  ->  {csv_path}")
     return 0
 
@@ -113,27 +113,15 @@ def cmd_matrix(args) -> int:
     matrix = scale_to_operator(base, OperatorKind(args.op), args.gamma, args.L)
     serialize(matrix, args.out)
     out = Path(args.out)
-    _write_manifest(
-        out.with_suffix(out.suffix + ".json"),
-        "matrix",
-        {
-            "op": args.op,
-            "alpha": args.alpha,
-            "gamma": args.gamma,
-            "N": args.N,
-            "L": args.L,
-            "llim": args.llim,
-        },
-        [out],
-        time.monotonic() - t0,
-    )
+    _write_manifest(out.with_suffix(out.suffix + ".json"), args, [out],
+                    time.monotonic() - t0)
     print(f"matrix ({matrix.n}x{matrix.n}, kind {matrix.kind.value}) -> {out}")
     return 0
 
 
 def cmd_sweep(args) -> int:
     t0 = time.monotonic()
-    n_list = _parse_int_list(args.N_list)
+    n_list = args.N_list
     l_list = _parse_range(args.L_range)
     errors = sweep_errors(
         args.func, OperatorKind(args.op), args.alpha, args.gamma, n_list, l_list,
@@ -145,22 +133,8 @@ def cmd_sweep(args) -> int:
         for row, l_scale in enumerate(l_list):
             cells = ",".join(f"{errors[row, col]:.17g}" for col in range(len(n_list)))
             fh.write(f"{l_scale:.17g},{cells}\n")
-    _write_manifest(
-        out.with_suffix(out.suffix + ".json"),
-        "sweep",
-        {
-            "op": args.op,
-            "alpha": args.alpha,
-            "gamma": args.gamma,
-            "func": args.func,
-            "N_list": n_list,
-            "L_range": args.L_range,
-            "llim": args.llim,
-        },
-        [out],
-        time.monotonic() - t0,
-        min_error=float(np.min(errors)),
-    )
+    _write_manifest(out.with_suffix(out.suffix + ".json"), args, [out],
+                    time.monotonic() - t0, min_error=float(np.min(errors)))
     print(f"min error {np.min(errors):.6e} -> {out}")
     return 0
 
@@ -202,7 +176,9 @@ def cmd_evolve(args) -> int:
     t0 = time.monotonic()
     if len(args.fit_window) != 2 or args.fit_window[0] >= args.fit_window[1]:
         raise ValueError("--fit-window expects t0,t1 with t0 < t1")
-    gammas = _parse_float_list(args.gamma)
+    gammas = args.gamma
+    if not gammas:
+        raise ValueError("--gamma needs at least one value")
     out_dir = Path(args.out_dir)
     # Every input is checked before the one base build that all gammas share.
     targets = [
@@ -217,29 +193,16 @@ def cmd_evolve(args) -> int:
         )
         for g in gammas
     ]
+    # All gammas share the sample times; the fit needs 3 inside the window.
+    _, times = ev._sample_times(targets[0][0])
+    ev._fit_mask(times, args.fit_window)
     grid = make_grid(args.N, args.L)
     base = build_base_matrix(args.alpha, args.N, args.llim, jobs=args.jobs)
     runs = fan_out(
         lambda target: _run_evolution(args, base, grid, *target), targets, args.jobs
     )
     outputs = [p for r in runs for p in r["outputs"]]
-    _write_manifest(
-        out_dir / "manifest.json",
-        "evolve",
-        {
-            "alpha": args.alpha,
-            "gamma": gammas,
-            "N": args.N,
-            "L": args.L,
-            "llim": args.llim,
-            "dt": args.dt,
-            "t_end": args.t_end,
-            "stride": args.stride,
-            "fit_window": list(args.fit_window),
-        },
-        outputs,
-        time.monotonic() - t0,
-    )
+    _write_manifest(out_dir / "manifest.json", args, outputs, time.monotonic() - t0)
     for run in runs:
         s = run["summary"]
         print(
@@ -251,6 +214,10 @@ def cmd_evolve(args) -> int:
 
 def cmd_oracle(args) -> int:
     t0 = time.monotonic()
+    if not (math.isfinite(args.quad_tol) and args.quad_tol > 0.0):
+        raise ValueError(f"--quad-tol must be finite and > 0, got {args.quad_tol}")
+    if args.num_points < 1:
+        raise ValueError(f"--num-points must be >= 1, got {args.num_points}")
     kind = OperatorKind(args.op)
     func = CLOSED_FORMS[args.func]
     report = apply_reference(
@@ -278,23 +245,8 @@ def cmd_oracle(args) -> int:
         for row in rows:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     max_diff = max(abs(r[1] - r[2]) for r in rows)
-    _write_manifest(
-        out.with_suffix(out.suffix + ".json"),
-        "oracle",
-        {
-            "op": args.op,
-            "alpha": args.alpha,
-            "gamma": args.gamma,
-            "func": args.func,
-            "N": args.N,
-            "L": args.L,
-            "llim": args.llim,
-            "num_points": args.num_points,
-        },
-        [out],
-        time.monotonic() - t0,
-        max_spectral_vs_quadrature=max_diff,
-    )
+    _write_manifest(out.with_suffix(out.suffix + ".json"), args, [out],
+                    time.monotonic() - t0, max_spectral_vs_quadrature=max_diff)
     print(f"max |spectral - quadrature| = {max_diff:.6e} -> {out}")
     return 0
 
@@ -311,7 +263,16 @@ def _add_common(p, op_default=None, with_func=True, with_grid=True):
     if with_grid:
         p.add_argument("--N", type=int, required=True)
         p.add_argument("--L", type=float, required=True)
-    p.add_argument("--llim", type=int, default=100)
+    p.add_argument("--llim", type=int, default=DEFAULT_L_LIM)
+
+
+def _check_common(args) -> None:
+    """Operator kind against order and skewness, and a positive map scale:
+    checked before any subcommand builds a matrix."""
+    if hasattr(args, "op"):
+        validate_kind(OperatorKind(args.op), args.alpha, args.gamma)
+    if hasattr(args, "L") and not args.L > 0.0:
+        raise ValueError(f"map scale --L must be positive, got {args.L}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="L x N error sweep against a closed form")
     _add_common(p, with_grid=False)
-    p.add_argument("--N-list", required=True, dest="N_list",
+    p.add_argument("--N-list", type=_parse_int_list, required=True, dest="N_list",
                    help="comma-separated node counts, e.g. 8,16,32")
     p.add_argument("--L-range", required=True, dest="L_range",
                    help="start:stop:step map scales, e.g. 0.5:5:0.5")
@@ -347,11 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="run the Fisher front experiment")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--gamma", required=True,
+    p.add_argument("--gamma", type=_parse_float_list, required=True,
                    help="skewness, or comma-separated list for a fan-out")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--L", type=float, required=True)
-    p.add_argument("--llim", type=int, default=100)
+    p.add_argument("--llim", type=int, default=DEFAULT_L_LIM)
     p.add_argument("--dt", type=float, default=0.05)
     p.add_argument("--t-end", type=float, required=True, dest="t_end")
     p.add_argument("--stride", type=int, default=10)
@@ -375,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_common(args)
         return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

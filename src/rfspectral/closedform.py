@@ -1,9 +1,10 @@
 """Analytic operator formulas.
 
 Covers the six supported operators applied to the rational basis functions
-(both the x-domain hypergeometric forms and the s-domain gamma-ratio series),
-the order-1 odd-index formulas, the x = 0 anchors for odd indices, and the
-exact reference solutions for arctan, erf and ln(1+x^2).
+in their x-domain hypergeometric forms (the s-domain gamma-ratio series is
+summed only in `opmatrix`), the order-1 odd-index formulas, the x = 0
+anchors for odd indices, and the exact reference solutions for arctan, erf
+and ln(1+x^2).
 """
 
 from __future__ import annotations
@@ -17,17 +18,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import erf as _erf
 
-from . import specfun
 from .basis import lambda_k
-from .specfun import (
-    RatioKind,
-    check_skewness,
-    c_alpha,
-    hyp2f1_terminating,
-    kummer_1f1,
-    ratio_table,
-    unit_imag_power,
-)
+from .specfun import check_skewness, hyp2f1_terminating, kummer_1f1, unit_imag_power
 
 
 class OperatorKind(Enum):
@@ -76,8 +68,8 @@ def frac_lap_lambda(alpha: float, k: int, x: float) -> complex:
     function at x, via the terminating hypergeometric form.
 
     Direct evaluation is reliable in double precision for |k| <= 32 or so;
-    beyond that the finite sum cancels badly and the s-domain series should
-    be used instead.
+    beyond that the finite sum cancels badly, and the s-domain series of the
+    operator matrix (`opmatrix.build_base_matrix`) should be used instead.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"order must lie in (0, 2), got {alpha}")
@@ -101,56 +93,6 @@ def op_lambda(
         return 0.0 + 0.0j
     sgn = 1 if k > 0 else -1
     return phase_factor(kind, alpha, gamma, sgn) * frac_lap_lambda(alpha, k, x)
-
-
-def frac_lap_lambda_s(
-    alpha: float,
-    k: int,
-    s: float,
-    l_max: int,
-    v1: specfun.RatioTable | None = None,
-    v2: specfun.RatioTable | None = None,
-    return_tail: bool = False,
-):
-    """s-domain form of the symmetric operator on the k-th basis function.
-
-    For alpha = 1 the closed form 2|k| sin^2(s) exp(i 2 k s) is exact; for
-    alpha != 1 the gamma-ratio series is summed over l in [-l_max, l_max].
-    With return_tail=True, also returns a heuristic bound on the truncated
-    tail (terms decay like |l|^-3).
-    """
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"order must lie in (0, 2), got {alpha}")
-    if not 0.0 < s < math.pi:
-        raise ValueError(f"s must lie in (0, pi), got {s}")
-    if l_max < abs(k):
-        raise ValueError(f"l_max = {l_max} must be >= |k| = {abs(k)}")
-    if k == 0:
-        return (0.0 + 0.0j, 0.0) if return_tail else 0.0 + 0.0j
-    if alpha == 1.0:
-        value = 2.0 * abs(k) * math.sin(s) ** 2 * cmath.exp(2j * k * s)
-        return (value, 0.0) if return_tail else value
-    if v1 is None:
-        v1 = ratio_table(alpha, RatioKind.V1, l_max)
-    if v2 is None:
-        v2 = ratio_table(alpha, RatioKind.V2, l_max + abs(k))
-    l = np.arange(-l_max, l_max + 1)
-    terms = (
-        np.exp(2j * l * s)
-        * ((1.0 - alpha) * k * k - 2.0 * k * l)
-        * v1.values[np.abs(l)]
-        * v2.values[np.abs(k - l)]
-    )
-    prefac = (
-        c_alpha(alpha)
-        * math.sin(s) ** (alpha - 1.0)
-        / (2.0 * math.tan(alpha * math.pi / 2.0))
-    )
-    value = prefac * complex(terms.sum())
-    if not return_tail:
-        return value
-    tail = 0.5 * abs(prefac) * l_max * (abs(terms[0]) + abs(terms[-1]))
-    return value, tail
 
 
 def frac_lap_mu(alpha: float, k: int, x: float) -> complex:

@@ -20,15 +20,20 @@ from .basis import SpectralGrid, analyze, make_grid, synthesize
 from .closedform import ARCTAN, OperatorKind
 from .errors import BudgetError, DivergenceError, TrackingError
 from .operators import AuxDecomposition
-from .opmatrix import OperatorMatrix, apply as matrix_apply, build_base_matrix, scale_to_operator
+from .opmatrix import (
+    DEFAULT_L_LIM,
+    OperatorMatrix,
+    apply as matrix_apply,
+    build_base_matrix,
+    scale_to_operator,
+)
 from .specfun import check_skewness
 
-FISHER_AUX = AuxDecomposition(
-    aux=ARCTAN,
-    scale=-1.0 / math.pi,
-    offset=0.5,
-    description="1/2 - arctan(x)/pi",
-)
+# 1/2 - arctan(x)/pi
+FISHER_AUX = AuxDecomposition(aux=ARCTAN, scale=-1.0 / math.pi, offset=0.5)
+
+# Width in s at which the front bisection stops.
+_FRONT_S_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -37,7 +42,7 @@ class EvolutionConfig:
     gamma: float
     n: int
     l_scale: float
-    l_lim: int = 100
+    l_lim: int = DEFAULT_L_LIM
     dt: float = 0.05
     t_end: float = 22.0
     snapshot_stride: int = 10
@@ -92,23 +97,21 @@ class FisherSystem:
     exactly.
     """
 
-    def __init__(self, matrix: OperatorMatrix, grid: SpectralGrid,
-                 decomp: AuxDecomposition = FISHER_AUX):
+    def __init__(self, matrix: OperatorMatrix, grid: SpectralGrid):
         if matrix.kind is not OperatorKind.RIESZ_FELLER:
             raise ValueError("evolution expects a Riesz-Feller matrix")
         if matrix.n != grid.n:
             raise ValueError("matrix and grid sizes differ")
         self.matrix = matrix
         self.grid = grid
-        self.decomp = decomp
-        self.v_nodes = decomp.aux_values(grid.x_nodes)
+        self.v_nodes = FISHER_AUX.aux_values(grid.x_nodes)
         # Jump of the auxiliary itself between the extreme nodes, used to
         # normalize the state jump (it tends to 1 as L or N grows).
         self.v_jump = float(self.v_nodes[-1] - self.v_nodes[0])
         if self.v_jump == 0.0:
             raise ValueError("auxiliary profile has no jump between the extreme nodes")
         self.dv_nodes = np.asarray(
-            decomp.aux_operator(
+            FISHER_AUX.aux_operator(
                 matrix.kind, matrix.alpha, matrix.gamma, grid.x_nodes
             ),
             dtype=np.float64,
@@ -149,7 +152,6 @@ def front_position(
     grid: SpectralGrid,
     level: float = 0.5,
     decomp: AuxDecomposition | None = FISHER_AUX,
-    s_tol: float = 1e-14,
 ) -> float:
     """x where the interpolated solution crosses `level`, taking the
     rightmost crossing.  The interpolant is the spectral synthesis of
@@ -182,7 +184,7 @@ def front_position(
     f_lo = interp(lo)
     if f_lo == 0.0:
         return float(grid.x_nodes[j])
-    while hi - lo > s_tol:
+    while hi - lo > _FRONT_S_TOL:
         mid = 0.5 * (lo + hi)
         f_mid = interp(mid)
         if f_mid == 0.0:
@@ -194,6 +196,16 @@ def front_position(
             hi = mid
     s_star = 0.5 * (lo + hi)
     return grid.l_scale / math.tan(s_star)
+
+
+def _sample_times(config: EvolutionConfig) -> tuple[list, np.ndarray]:
+    """Step numbers and times of the samples rk4_evolve records: step 0,
+    every snapshot_stride-th step and the last step."""
+    steps = round(config.t_end / config.dt)
+    sampled = [
+        i for i in range(steps + 1) if i % config.snapshot_stride == 0 or i == steps
+    ]
+    return sampled, np.asarray(sampled) * config.dt
 
 
 def rk4_evolve(
@@ -214,24 +226,21 @@ def rk4_evolve(
         u = initial_condition(grid.x_nodes, config.alpha)
     else:
         u = np.asarray(u0, dtype=np.float64).copy()
-    steps = round(config.t_end / config.dt)
+    sampled, times = _sample_times(config)
     start = time.monotonic()
-    times = [0.0]
     snapshots = [u.copy()]
-    fronts = [front_position(u, grid, decomp=system.decomp)] if track_front else []
-    for i in range(1, steps + 1):
+    fronts = [front_position(u, grid)] if track_front else []
+    for i in range(1, sampled[-1] + 1):
         u = rk4_step(system, u, config.dt)
-        if i % config.snapshot_stride == 0 or i == steps:
-            times.append(i * config.dt)
+        if i in sampled:
             snapshots.append(u.copy())
             if track_front:
-                fronts.append(front_position(u, grid, decomp=system.decomp))
+                fronts.append(front_position(u, grid))
         if wall_budget is not None and time.monotonic() - start > wall_budget:
             raise BudgetError(
                 f"evolution exceeded wall budget of {wall_budget} s at t = "
                 f"{i * config.dt:.3f}"
             )
-    times = np.asarray(times)
     trace = FrontTrace(
         times=times, x_half=np.asarray(fronts if track_front else [])
     )
@@ -243,10 +252,7 @@ def rk4_evolve(
 def fit_exponential(trace: FrontTrace, t_window) -> RegressionResult:
     """Least-squares slope of ln x_half against t inside the window, with the
     Pearson correlation of the fitted pairs."""
-    t0, t1 = t_window
-    mask = (trace.times >= t0) & (trace.times <= t1)
-    if np.count_nonzero(mask) < 3:
-        raise ValueError("need at least 3 front samples inside the window")
+    mask = _fit_mask(trace.times, t_window)
     x = trace.x_half[mask]
     if np.any(x <= 0.0):
         raise ValueError("front positions must be positive inside the window")
@@ -256,3 +262,12 @@ def fit_exponential(trace: FrontTrace, t_window) -> RegressionResult:
     rho = float(np.corrcoef(t, y)[0, 1])
     return RegressionResult(slope=float(slope), intercept=float(intercept),
                             pearson_rho=rho)
+
+
+def _fit_mask(times: np.ndarray, t_window) -> np.ndarray:
+    """Samples inside the closed window [t0, t1]; at least 3 are needed."""
+    t0, t1 = t_window
+    mask = (times >= t0) & (times <= t1)
+    if np.count_nonzero(mask) < 3:
+        raise ValueError("need at least 3 front samples inside the window")
+    return mask

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fanout import fan_out
-from .basis import KRASNY_EPS, SpectralGrid, analyze, make_grid
+from .basis import SpectralGrid, analyze, make_grid
 from .closedform import (
     ARCTAN,
     CLOSED_FORMS,
@@ -31,7 +31,6 @@ class AuxDecomposition:
 
     aux: ClosedFormFunction
     scale: float
-    description: str = ""
     offset: float = 0.0
 
     def aux_values(self, x):
@@ -54,16 +53,13 @@ class ApplyReport:
 # functions: erf shares arctan's +-limits up to the factor 2/pi; the even
 # log function needs no correction.
 DEFAULT_AUX: dict[str, AuxDecomposition | None] = {
-    "erf": AuxDecomposition(
-        aux=ARCTAN, scale=2.0 / math.pi, description="erf - (2/pi) arctan"
-    ),
-    "arctan": AuxDecomposition(aux=ARCTAN, scale=1.0, description="arctan itself"),
+    "erf": AuxDecomposition(aux=ARCTAN, scale=2.0 / math.pi),
+    "arctan": AuxDecomposition(aux=ARCTAN, scale=1.0),
     "log1psq": None,
 }
 
 
-def apply_periodic(samples, matrix: OperatorMatrix, grid: SpectralGrid,
-                   krasny_eps: float = KRASNY_EPS) -> np.ndarray:
+def apply_periodic(samples, matrix: OperatorMatrix, grid: SpectralGrid) -> np.ndarray:
     """Operator values at the nodes for samples whose mapped function is
     periodic: analyze, filter, multiply by the operator matrix."""
     samples = np.asarray(samples)
@@ -72,7 +68,7 @@ def apply_periodic(samples, matrix: OperatorMatrix, grid: SpectralGrid,
             f"size mismatch: samples {samples.shape}, matrix {matrix.n}, "
             f"grid {grid.n}"
         )
-    coeffs = analyze(samples, grid, krasny_eps=krasny_eps)
+    coeffs = analyze(samples, grid)
     return matrix_apply(matrix, coeffs)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from ._fanout import fan_out
 from .basis import CoeffVector, make_grid, mode_numbers
 from .closedform import OperatorKind, phase_factor, validate_kind
-from .errors import BudgetError, FormatError, NumericError
+from .errors import FormatError, NumericError
 from .specfun import RatioKind, c_alpha, ratio_table
 
 _MAGIC = b"RFM1"
@@ -42,6 +42,9 @@ _KIND_TAGS = {
     OperatorKind.RIESZ_FELLER: 5,
 }
 _TAG_KINDS = {tag: kind for kind, tag in _KIND_TAGS.items()}
+
+# Default number of aliasing shells |l1| <= l_lim summed per matrix entry.
+DEFAULT_L_LIM = 100
 
 # Size of one row block of the full matrix streamed to or from a file.
 _BLOCK_BYTES = 1 << 22
@@ -109,16 +112,14 @@ def _mirror_fill(col: np.ndarray, n: int) -> np.ndarray:
 
 
 def build_base_matrix(
-    alpha: float, n: int, l_lim: int, max_work: float | None = None,
-    jobs: int = 1,
+    alpha: float, n: int, l_lim: int, jobs: int = 1
 ) -> OperatorMatrix:
     """Base matrix (symmetric operator, map scale 1) of size N x N, stored
     as its positive-mode columns.
 
-    max_work caps the series workload n*n*(2*l_lim + 1); exceeding it raises
-    BudgetError before any allocation.  jobs > 1 spreads the independent
-    columns over a thread pool; each column's summation order is unchanged,
-    so the result is identical to the serial build.
+    jobs > 1 spreads the independent columns over a thread pool; each
+    column's summation order is unchanged, so the result is identical to the
+    serial build.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"order must lie in (0, 2), got {alpha}")
@@ -126,12 +127,6 @@ def build_base_matrix(
         raise ValueError(f"need n >= 2, got {n}")
     if alpha != 1.0 and l_lim < 1:
         raise ValueError(f"need l_lim >= 1, got {l_lim}")
-    if max_work is not None:
-        work = float(n) * float(n) * (2.0 * l_lim + 1.0)
-        if work > max_work:
-            raise BudgetError(
-                f"series build needs {work:.3g} work units, budget is {max_work:.3g}"
-            )
     grid = make_grid(n, 1.0)
     s = grid.s_nodes
     entries = np.zeros((n, stored_columns(n)), dtype=np.complex128)

@@ -28,6 +28,9 @@ class TestApply:
         assert summary["command"] == "apply"
         assert summary["linf_error"] < 1e-11
         assert summary["parameters"]["alpha"] == 0.62
+        assert set(summary["parameters"]) == {
+            "op", "alpha", "gamma", "func", "N", "L", "llim", "matrix_in"
+        }
         for produced in summary["outputs"]:
             assert (tmp_path / produced).exists() or out.with_suffix(".csv").exists()
         header = out.with_suffix(".csv").read_text().splitlines()[0]
@@ -115,6 +118,8 @@ class TestUsageErrors:
              "--N", "16", "--L", "1"]
     SWEEP = ["sweep", "--op", "fl", "--alpha", "0.62", "--func", "erf",
              "--N-list", "16", "--llim", "5"]
+    ORACLE = ["oracle", "--op", "fl", "--alpha", "0.62", "--func", "erf",
+              "--N", "16", "--L", "1", "--llim", "5"]
 
     @pytest.mark.parametrize("jobs_env, argv", [
         ("two", APPLY),
@@ -123,8 +128,28 @@ class TestUsageErrors:
         (None, SWEEP + ["--L-range", "1:2:-0.5"]),
         (None, SWEEP + ["--L-range", "2:1:0.5"]),
         (None, SWEEP + ["--L-range", "0:1:0.5"]),
+        (None, ["matrix", "--op", "dr", "--alpha", "1.37", "--N", "256"]),
+        (None, ["apply", "--op", "dr", "--alpha", "1.37", "--func", "erf",
+                "--N", "16", "--L", "1"]),
+        (None, ["oracle", "--op", "dxr", "--alpha", "0.6", "--func", "erf",
+                "--N", "16", "--L", "1"]),
+        (None, ["sweep", "--op", "rf", "--alpha", "0.6", "--gamma", "0.9",
+                "--func", "erf", "--N-list", "16", "--L-range", "1:2:0.5"]),
+        (None, ["apply", "--op", "fl", "--alpha", "0.62", "--func", "erf",
+                "--N", "16", "--L", "-1"]),
+        (None, ["matrix", "--alpha", "0.62", "--N", "16", "--L", "0"]),
+        (None, ORACLE + ["--quad-tol", "0"]),
+        (None, ORACLE + ["--quad-tol", "inf"]),
+        (None, ORACLE + ["--num-points", "0"]),
+        (None, ["evolve", "--alpha", "1.37", "--gamma", "0", "--N", "16",
+                "--L", "10", "--t-end", "0.2", "--fit-window", "0,0.2"]),
+        (None, ["evolve", "--alpha", "1.37", "--gamma", ",", "--N", "16",
+                "--L", "10", "--t-end", "1", "--fit-window", "0,1"]),
     ], ids=["jobs-env", "range-parts", "step-zero", "step-negative",
-            "range-empty", "scale-zero"])
+            "range-empty", "scale-zero", "matrix-kind-alpha", "apply-kind-alpha",
+            "oracle-kind-alpha", "sweep-skewness", "apply-scale-negative",
+            "matrix-scale-zero", "quad-tol-zero", "quad-tol-inf",
+            "num-points-zero", "fit-window-samples", "no-gamma"])
     def test_exit_2_before_any_build(self, tmp_path, capsys, monkeypatch,
                                      jobs_env, argv):
         def no_build(*args, **kwargs):
@@ -134,8 +159,8 @@ class TestUsageErrors:
         monkeypatch.setattr(operators, "build_base_matrix", no_build)
         if jobs_env is not None:
             monkeypatch.setenv("RF_SPECTRAL_JOBS", jobs_env)
-        out = tmp_path / "out.csv"
-        assert run(argv + ["--out", out]) == 2
+        out_flag = "--out-dir" if argv[0] == "evolve" else "--out"
+        assert run(argv + [out_flag, tmp_path / "out"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 

@@ -1,5 +1,5 @@
-"""Analytic operator formulas: hypergeometric forms, s-domain series, odd-index
-order-1 formulas, x = 0 anchors and the reference solutions."""
+"""Analytic operator formulas: hypergeometric forms, odd-index order-1
+formulas, x = 0 anchors and the reference solutions."""
 
 import cmath
 import math
@@ -16,7 +16,6 @@ from rfspectral.closedform import (
     OperatorKind,
     d1gamma_phi_odd,
     frac_lap_lambda,
-    frac_lap_lambda_s,
     frac_lap_mu,
     half_lap_phi_odd,
     op_lambda,
@@ -110,42 +109,6 @@ class TestOpLambda:
     def test_phase_factor_rejects_zero_sign(self):
         with pytest.raises(ValueError):
             phase_factor(OperatorKind.WEYL_RIGHT, 0.5, 0.0, 0)
-
-
-class TestFracLapLambdaS:
-    def test_alpha_one_closed_form(self):
-        got = frac_lap_lambda_s(1.0, 2, math.pi / 2.0, 2)
-        assert got == pytest.approx(4.0, abs=1e-12)
-
-    def test_zero_mode(self):
-        for alpha, s in ((0.62, 0.9), (1.0, 1.5), (1.37, 2.0)):
-            assert frac_lap_lambda_s(alpha, 0, s, 10) == 0.0
-
-    def test_matches_x_domain(self):
-        got = frac_lap_lambda_s(0.62, 3, 0.9, 10 ** 4)
-        ref = frac_lap_lambda(0.62, 3, 1.0 / math.tan(0.9))
-        assert abs(got - ref) < 1e-10
-
-    def test_x_domain_consistency_random(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            alpha = rng.choice([0.3, 0.62, 1.12, 1.37, 1.8])
-            k = int(rng.integers(1, 9)) * int(rng.choice([-1, 1]))
-            s = rng.uniform(0.15, math.pi - 0.15)
-            got = frac_lap_lambda_s(float(alpha), k, float(s), 10 ** 4)
-            ref = frac_lap_lambda(float(alpha), k, 1.0 / math.tan(s))
-            assert abs(got - ref) < 1e-9
-
-    def test_tail_estimate(self):
-        value, tail = frac_lap_lambda_s(0.62, 2, 1.1, 200, return_tail=True)
-        exact = frac_lap_lambda(0.62, 2, 1.0 / math.tan(1.1))
-        assert abs(value - exact) < 10.0 * tail
-        _, tail_exact = frac_lap_lambda_s(1.0, 2, 1.1, 2, return_tail=True)
-        assert tail_exact == 0.0
-
-    def test_l_max_too_small(self):
-        with pytest.raises(ValueError):
-            frac_lap_lambda_s(0.62, 5, 1.0, 3)
 
 
 class TestOpMu:

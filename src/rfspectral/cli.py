@@ -122,6 +122,8 @@ def cmd_matrix(args) -> int:
 def cmd_sweep(args) -> int:
     t0 = time.monotonic()
     n_list = args.N_list
+    if not n_list or min(n_list) < 2:
+        raise ValueError(f"--N-list needs node counts >= 2, got {n_list}")
     l_list = _parse_range(args.L_range)
     errors = sweep_errors(
         args.func, OperatorKind(args.op), args.alpha, args.gamma, n_list, l_list,
@@ -224,7 +226,11 @@ def cmd_oracle(args) -> int:
         args.func, kind, args.alpha, args.gamma, args.N, args.L, args.llim
     )
     grid = report.grid
-    idx = np.linspace(grid.n * 0.25, grid.n * 0.75, args.num_points).astype(int)
+    # Distinct nodes only: past about N/2 points the spacing rounds onto
+    # repeated nodes.
+    idx = np.unique(
+        np.linspace(grid.n * 0.25, grid.n * 0.75, args.num_points).astype(int)
+    )
     cfg = QuadratureConfig.for_function(
         args.alpha, u_sup=func.sup, abs_tol=args.quad_tol, rel_tol=args.quad_tol,
     )

@@ -116,8 +116,9 @@ class TestMatrix:
 class TestUsageErrors:
     APPLY = ["apply", "--op", "fl", "--alpha", "0.62", "--func", "erf",
              "--N", "16", "--L", "1"]
-    SWEEP = ["sweep", "--op", "fl", "--alpha", "0.62", "--func", "erf",
-             "--N-list", "16", "--llim", "5"]
+    SWEEP_GRID = ["sweep", "--op", "fl", "--alpha", "0.62", "--func", "erf",
+                  "--llim", "5"]
+    SWEEP = SWEEP_GRID + ["--N-list", "16"]
     ORACLE = ["oracle", "--op", "fl", "--alpha", "0.62", "--func", "erf",
               "--N", "16", "--L", "1", "--llim", "5"]
 
@@ -145,11 +146,14 @@ class TestUsageErrors:
                 "--L", "10", "--t-end", "0.2", "--fit-window", "0,0.2"]),
         (None, ["evolve", "--alpha", "1.37", "--gamma", ",", "--N", "16",
                 "--L", "10", "--t-end", "1", "--fit-window", "0,1"]),
+        (None, SWEEP_GRID + ["--N-list", ",", "--L-range", "1:2:0.5"]),
+        (None, SWEEP_GRID + ["--N-list", "16,1", "--L-range", "1:2:0.5"]),
     ], ids=["jobs-env", "range-parts", "step-zero", "step-negative",
             "range-empty", "scale-zero", "matrix-kind-alpha", "apply-kind-alpha",
             "oracle-kind-alpha", "sweep-skewness", "apply-scale-negative",
             "matrix-scale-zero", "quad-tol-zero", "quad-tol-inf",
-            "num-points-zero", "fit-window-samples", "no-gamma"])
+            "num-points-zero", "fit-window-samples", "no-gamma",
+            "n-list-empty", "n-list-below-two"])
     def test_exit_2_before_any_build(self, tmp_path, capsys, monkeypatch,
                                      jobs_env, argv):
         def no_build(*args, **kwargs):
@@ -270,3 +274,24 @@ class TestOracle:
         for line in lines[1:]:
             _, spectral, quadrature, closed = (float(v) for v in line.split(","))
             assert abs(quadrature - closed) < 1e-6
+
+    def test_repeated_nodes_are_computed_once(self, tmp_path, monkeypatch):
+        # 100 points over the middle half of N = 16 nodes round onto 9
+        # distinct nodes; each gets one row and one quadrature.
+        calls = []
+        quad_operator = cli.quad_operator
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return quad_operator(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "quad_operator", counted)
+        out = tmp_path / "oracle.csv"
+        assert run([
+            "oracle", "--op", "fl", "--alpha", "0.62", "--func", "erf",
+            "--N", "16", "--L", "1", "--llim", "5", "--num-points", "100",
+            "--out", out,
+        ]) == 0
+        xs = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+        assert len(xs) == 9 == len(set(xs))
+        assert len(calls) == 9

@@ -3,6 +3,7 @@
 import cmath
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,20 +95,23 @@ class TestBuild:
 
     @pytest.mark.parametrize("n", [2, 3, 16, 17])
     def test_only_positive_modes_are_stored(self, n):
+        # Real and imaginary planes of the top ceil(N/2) rows.
         base = build_base_matrix(0.62, n, 5)
-        assert base.entries.shape == (n, stored_columns(n)) == (n, (n + 1) // 2 - 1)
+        top = (n + 1) // 2
+        assert base.entries.shape == (2, top, stored_columns(n)) == (2, top, top - 1)
+        assert base.entries.dtype == np.float64
 
     def test_alpha_one_entries(self):
         grid = make_grid(8, 1.0)
         base = build_base_matrix(1.0, 8, 1)
         expected = 2.0 * np.sin(grid.s_nodes) ** 2 * np.exp(2j * grid.s_nodes)
-        assert np.max(np.abs(base.entries[:, 0] - expected)) < 1e-13
+        assert np.max(np.abs(full_payload(base)[:, 1] - expected)) < 1e-13
 
     def test_column_matches_hypergeometric_form(self):
         base = build_base_matrix(0.62, 32, 100)
         grid = make_grid(32, 1.0)
         exact = np.array([frac_lap_lambda(0.62, 2, x) for x in grid.x_nodes])
-        assert np.max(np.abs(base.entries[:, 1] - exact)) < 1e-10
+        assert np.max(np.abs(full_payload(base)[:, 2] - exact)) < 1e-10
 
     def test_x_domain_consistency_random(self):
         # Seeded columns of both signs against the hypergeometric form at
@@ -145,7 +149,7 @@ class TestBuild:
 
     def test_l_lim_monotone_refinement(self):
         mats = {
-            l: build_base_matrix(1.37, 32, l).entries for l in (10, 20, 40, 80)
+            l: full_payload(build_base_matrix(1.37, 32, l)) for l in (10, 20, 40, 80)
         }
         gaps = [
             np.max(np.abs(mats[10] - mats[20])),
@@ -155,9 +159,9 @@ class TestBuild:
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_alpha_near_one_continuity(self):
-        exact = build_base_matrix(1.0, 16, 100).entries
+        exact = full_payload(build_base_matrix(1.0, 16, 100))
         for alpha in (1.0 - 1e-4, 1.0 + 1e-4):
-            near = build_base_matrix(alpha, 16, 100).entries
+            near = full_payload(build_base_matrix(alpha, 16, 100))
             assert np.max(np.abs(near - exact)) < 1e-2
 
     def test_threaded_build_is_identical(self):
@@ -243,7 +247,7 @@ class TestApply:
         c = np.zeros(16, dtype=np.complex128)
         c[1] = 1.0
         out = apply(base, CoeffVector(c))
-        assert np.array_equal(out, base.entries[:, 0])
+        assert np.array_equal(out, full_payload(base)[:, 1])
 
     @pytest.mark.parametrize("scaled", [False, True], ids=["base", "rf"])
     @pytest.mark.parametrize("alpha", [0.62, 1.0, 1.37])
@@ -266,6 +270,28 @@ class TestApply:
             assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
         assert np.isrealobj(apply(matrix, real))
 
+    @pytest.mark.parametrize("path", ["real", "complex"])
+    def test_no_matrix_sized_temporaries(self, path):
+        # A real plane times a complex vector would make a complex copy of
+        # the plane (N^2/2 bytes here) on every call.
+        n = 512
+        matrix = scale_to_operator(
+            build_base_matrix(1.37, n, 5), OperatorKind.RIESZ_FELLER, 0.3, 2.0
+        )
+        rng = np.random.default_rng(7)
+        if path == "real":
+            coeffs = analyze(rng.normal(size=n), make_grid(n, 2.0), krasny_eps=0.0)
+        else:
+            coeffs = CoeffVector(rng.normal(size=n) + 1j * rng.normal(size=n))
+        apply(matrix, coeffs)
+        tracemalloc.start()
+        try:
+            apply(matrix, coeffs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n / 4
+
     def test_dimension_mismatch(self):
         base = build_base_matrix(0.62, 16, 10)
         with pytest.raises(ValueError):
@@ -273,11 +299,11 @@ class TestApply:
 
 
 def random_matrix(n, rng):
-    """Random positive-mode columns under base labels (fl, L = 1); the
-    implied columns make the full matrix column-conjugate-symmetric with
-    zero mode-0 and Nyquist columns."""
-    shape = (n, stored_columns(n))
-    entries = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    """Random real and imaginary planes of the top rows of the positive-mode
+    columns under base labels (fl, L = 1); the implied rows and columns make
+    the full matrix row- and column-conjugate-symmetric with zero mode-0 and
+    Nyquist columns."""
+    entries = rng.normal(size=(2, (n + 1) // 2, stored_columns(n)))
     return OperatorMatrix(
         kind=OperatorKind.FRAC_LAPLACIAN,
         alpha=1.37,
@@ -316,7 +342,7 @@ class TestSerialization:
         # with zero imaginary parts.
         base = build_base_matrix(alpha, n, 10)
         if n % 2:
-            assert np.any(base.entries.imag == 0.0)
+            assert np.any(base.entries[1] == 0.0)
         full = full_payload(base) / l_scale ** alpha
         if kind is not OperatorKind.FRAC_LAPLACIAN:
             k = mode_numbers(n)
@@ -392,6 +418,22 @@ class TestSerialization:
         header_end = len(data) - 16 * n * n
         data[header_end + 16 * (5 * n + n - 3) + 3] ^= 0x10
         with pytest.raises(FormatError, match=r"column 13 \(mode -3\)"):
+            deserialize(bytes(data))
+
+    @pytest.mark.parametrize("modes", [(3,), (3, -3)], ids=["one", "both"])
+    def test_payload_without_conjugate_rows_rejected(self, modes):
+        # One flipped byte in the real part of row 12 at mode 3 (and, for
+        # "both", the same byte at mode -3, so the column of -3 stays the
+        # conjugate of that of 3) leaves a bottom row that is not the
+        # conjugate of row 3.
+        n = 16
+        buf = io.BytesIO()
+        serialize(build_base_matrix(0.62, n, 10), buf)
+        data = bytearray(buf.getvalue())
+        header_end = len(data) - 16 * n * n
+        for mode in modes:
+            data[header_end + 16 * (12 * n + mode % n) + 3] ^= 0x10
+        with pytest.raises(FormatError, match=r"row 12 .*row 3"):
             deserialize(bytes(data))
 
     @pytest.mark.parametrize("col", [0, 8])

@@ -41,9 +41,12 @@ _UNRECORDED = {"command", "run", "out", "out_dir", "jobs"}
 def _default_jobs() -> int:
     text = os.environ.get("RF_SPECTRAL_JOBS", "1")
     try:
-        return int(text)
+        jobs = int(text)
     except ValueError:
-        raise ValueError(f"RF_SPECTRAL_JOBS must be an integer, got {text!r}") from None
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"RF_SPECTRAL_JOBS must be an integer >= 1, got {text!r}")
+    return jobs
 
 
 def _write_manifest(path: Path, args, outputs: list, wall_time: float,
@@ -273,12 +276,14 @@ def _add_common(p, op_default=None, with_func=True, with_grid=True):
 
 
 def _check_common(args) -> None:
-    """Operator kind against order and skewness, and a positive map scale:
-    checked before any subcommand builds a matrix."""
+    """Operator kind against order and skewness, a positive map scale and at
+    least one job: checked before any subcommand builds a matrix."""
     if hasattr(args, "op"):
         validate_kind(OperatorKind(args.op), args.alpha, args.gamma)
     if hasattr(args, "L") and not args.L > 0.0:
         raise ValueError(f"map scale --L must be positive, got {args.L}")
+    if hasattr(args, "jobs") and args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
 
 
 def build_parser() -> argparse.ArgumentParser:

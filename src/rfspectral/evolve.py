@@ -49,6 +49,10 @@ class EvolutionConfig:
 
     def __post_init__(self):
         check_skewness(self.alpha, self.gamma)
+        if self.n < 2:
+            raise ValueError(f"need n >= 2, got {self.n}")
+        if not self.l_scale > 0.0:
+            raise ValueError(f"map scale must be positive, got {self.l_scale}")
         if self.dt <= 0.0 or self.t_end < 0.0:
             raise ValueError("need dt > 0 and t_end >= 0")
         if self.snapshot_stride < 1:
@@ -71,7 +75,6 @@ class RegressionResult:
 @dataclass(frozen=True)
 class EvolutionResult:
     config: EvolutionConfig
-    times: np.ndarray
     snapshots: list
     trace: FrontTrace
 
@@ -210,7 +213,6 @@ def _sample_times(config: EvolutionConfig) -> tuple[list, np.ndarray]:
 
 def rk4_evolve(
     config: EvolutionConfig,
-    u0=None,
     system: FisherSystem | None = None,
     track_front: bool = True,
     wall_budget: float | None = None,
@@ -222,10 +224,7 @@ def rk4_evolve(
     if system is None:
         system = FisherSystem.from_config(config)
     grid = system.grid
-    if u0 is None:
-        u = initial_condition(grid.x_nodes, config.alpha)
-    else:
-        u = np.asarray(u0, dtype=np.float64).copy()
+    u = initial_condition(grid.x_nodes, config.alpha)
     sampled, times = _sample_times(config)
     start = time.monotonic()
     snapshots = [u.copy()]
@@ -244,9 +243,7 @@ def rk4_evolve(
     trace = FrontTrace(
         times=times, x_half=np.asarray(fronts if track_front else [])
     )
-    return EvolutionResult(
-        config=config, times=times, snapshots=snapshots, trace=trace
-    )
+    return EvolutionResult(config=config, snapshots=snapshots, trace=trace)
 
 
 def fit_exponential(trace: FrontTrace, t_window) -> RegressionResult:

@@ -5,13 +5,14 @@ of the six operator kinds at map scale L is the base with its k > 0 columns
 times one complex number, the kind's phase over L^alpha (its k < 0 columns
 times the conjugate).  Every OperatorMatrix stores the base entries.  The
 series entries come from the gamma-ratio sum folded onto the grid through
-the aliasing identity, truncated at |l1| <= l_lim, with the top half of the
-rows computed directly and the rest filled by conjugation.
+the aliasing identity, truncated at |l1| <= l_lim; each column is one IFFT
+over all N rows.
 
-Every matrix is kept as its positive-mode columns k = 1..ceil(N/2)-1 only.
-The rest of the full N x N matrix is implied: the mode-0 column and, for
-even N, the Nyquist column are zero, and the column of mode -k is the
-conjugate of the column of k.  The RFM1 file holds the full matrix.
+Only the top ceil(N/2) rows of the positive-mode columns k = 1..ceil(N/2)-1
+are kept.  The rest of the full N x N matrix is implied, as `_full_rows`
+builds it: row N-1-j is the conjugate of row j, the column of -k is the
+conjugate of that of k, and the mode-0 and even-N Nyquist columns are zero.
+The RFM1 file holds the full matrix.
 """
 
 from __future__ import annotations
@@ -78,9 +79,7 @@ class OperatorMatrix:
     real and the imaginary plane of the top ceil(N/2) rows of the base
     matrix's positive-mode columns: entries[:, j, k - 1] holds row j of the
     column of mode k = 1..ceil(N/2)-1 of the full N x N base matrix.  The
-    mode-0 column and the even-N Nyquist column are zero, the column of -k is
-    the conjugate of the column of k, and row N-1-j is the conjugate of row
-    j for j < N//2, so none of these are stored.
+    other entries are implied (see the module docstring).
     """
 
     kind: OperatorKind
@@ -210,40 +209,34 @@ def scale_to_operator(
 def apply(matrix: OperatorMatrix, coeffs: CoeffVector) -> np.ndarray:
     """Nodal operator values, the full matrix times the coefficients.
 
-    With f = matrix.factor, re and im the stored planes (top rows of the
-    base columns k >= 1) and g = f u+, coefficients of real samples
-    (u_{-k} = conj(u_k)) give the real vector with top rows 2(a - b) and
-    bottom rows 2(a + b) reversed, where a = re g.real and b = im g.imag.
-    Any other vector, with h = conj(f) u- and u- the modes -1..-(ceil(N/2)-1),
-    gets p + i q on the top rows and p - i q reversed on the bottom rows,
-    where p = re (g + h) and q = im (g - h).  Modes 0 and -N/2 meet zero
-    columns either way.  Every product is a real plane times real vectors:
-    a real matrix times a complex vector would copy the plane to complex."""
+    With f = matrix.factor and g = f u+ over the modes 1..ceil(N/2)-1,
+    coefficients of real samples give the real vector 2 Re(M+ g), M+ the
+    base columns k >= 1.  Any other vector, with h = f conj(u-) over the
+    modes -1..-(ceil(N/2)-1), is R((g + h)/2) + i R(-i(g - h)/2) with
+    R(v) = 2 Re(M+ v).  Modes 0 and -N/2 meet zero columns."""
     if coeffs.n != matrix.n:
         raise ValueError(
             f"coefficient length {coeffs.n} does not match matrix size {matrix.n}"
         )
-    re, im = matrix.entries
-    half = re.shape[1]
+    half = stored_columns(matrix.n)
     c = coeffs.coeffs
     f = matrix.factor
     g = f * c[1 : half + 1]
     if coeffs.real_samples:
-        a = re @ g.real
-        b = im @ g.imag
-        return _mirror_rows(2.0 * (a - b), 2.0 * (a + b), matrix.n)
-    h = np.conj(f) * c[: -half - 1 : -1]
-    p = _plane_product(re, g + h)
-    q = _plane_product(im, g - h)
-    iq = 1j * q
-    return _mirror_rows(p + iq, p - iq, matrix.n)
+        return _real_product(matrix, g)
+    h = f * np.conj(c[: -half - 1 : -1])
+    parts = _real_product(matrix, np.stack((0.5 * (g + h), -0.5j * (g - h)), axis=1))
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
-def _plane_product(plane: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # plane @ v for a real plane and a complex v, as one real product with
-    # the real and imaginary parts of v as two columns.
-    prod = plane @ np.stack((v.real, v.imag), axis=1)
-    return prod[:, 0] + 1j * prod[:, 1]
+def _real_product(matrix: OperatorMatrix, v: np.ndarray) -> np.ndarray:
+    # 2 Re(M+ v) on all N rows for a vector or a stack of columns v.  Both
+    # products are a real plane times real vectors: a real matrix times a
+    # complex vector would copy the plane to complex.
+    re, im = matrix.entries
+    a = re @ v.real
+    b = im @ v.imag
+    return _mirror_rows(2.0 * (a - b), 2.0 * (a + b), matrix.n)
 
 
 def _mirror_rows(top: np.ndarray, bottom: np.ndarray, n: int) -> np.ndarray:
@@ -253,6 +246,26 @@ def _mirror_rows(top: np.ndarray, bottom: np.ndarray, n: int) -> np.ndarray:
 
 def _rows_per_block(n: int) -> int:
     return max(1, _BLOCK_BYTES // (16 * n))
+
+
+def _full_rows(entries: np.ndarray, start: int, block: np.ndarray) -> None:
+    # Rows start.. of the full N x N base matrix into `block`: row N-1-j is
+    # conj(row j), the column of -k is conj(that of k), and the mode-0 and
+    # Nyquist columns are zero.  The parts are written one at a time:
+    # forming re + 1j * im would turn a -0.0 real part into +0.0.
+    re, im = entries
+    top, half = re.shape
+    n = block.shape[1]
+    r = np.arange(start, start + len(block))
+    mirrored = r >= top
+    src = np.where(mirrored, n - 1 - r, r)
+    pos = block[:, 1 : half + 1]
+    pos.real = re[src]
+    pos.imag = im[src]
+    pos.imag[mirrored] *= -1.0
+    block[:, n - half :] = np.conj(pos[:, ::-1])
+    block[:, 0] = 0.0
+    block[:, half + 1 : n - half] = 0.0
 
 
 def serialize(matrix: OperatorMatrix, sink) -> None:
@@ -280,24 +293,14 @@ def serialize(matrix: OperatorMatrix, sink) -> None:
         )
     )
     n = matrix.n
-    re, im = matrix.entries
-    top, half = re.shape
+    half = stored_columns(n)
     scaled = not _is_base(matrix.kind, matrix.l_scale)
     phase = phase_factor(matrix.kind, matrix.alpha, matrix.gamma, 1)
     rows = _rows_per_block(n)
-    block = np.zeros((min(rows, n), n), dtype=np.complex128)
+    block = np.empty((min(rows, n), n), dtype=np.complex128)
     for start in range(0, n, rows):
-        r = np.arange(start, min(start + rows, n))
-        mirrored = r >= top
-        src = np.where(mirrored, n - 1 - r, r)
-        out = block[: len(r)]
-        # Row n-1-j is conj(row j), written part by part: forming
-        # re + 1j * im would turn a -0.0 real part into +0.0.
-        pos = out[:, 1 : half + 1]
-        pos.real = re[src]
-        pos.imag = im[src]
-        pos.imag[mirrored] *= -1.0
-        out[:, n - half :] = np.conj(pos[:, ::-1])
+        out = block[: min(rows, n - start)]
+        _full_rows(matrix.entries, start, out)
         if scaled:
             out = out / matrix.l_scale ** matrix.alpha
             if matrix.kind is not OperatorKind.FRAC_LAPLACIAN:
@@ -318,47 +321,20 @@ def _bytes_left(source) -> int | None:
     return end - pos
 
 
-def _bits_differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Elementwise a != b bit for bit, except that a zero matches either
-    # sign: adding 0.0 clears the sign of zero and keeps every other bit
-    # pattern.
-    return (a + 0.0).view(np.uint64) != (b + 0.0).view(np.uint64)
-
-
-def _first_unimplied_column(block: np.ndarray, half: int) -> int | None:
-    # First column of a full-matrix row block that the positive-mode columns
-    # cannot represent: a nonzero mode-0 or Nyquist entry, or a -k column
-    # that is not bitwise conj(column k).
+def _payload_error(block: np.ndarray, start: int, bad: np.ndarray) -> FormatError:
+    # The first flagged entry of a full-matrix row block from row `start`.
     n = block.shape[1]
-    bad = np.zeros(n, dtype=bool)
-    bad[0] = np.any(block[:, 0] != 0.0)
-    if n % 2 == 0:
-        bad[n // 2] = np.any(block[:, n // 2] != 0.0)
-    pos = block[:, half:0:-1]
-    neg = block[:, n - half :]
-    bad[n - half :] = np.any(
-        _bits_differ(neg.real, pos.real) | _bits_differ(neg.imag, -pos.imag),
-        axis=0,
-    )
-    cols = np.flatnonzero(bad)
-    return int(cols[0]) if cols.size else None
-
-
-def _first_unmirrored_row(
-    block: np.ndarray, start: int, entries: np.ndarray
-) -> int | None:
-    # First bottom row of a full-matrix row block, starting at row `start`,
-    # whose positive-mode columns are not bitwise the conjugate of the
-    # stored row n-1-r.
-    n = block.shape[1]
-    re, im = entries
-    top, half = re.shape
-    r = np.arange(max(start, top), start + len(block))
-    got = block[r - start, 1 : half + 1]
-    src = n - 1 - r
-    bad = _bits_differ(got.real, re[src]) | _bits_differ(got.imag, -im[src])
-    rows = r[np.any(bad, axis=1)]
-    return int(rows[0]) if rows.size else None
+    j, col = np.argwhere(bad)[0]
+    row, mode = start + j, int(mode_numbers(n)[col])
+    where = f"payload row {row} column {col} (mode {mode})"
+    if not np.isfinite(block[j, col]):
+        return FormatError(f"{where} is not finite")
+    if mode == 0 or abs(mode) > stored_columns(n):
+        return FormatError(f"{where} must be zero")
+    mirrored = row >= _stored_rows(n)
+    rule = "equal" if mirrored and mode < 0 else "be the conjugate of"
+    src = n - 1 - row if mirrored else row
+    return FormatError(f"{where} must {rule} row {src}, mode {abs(mode)}")
 
 
 def deserialize(source) -> OperatorMatrix:
@@ -367,12 +343,10 @@ def deserialize(source) -> OperatorMatrix:
 
     Only base files (kind fl, map scale 1) are read: a scaled header raises
     FormatError before any payload is read.  FormatError is also raised on
-    bad magic, a truncated payload, or a payload the stored entries cannot
-    represent: a bottom row N-1-j other than the conjugate of row j, a
-    nonzero mode-0 or Nyquist column, or a column of -k other than the
-    conjugate of that of k (a zero matches either sign).  On a seekable
-    source the payload size the header asks for is checked against the
-    bytes left before anything is read."""
+    bad magic, a truncated payload, a non-finite entry, or any entry other
+    than the one the kept top rows imply (a zero matches either sign).  On a
+    seekable source the payload size the header asks for is checked against
+    the bytes left before anything is read."""
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             return deserialize(fh)
@@ -405,6 +379,7 @@ def deserialize(source) -> OperatorMatrix:
     top, half = _stored_rows(n), stored_columns(n)
     entries = np.empty((2, top, half))
     rows = _rows_per_block(n)
+    implied = np.empty((min(rows, n), n), dtype=np.complex128)
     for start in range(0, n, rows):
         count = min(rows, n - start)
         chunk = source.read(16 * n * count)
@@ -417,19 +392,14 @@ def deserialize(source) -> OperatorMatrix:
         kept = block[: max(0, top - start), 1 : half + 1]
         entries[0, start : start + len(kept)] = kept.real
         entries[1, start : start + len(kept)] = kept.imag
-        row = _first_unmirrored_row(block, start, entries)
-        if row is not None:
-            raise FormatError(
-                f"payload row {row} is not implied by the top rows: it must be "
-                f"the conjugate of row {n - 1 - row}"
-            )
-        col = _first_unimplied_column(block, half)
-        if col is not None:
-            raise FormatError(
-                f"payload column {col} (mode {int(mode_numbers(n)[col])}) is not "
-                "implied by the positive modes: modes 0 and -N/2 must be zero "
-                "and the column of -k the conjugate of that of k"
-            )
+        expected = implied[:count]
+        _full_rows(entries, start, expected)
+        # A non-finite entry either differs from its implied value (NaN
+        # does from itself) or is a stored one.
+        bad = block != expected
+        bad[: len(kept), 1 : half + 1] |= ~np.isfinite(kept)
+        if bad.any():
+            raise _payload_error(block, start, bad)
     return OperatorMatrix(
         kind=kind,
         alpha=alpha,

@@ -132,7 +132,7 @@ def test_criterion_4_front_speed_slope():
 
 @pytest.mark.skipif(
     os.environ.get("RF_SPECTRAL_FULL_FISHER") != "1",
-    reason="full-size run takes about 17 min; set RF_SPECTRAL_FULL_FISHER=1",
+    reason="full-size run takes about 13 min (799 s); set RF_SPECTRAL_FULL_FISHER=1",
 )
 def test_criterion_4_full_paper_configuration():
     alpha, skew = 1.37, -0.63

@@ -148,12 +148,21 @@ class TestUsageErrors:
                 "--L", "10", "--t-end", "1", "--fit-window", "0,1"]),
         (None, SWEEP_GRID + ["--N-list", ",", "--L-range", "1:2:0.5"]),
         (None, SWEEP_GRID + ["--N-list", "16,1", "--L-range", "1:2:0.5"]),
+        (None, ["matrix", "--alpha", "0.62", "--N", "16", "--jobs", "-3"]),
+        (None, SWEEP + ["--L-range", "1:2:0.5", "--jobs", "0"]),
+        (None, ["evolve", "--alpha", "1.37", "--gamma", "0", "--N", "16",
+                "--L", "10", "--t-end", "1", "--fit-window", "0,1",
+                "--jobs", "0"]),
+        ("0", ["matrix", "--alpha", "0.62", "--N", "16"]),
+        ("-2", APPLY),
     ], ids=["jobs-env", "range-parts", "step-zero", "step-negative",
             "range-empty", "scale-zero", "matrix-kind-alpha", "apply-kind-alpha",
             "oracle-kind-alpha", "sweep-skewness", "apply-scale-negative",
             "matrix-scale-zero", "quad-tol-zero", "quad-tol-inf",
             "num-points-zero", "fit-window-samples", "no-gamma",
-            "n-list-empty", "n-list-below-two"])
+            "n-list-empty", "n-list-below-two", "matrix-jobs-negative",
+            "sweep-jobs-zero", "evolve-jobs-zero", "jobs-env-zero",
+            "jobs-env-negative"])
     def test_exit_2_before_any_build(self, tmp_path, capsys, monkeypatch,
                                      jobs_env, argv):
         def no_build(*args, **kwargs):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from rfspectral import evolve
 from rfspectral.basis import lambda_k, make_grid
 from rfspectral.errors import BudgetError, DivergenceError, TrackingError
 from rfspectral.evolve import (
@@ -140,9 +141,9 @@ class TestRk4:
     def test_snapshots_and_times(self, small_system):
         config, system = small_system
         result = rk4_evolve(config, system=system, track_front=False)
-        assert result.times[0] == 0.0
-        assert result.times[-1] == pytest.approx(1.0)
-        assert len(result.snapshots) == len(result.times)
+        assert result.trace.times[0] == 0.0
+        assert result.trace.times[-1] == pytest.approx(1.0)
+        assert len(result.snapshots) == len(result.trace.times)
 
     def test_wall_budget(self, small_system):
         config, system = small_system
@@ -163,6 +164,19 @@ class TestRk4:
             EvolutionConfig(alpha=1.37, gamma=0.9, n=8, l_scale=1.0)
         with pytest.raises(ValueError):
             EvolutionConfig(alpha=1.37, gamma=0.0, n=8, l_scale=1.0, dt=-0.1)
+
+    @pytest.mark.parametrize("n, l_scale", [
+        (1, 1.0), (0, 1.0), (8, 0.0), (8, -1.0), (8, math.nan),
+    ], ids=["n1", "n0", "L0", "L-neg", "L-nan"])
+    def test_config_rejected_before_any_build(self, monkeypatch, n, l_scale):
+        def no_build(*args, **kwargs):
+            raise AssertionError("base matrix built for an invalid config")
+
+        monkeypatch.setattr(evolve, "build_base_matrix", no_build)
+        with pytest.raises(ValueError):
+            FisherSystem.from_config(
+                EvolutionConfig(alpha=1.37, gamma=0.0, n=n, l_scale=l_scale)
+            )
 
 
 class TestFrontPosition:

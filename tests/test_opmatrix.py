@@ -4,6 +4,7 @@ import cmath
 import io
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -450,6 +451,19 @@ class TestSerialization:
         data[offset : offset + 8] = np.array([1e-300]).tobytes()
         with pytest.raises(FormatError, match=rf"column {col} "):
             deserialize(bytes(data))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_payload_rejected(self, value):
+        # serialize writes the implied copies of a non-finite stored entry
+        # consistently, so an inf passes every implied-entry comparison.
+        matrix = random_matrix(16, np.random.default_rng(8))
+        entries = matrix.entries.copy()
+        entries[1, 3, 2] = value
+        buf = io.BytesIO()
+        serialize(replace(matrix, entries=entries), buf)
+        with pytest.raises(FormatError, match=r"column 3 \(mode 3\) is not finite"):
+            deserialize(buf.getvalue())
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_size_below_two_rejected(self, n):

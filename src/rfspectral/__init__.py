@@ -48,7 +48,6 @@ from .opmatrix import (
 from .oracle import QuadratureConfig, quad_operator
 from .specfun import (
     RatioKind,
-    RatioTable,
     RieszFellerCoeffs,
     c_alpha,
     gamma,

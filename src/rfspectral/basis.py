@@ -98,10 +98,11 @@ def mu_k(x, k: int):
     return 0.5 * (lambda_k(x, k) - lambda_k(x, k + 1))
 
 
-def analyze(samples, grid: SpectralGrid, krasny_eps: float = KRASNY_EPS) -> CoeffVector:
+def analyze(samples, grid: SpectralGrid) -> CoeffVector:
     """Coefficients u_k = (exp(-i pi k / N) / N) * DFT(samples), with entries
-    of magnitude <= krasny_eps zeroed, tagged with whether the samples were
-    real."""
+    of magnitude <= KRASNY_EPS * max|u_k| zeroed, tagged with whether the
+    samples were real.  The threshold is relative, so scaling the samples
+    by a power of 2 scales the coefficients exactly."""
     samples = np.asarray(samples)
     if samples.shape != (grid.n,):
         raise ValueError(
@@ -110,8 +111,8 @@ def analyze(samples, grid: SpectralGrid, krasny_eps: float = KRASNY_EPS) -> Coef
     n = grid.n
     k = mode_numbers(n)
     coeffs = np.fft.fft(samples) * np.exp(-1j * math.pi * k / n) / n
-    if krasny_eps > 0.0:
-        coeffs[np.abs(coeffs) <= krasny_eps] = 0.0
+    magnitude = np.abs(coeffs)
+    coeffs[magnitude <= KRASNY_EPS * magnitude.max()] = 0.0
     return CoeffVector(coeffs=coeffs, real_samples=np.isrealobj(samples))
 
 

@@ -39,6 +39,7 @@ _UNRECORDED = {"command", "run", "out", "out_dir", "jobs"}
 
 
 def _default_jobs() -> int:
+    # Read only when a command that takes --jobs runs without it.
     text = os.environ.get("RF_SPECTRAL_JOBS", "1")
     try:
         jobs = int(text)
@@ -277,13 +278,17 @@ def _add_common(p, op_default=None, with_func=True, with_grid=True):
 
 def _check_common(args) -> None:
     """Operator kind against order and skewness, a positive map scale and at
-    least one job: checked before any subcommand builds a matrix."""
+    least one job (--jobs, else $RF_SPECTRAL_JOBS, else 1): checked before
+    any subcommand builds a matrix."""
     if hasattr(args, "op"):
         validate_kind(OperatorKind(args.op), args.alpha, args.gamma)
     if hasattr(args, "L") and not args.L > 0.0:
         raise ValueError(f"map scale --L must be positive, got {args.L}")
-    if hasattr(args, "jobs") and args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    if hasattr(args, "jobs"):
+        if args.jobs is None:
+            args.jobs = _default_jobs()
+        elif args.jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, op_default="fl", with_func=False, with_grid=False)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--L", type=float, default=1.0)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(run=cmd_matrix)
 
@@ -313,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated node counts, e.g. 8,16,32")
     p.add_argument("--L-range", required=True, dest="L_range",
                    help="start:stop:step map scales, e.g. 0.5:5:0.5")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(run=cmd_sweep)
 
@@ -331,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="fit_window", help="t0,t1 for the slope fit")
     p.add_argument("--budget", type=float, default=None,
                    help="wall-time budget in seconds")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int)
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.set_defaults(run=cmd_evolve)
 

@@ -67,9 +67,11 @@ def frac_lap_lambda(alpha: float, k: int, x: float) -> complex:
     """Symmetric fractional operator applied to the k-th rational basis
     function at x, via the terminating hypergeometric form.
 
-    Direct evaluation is reliable in double precision for |k| <= 32 or so;
-    beyond that the finite sum cancels badly, and the s-domain series of the
-    operator matrix (`opmatrix.build_base_matrix`) should be used instead.
+    The finite sum cancels as |k| grows.  Against the matrix columns
+    (N = 1024, L = 1, alpha = 0.62) it departs, relative to the column's
+    largest entry, by about 3e-13 at k = 8, 1e-9 at k = 16 and 4e-2 at
+    k = 32, so past |k| of about 8 use the s-domain series of the operator
+    matrix (`opmatrix.build_base_matrix`) instead.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"order must lie in (0, 2), got {alpha}")

@@ -150,15 +150,11 @@ def rk4_step(system: FisherSystem, u: np.ndarray, dt: float) -> np.ndarray:
     return u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def front_position(
-    u_nodes,
-    grid: SpectralGrid,
-    level: float = 0.5,
-    decomp: AuxDecomposition | None = FISHER_AUX,
-) -> float:
+def front_position(u_nodes, grid: SpectralGrid, level: float = 0.5) -> float:
     """x where the interpolated solution crosses `level`, taking the
     rightmost crossing.  The interpolant is the spectral synthesis of
-    u - v plus the closed-form v, evaluated through bisection in s."""
+    u - v plus the closed-form v = FISHER_AUX, evaluated through bisection
+    in s."""
     u = np.asarray(u_nodes, dtype=np.float64)
     d = u - level
     exact = np.flatnonzero(d == 0.0)
@@ -170,18 +166,11 @@ def front_position(
             f"no crossing of level {level} inside the node range"
         )
     j = int(crossings[0])  # x decreases with j, so the first bracket is rightmost
-    if decomp is not None:
-        v_nodes = decomp.aux_values(grid.x_nodes)
-        coeffs = analyze(u - v_nodes, grid)
+    coeffs = analyze(u - FISHER_AUX.aux_values(grid.x_nodes), grid)
 
-        def interp(s):
-            x = grid.l_scale / math.tan(s)
-            return synthesize(coeffs, s).real + decomp.aux_values(x) - level
-    else:
-        coeffs = analyze(u, grid)
-
-        def interp(s):
-            return synthesize(coeffs, s).real - level
+    def interp(s):
+        x = grid.l_scale / math.tan(s)
+        return synthesize(coeffs, s).real + FISHER_AUX.aux_values(x) - level
 
     lo, hi = grid.s_nodes[j], grid.s_nodes[j + 1]
     f_lo = interp(lo)

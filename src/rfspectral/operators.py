@@ -77,11 +77,11 @@ def apply_with_aux(
     decomp: AuxDecomposition | None,
     matrix: OperatorMatrix,
     grid: SpectralGrid,
-    exact=None,
+    exact: str | None = None,
 ) -> ApplyReport:
     """Operator of u via the auxiliary split; u may be a callable on x or an
-    array of node samples.  `exact` (callable or array) fills the report's
-    error field; strings name a registered closed form."""
+    array of node samples.  `exact`, the name of a registered closed form,
+    fills the report's exact values and error field."""
     x = grid.x_nodes
     samples = u(x) if callable(u) else np.asarray(u)
     if decomp is not None:
@@ -91,18 +91,12 @@ def apply_with_aux(
         )
     else:
         approx = apply_periodic(samples, matrix, grid)
-    exact_values = None
-    linf = None
-    if exact is not None:
-        if isinstance(exact, str):
-            exact_values = reference_operator(
-                exact, matrix.kind, matrix.alpha, matrix.gamma, x
-            )
-        elif callable(exact):
-            exact_values = exact(x)
-        else:
-            exact_values = np.asarray(exact)
-        linf = float(np.max(np.abs(approx - exact_values)))
+    if exact is None:
+        return ApplyReport(grid=grid, approx=approx)
+    exact_values = reference_operator(
+        exact, matrix.kind, matrix.alpha, matrix.gamma, x
+    )
+    linf = float(np.max(np.abs(approx - exact_values)))
     return ApplyReport(grid=grid, approx=approx, exact=exact_values, linf_error=linf)
 
 

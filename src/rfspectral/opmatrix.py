@@ -163,8 +163,8 @@ def build_base_matrix(
 def _series_columns(entries, alpha, n, l_lim, s, jobs=1):
     assert alpha != 1.0, "series path is undefined at alpha = 1"
     p_max = l_lim * n + n - 1
-    v1 = ratio_table(alpha, RatioKind.V1, p_max).values
-    v2 = ratio_table(alpha, RatioKind.V2, p_max).values
+    v1 = ratio_table(alpha, RatioKind.V1, p_max)
+    v2 = ratio_table(alpha, RatioKind.V2, p_max)
     l2 = mode_numbers(n)
     l1 = np.arange(-l_lim, l_lim + 1, dtype=np.int64)
     folded = l1[:, None] * n + l2[None, :]
@@ -321,6 +321,19 @@ def _bytes_left(source) -> int | None:
     return end - pos
 
 
+def _read_into(source, out: np.ndarray) -> int:
+    # Fill `out` with the next bytes of the source, looping on short reads;
+    # returns the number of bytes read, short only at the end of the source.
+    view = memoryview(out).cast("B")
+    got = 0
+    while got < len(view):
+        step = source.readinto(view[got:])
+        if not step:
+            break
+        got += step
+    return got
+
+
 def _payload_error(block: np.ndarray, start: int, bad: np.ndarray) -> FormatError:
     # The first flagged entry of a full-matrix row block from row `start`.
     n = block.shape[1]
@@ -350,8 +363,6 @@ def deserialize(source) -> OperatorMatrix:
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             return deserialize(fh)
-    if isinstance(source, (bytes, bytearray)):
-        return deserialize(io.BytesIO(source))
     magic = source.read(len(_MAGIC))
     if magic != _MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
@@ -379,16 +390,17 @@ def deserialize(source) -> OperatorMatrix:
     top, half = _stored_rows(n), stored_columns(n)
     entries = np.empty((2, top, half))
     rows = _rows_per_block(n)
-    implied = np.empty((min(rows, n), n), dtype=np.complex128)
+    payload = np.empty((min(rows, n), n), dtype=np.complex128)
+    implied = np.empty_like(payload)
     for start in range(0, n, rows):
         count = min(rows, n - start)
-        chunk = source.read(16 * n * count)
-        if len(chunk) != 16 * n * count:
+        block = payload[:count]
+        got = _read_into(source, block)
+        if got != block.nbytes:
             raise FormatError(
                 f"truncated payload: expected {size} bytes, "
-                f"got {16 * n * start + len(chunk)}"
+                f"got {16 * n * start + got}"
             )
-        block = np.frombuffer(chunk, dtype=np.complex128).reshape(count, n)
         kept = block[: max(0, top - start), 1 : half + 1]
         entries[0, start : start + len(kept)] = kept.real
         entries[1, start : start + len(kept)] = kept.imag

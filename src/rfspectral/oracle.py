@@ -40,20 +40,12 @@ class QuadratureConfig:
         u_sup: float = 1.0,
         abs_tol: float = 1e-9,
         rel_tol: float = 1e-9,
-        split_point: float = 1.0,
-        max_subdivisions: int = 200,
     ) -> "QuadratureConfig":
         """Config with tail_cut chosen so the |z|^(-1-alpha) tail of a function
         bounded by u_sup contributes less than abs_tol / 10."""
         tail_cut = (20.0 * u_sup / (alpha * abs_tol)) ** (1.0 / alpha)
-        tail_cut = max(tail_cut, 10.0 * split_point)
-        return cls(
-            abs_tol=abs_tol,
-            rel_tol=rel_tol,
-            split_point=split_point,
-            tail_cut=tail_cut,
-            max_subdivisions=max_subdivisions,
-        )
+        tail_cut = max(tail_cut, 10.0 * cls.split_point)
+        return cls(abs_tol=abs_tol, rel_tol=rel_tol, tail_cut=tail_cut)
 
 
 class _Accumulator:

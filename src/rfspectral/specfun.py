@@ -24,17 +24,6 @@ _TRANSFORM_CUT = 700.0
 
 
 @dataclass(frozen=True)
-class SignedLogGamma:
-    """log|Gamma(x)| together with the sign of Gamma(x)."""
-
-    log_abs: float
-    sign: int
-
-    def value(self) -> float:
-        return self.sign * math.exp(self.log_abs)
-
-
-@dataclass(frozen=True)
 class RieszFellerCoeffs:
     """Coefficients weighting the left/right singular integrals of the
     skewed operator of order alpha and skewness gamma."""
@@ -50,20 +39,6 @@ class RatioKind(Enum):
     V2 = "v2"
 
 
-@dataclass(frozen=True)
-class RatioTable:
-    """values[p] = Gamma(a + p) / Gamma(b + p) with (a, b) fixed by the kind,
-    built by the recursive product so consecutive entries satisfy the exact
-    one-step ratio."""
-
-    alpha: float
-    kind: RatioKind
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-
-
 def _check_not_pole(x: float) -> None:
     if x <= 0.0 and x == math.floor(x):
         raise ValueError(f"gamma pole at x = {x}")
@@ -73,19 +48,6 @@ def gamma(x: float) -> float:
     """Gamma(x) for real non-pole x."""
     _check_not_pole(x)
     return math.gamma(x)
-
-
-def signed_log_gamma(x: float) -> SignedLogGamma:
-    """Decompose Gamma(x) as sign * exp(log_abs); rejects poles."""
-    _check_not_pole(x)
-    log_abs = math.lgamma(x)
-    if x > 0.0:
-        sign = 1
-    else:
-        # Gamma alternates sign on the negative axis: negative on (-1, 0),
-        # positive on (-2, -1), and so on.
-        sign = -1 if math.floor(x) % 2 else 1
-    return SignedLogGamma(log_abs=log_abs, sign=sign)
 
 
 def c_alpha(alpha: float) -> float:
@@ -235,9 +197,11 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
     return _kummer_asymptotic(a, b, x)
 
 
-def ratio_table(alpha: float, kind: RatioKind, p_max: int) -> RatioTable:
-    """Table of Gamma((-1 +/- alpha)/2 + p) / Gamma((3 -/+ alpha)/2 + p) for
-    p = 0..p_max, built by the one-step recurrence from the p = 0 value."""
+def ratio_table(alpha: float, kind: RatioKind, p_max: int) -> np.ndarray:
+    """Gamma((-1 +/- alpha)/2 + p) / Gamma((3 -/+ alpha)/2 + p) for
+    p = 0..p_max as a read-only array, built by the one-step recurrence from
+    the p = 0 value, so consecutive entries satisfy the exact one-step
+    ratio."""
     if not (0.0 < alpha < 2.0) or alpha == 1.0:
         raise ValueError(f"order must lie in (0,1) or (1,2), got {alpha}")
     if p_max < 0:
@@ -258,7 +222,8 @@ def ratio_table(alpha: float, kind: RatioKind, p_max: int) -> RatioTable:
         values[0] = v0
         np.cumprod(ratios, out=ratios)
         values[1:] = v0 * ratios
-    return RatioTable(alpha=alpha, kind=kind, values=values)
+    values.setflags(write=False)
+    return values
 
 
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)

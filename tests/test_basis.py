@@ -109,7 +109,7 @@ class TestAnalyzeSynthesize:
         rng = np.random.default_rng(3)
         grid = make_grid(64, 2.0)
         samples = rng.normal(size=64) + 1j * rng.normal(size=64)
-        coeffs = analyze(samples, grid, krasny_eps=0.0)
+        coeffs = analyze(samples, grid)
         values = synthesize(coeffs, grid.s_nodes)
         assert np.max(np.abs(values - samples)) < 1e-13
         fast = synthesize_nodes(coeffs)
@@ -121,6 +121,22 @@ class TestAnalyzeSynthesize:
         coeffs = analyze(samples, grid)
         assert np.count_nonzero(coeffs.coeffs) == 1
 
+    def test_krasny_filter_is_relative(self):
+        # The threshold scales with the largest coefficient: scaling the
+        # samples by a power of 2 scales the result exactly, zeros included.
+        # u(s) = 1/(2 - cos 2s) has coefficients decaying like 0.27^|k|.
+        grid = make_grid(64, 1.0)
+        x2 = grid.x_nodes ** 2
+        u = (1.0 + x2) / (3.0 + x2)
+        coeffs = analyze(u, grid).coeffs
+        scaled = analyze(2.0 ** -70 * u, grid).coeffs
+        assert np.count_nonzero(coeffs) < 64
+        assert np.array_equal(scaled, 2.0 ** -70 * coeffs)
+        assert np.count_nonzero(analyze(np.zeros(64), grid).coeffs) == 0
+        with_nan = u.copy()
+        with_nan[5] = math.nan
+        assert not np.any(analyze(with_nan, grid).coeffs == 0.0)
+
     @pytest.mark.parametrize("n", [8, 16, 33, 128, 1024])
     def test_roundtrip_band_limited(self, n):
         rng = np.random.default_rng(n)
@@ -128,7 +144,7 @@ class TestAnalyzeSynthesize:
         coeffs = CoeffVector(original.copy())
         grid = make_grid(n, 1.0)
         samples = synthesize_nodes(coeffs)
-        back = analyze(samples, grid, krasny_eps=0.0)
+        back = analyze(samples, grid)
         assert np.max(np.abs(back.coeffs - original)) < 1e-13 * max(
             1.0, np.max(np.abs(original))
         )
@@ -137,7 +153,7 @@ class TestAnalyzeSynthesize:
         rng = np.random.default_rng(5)
         for n in (8, 15, 64):
             grid = make_grid(n, 1.0)
-            coeffs = analyze(rng.normal(size=n), grid, krasny_eps=0.0).coeffs
+            coeffs = analyze(rng.normal(size=n), grid).coeffs
             k = mode_numbers(n)
             for kk in range(1, (n - 1) // 2 + 1):
                 pos = np.flatnonzero(k == kk)[0]

@@ -121,9 +121,10 @@ class TestUsageErrors:
     SWEEP = SWEEP_GRID + ["--N-list", "16"]
     ORACLE = ["oracle", "--op", "fl", "--alpha", "0.62", "--func", "erf",
               "--N", "16", "--L", "1", "--llim", "5"]
+    MATRIX = ["matrix", "--alpha", "0.62", "--N", "16", "--llim", "5"]
 
     @pytest.mark.parametrize("jobs_env, argv", [
-        ("two", APPLY),
+        ("two", MATRIX),
         (None, SWEEP + ["--L-range", "1:2"]),
         (None, SWEEP + ["--L-range", "1:2:0"]),
         (None, SWEEP + ["--L-range", "1:2:-0.5"]),
@@ -154,7 +155,7 @@ class TestUsageErrors:
                 "--L", "10", "--t-end", "1", "--fit-window", "0,1",
                 "--jobs", "0"]),
         ("0", ["matrix", "--alpha", "0.62", "--N", "16"]),
-        ("-2", APPLY),
+        ("-2", MATRIX),
     ], ids=["jobs-env", "range-parts", "step-zero", "step-negative",
             "range-empty", "scale-zero", "matrix-kind-alpha", "apply-kind-alpha",
             "oracle-kind-alpha", "sweep-skewness", "apply-scale-negative",
@@ -176,6 +177,15 @@ class TestUsageErrors:
         assert run(argv + [out_flag, tmp_path / "out"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("jobs_env, argv", [
+        ("0", APPLY),
+        ("x", MATRIX + ["--jobs", "2"]),
+    ], ids=["command-without-jobs", "jobs-given"])
+    def test_jobs_env_read_only_as_the_jobs_default(self, tmp_path, monkeypatch,
+                                                    jobs_env, argv):
+        monkeypatch.setenv("RF_SPECTRAL_JOBS", jobs_env)
+        assert run(argv + ["--out", tmp_path / "out"]) == 0
 
 
 class TestSweep:

@@ -11,6 +11,7 @@ from rfspectral import evolve
 from rfspectral.basis import lambda_k, make_grid
 from rfspectral.errors import BudgetError, DivergenceError, TrackingError
 from rfspectral.evolve import (
+    FISHER_AUX,
     EvolutionConfig,
     FisherSystem,
     FrontTrace,
@@ -193,13 +194,18 @@ class TestFrontPosition:
         assert root == pytest.approx(0.2837124499494512, abs=1e-12)
 
     def test_single_mode_analytic_crossing(self):
-        # u = 1/2 + 0.4 Re lambda_1(x/L) crosses 1/2 exactly where
-        # cos(2s) = 0, i.e. at x = L (rightmost) and x = -L.
+        # u = v + 0.4 Re lambda_1(x/L), v the Fisher auxiliary: u - v is a
+        # single mode pair, so the interpolant is u itself, and its only
+        # crossing of 1/2 is the root of the closed form.
         l_scale = 3.0
         grid = make_grid(256, l_scale)
-        u = 0.5 + 0.4 * np.real(lambda_k(grid.x_nodes, 1, l_scale))
-        got = front_position(u, grid, decomp=None)
-        assert got == pytest.approx(l_scale, abs=1e-10)
+
+        def u(x):
+            return FISHER_AUX.aux_values(x) + 0.4 * np.real(lambda_k(x, 1, l_scale))
+
+        root = brentq(lambda x: u(x) - 0.5, -10.0, 0.0, xtol=1e-15)
+        got = front_position(u(grid.x_nodes), grid)
+        assert got == pytest.approx(root, abs=1e-10)
 
     def test_exact_node_level(self):
         grid = make_grid(128, 2.0)
@@ -211,7 +217,7 @@ class TestFrontPosition:
     def test_no_bracket(self):
         grid = make_grid(32, 1.0)
         with pytest.raises(TrackingError):
-            front_position(np.full(32, 0.7), grid, decomp=None)
+            front_position(np.full(32, 0.7), grid)
 
 
 class TestFitExponential:

@@ -57,6 +57,14 @@ class TestApplyWithAux:
         report = apply_reference("erf", OperatorKind.RIESZ_FELLER, 0.62, 0.49, 256, 1.1, 100)
         assert report.linf_error < 1e-12
 
+    def test_erf_battery_edge_op(self):
+        # The benchmark battery's op closest to its 1e-12 gate; with an
+        # absolute Krasny threshold it sat at 1.02e-12.
+        report = apply_reference(
+            "erf", OperatorKind.DX_WEYL_RIGHT, 1.37, 0.0, 1024, 1.0193434694465962, 100
+        )
+        assert report.linf_error <= 5e-13
+
     def test_arctan_self_aux_is_exact(self, base_62):
         grid = make_grid(64, 1.3)
         matrix = scale_to_operator(base_62, OperatorKind.WEYL_RIGHT, 0.0, 1.3)

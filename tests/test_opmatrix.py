@@ -33,7 +33,8 @@ def full_payload(matrix):
 
 
 class RecordingStream(io.BytesIO):
-    """BytesIO that records (requested size, bytes left) for every read."""
+    """BytesIO that records (requested size, bytes left) for every read,
+    including reads into a caller's buffer."""
 
     def __init__(self, data):
         super().__init__(data)
@@ -42,6 +43,23 @@ class RecordingStream(io.BytesIO):
     def read(self, size=-1):
         self.reads.append((size, len(self.getvalue()) - self.tell()))
         return super().read(size)
+
+    def readinto(self, buffer):
+        self.reads.append((len(buffer), len(self.getvalue()) - self.tell()))
+        return super().readinto(buffer)
+
+
+class TrickleStream(io.RawIOBase):
+    """Unseekable stream that returns at most 1000 bytes per read."""
+
+    def __init__(self, data):
+        self.inner = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        return self.inner.readinto(memoryview(buffer)[:1000])
 
 
 def reference_base_matrix(alpha, n, l_lim):
@@ -52,8 +70,8 @@ def reference_base_matrix(alpha, n, l_lim):
     production fill at the even-N boundary bin."""
     grid = make_grid(n, 1.0)
     p_max = l_lim * n + n - 1
-    v1 = ratio_table(alpha, RatioKind.V1, p_max).values
-    v2 = ratio_table(alpha, RatioKind.V2, p_max).values
+    v1 = ratio_table(alpha, RatioKind.V1, p_max)
+    v2 = ratio_table(alpha, RatioKind.V2, p_max)
     k_modes = mode_numbers(n)
     entries = np.zeros((n, n), dtype=np.complex128)
     for col, k in enumerate(k_modes):
@@ -262,7 +280,7 @@ class TestApply:
             matrix = scale_to_operator(matrix, OperatorKind.RIESZ_FELLER, gamma, 1.7)
         full = full_payload(matrix)
         rng = np.random.default_rng(n)
-        real = analyze(rng.normal(size=n), make_grid(n, 1.7), krasny_eps=0.0)
+        real = analyze(rng.normal(size=n), make_grid(n, 1.7))
         generic = CoeffVector(rng.normal(size=n) + 1j * rng.normal(size=n))
         assert real.real_samples and not generic.real_samples
         for coeffs in (real, generic):
@@ -281,7 +299,7 @@ class TestApply:
         )
         rng = np.random.default_rng(7)
         if path == "real":
-            coeffs = analyze(rng.normal(size=n), make_grid(n, 2.0), krasny_eps=0.0)
+            coeffs = analyze(rng.normal(size=n), make_grid(n, 2.0))
         else:
             coeffs = CoeffVector(rng.normal(size=n) + 1j * rng.normal(size=n))
         apply(matrix, coeffs)
@@ -322,7 +340,7 @@ class TestSerialization:
         matrix = random_matrix(8, rng)
         buf = io.BytesIO()
         serialize(matrix, buf)
-        back = deserialize(buf.getvalue())
+        back = deserialize(io.BytesIO(buf.getvalue()))
         assert back.kind is matrix.kind
         assert back.alpha == matrix.alpha
         assert back.gamma == matrix.gamma
@@ -357,7 +375,7 @@ class TestSerialization:
         serialize(scaled, buf)
         assert buf.getvalue()[-16 * n * n :] == full.tobytes()
         with pytest.raises(FormatError, match="only base matrices"):
-            deserialize(buf.getvalue())
+            deserialize(io.BytesIO(buf.getvalue()))
 
     @pytest.mark.parametrize("kind, gamma, l_scale", [
         (OperatorKind.FRAC_LAPLACIAN, 0.0, 2.0),
@@ -382,11 +400,11 @@ class TestSerialization:
 
     def test_empty_payload(self):
         with pytest.raises(FormatError):
-            deserialize(b"")
+            deserialize(io.BytesIO(b""))
 
     def test_bad_magic(self):
         with pytest.raises(FormatError):
-            deserialize(b"NOPE" + b"\x00" * 64)
+            deserialize(io.BytesIO(b"NOPE" + b"\x00" * 64))
 
     def test_truncated_payload(self):
         rng = np.random.default_rng(2)
@@ -394,7 +412,16 @@ class TestSerialization:
         serialize(random_matrix(4, rng), buf)
         data = buf.getvalue()
         with pytest.raises(FormatError):
-            deserialize(data[:-8])
+            deserialize(io.BytesIO(data[:-8]))
+
+    def test_short_reads_are_continued(self):
+        matrix = random_matrix(64, np.random.default_rng(10))
+        buf = io.BytesIO()
+        serialize(matrix, buf)
+        back = deserialize(TrickleStream(buf.getvalue()))
+        assert np.array_equal(back.entries, matrix.entries)
+        with pytest.raises(FormatError, match="expected 65536 bytes, got 65528"):
+            deserialize(TrickleStream(buf.getvalue()[:-8]))
 
     def test_payload_size_checked_before_read(self):
         # A header claiming n = 64 followed by only 10 payload bytes must be
@@ -419,7 +446,7 @@ class TestSerialization:
         header_end = len(data) - 16 * n * n
         data[header_end + 16 * (5 * n + n - 3) + 3] ^= 0x10
         with pytest.raises(FormatError, match=r"column 13 \(mode -3\)"):
-            deserialize(bytes(data))
+            deserialize(io.BytesIO(data))
 
     @pytest.mark.parametrize("modes", [(3,), (3, -3)], ids=["one", "both"])
     def test_payload_without_conjugate_rows_rejected(self, modes):
@@ -435,7 +462,7 @@ class TestSerialization:
         for mode in modes:
             data[header_end + 16 * (12 * n + mode % n) + 3] ^= 0x10
         with pytest.raises(FormatError, match=r"row 12 .*row 3"):
-            deserialize(bytes(data))
+            deserialize(io.BytesIO(data))
 
     @pytest.mark.parametrize("col", [0, 8])
     def test_zero_columns_checked(self, col):
@@ -447,10 +474,10 @@ class TestSerialization:
         offset = len(buf.getvalue()) - 16 * n * n + 16 * (4 * n + col)
         data = bytearray(buf.getvalue())
         data[offset : offset + 16] = np.array([-0.0, -0.0]).tobytes()
-        assert np.array_equal(deserialize(bytes(data)).entries, matrix.entries)
+        assert np.array_equal(deserialize(io.BytesIO(data)).entries, matrix.entries)
         data[offset : offset + 8] = np.array([1e-300]).tobytes()
         with pytest.raises(FormatError, match=rf"column {col} "):
-            deserialize(bytes(data))
+            deserialize(io.BytesIO(data))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "minus-inf"])
@@ -463,7 +490,7 @@ class TestSerialization:
         buf = io.BytesIO()
         serialize(replace(matrix, entries=entries), buf)
         with pytest.raises(FormatError, match=r"column 3 \(mode 3\) is not finite"):
-            deserialize(buf.getvalue())
+            deserialize(io.BytesIO(buf.getvalue()))
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_size_below_two_rejected(self, n):
@@ -472,7 +499,7 @@ class TestSerialization:
         data = bytearray(buf.getvalue()[:40])
         data[4:8] = n.to_bytes(4, "little")
         with pytest.raises(FormatError, match="size must be >= 2"):
-            deserialize(bytes(data) + b"\x00" * (16 * n * n))
+            deserialize(io.BytesIO(bytes(data) + b"\x00" * (16 * n * n)))
 
     def test_unknown_kind_tag(self):
         rng = np.random.default_rng(3)
@@ -481,7 +508,24 @@ class TestSerialization:
         data = bytearray(buf.getvalue())
         data[8] = 250
         with pytest.raises(FormatError):
-            deserialize(bytes(data))
+            deserialize(io.BytesIO(data))
+
+    def test_deserialize_reuses_its_row_blocks(self):
+        # The planes (4 MiB at N = 1024), one payload block read in place
+        # and one block of implied rows (4 MiB each) peak at 14.4 MiB.  A
+        # new bytes object per block keeps two payload blocks alive during
+        # each read: 16.2 MiB.
+        n = 1024
+        buf = io.BytesIO()
+        serialize(random_matrix(n, np.random.default_rng(9)), buf)
+        buf.seek(0)
+        tracemalloc.start()
+        try:
+            deserialize(buf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 15 * 2 ** 20
 
     def test_byte_accounting_256(self):
         rng = np.random.default_rng(4)

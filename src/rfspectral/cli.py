@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -62,6 +63,28 @@ def _write_manifest(path: Path, args, outputs: list, wall_time: float,
     }
     payload.update(extra)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+# A comma-separated list whose first value is negative, e.g. "-0.63,0.3".
+_NEGATIVE_LIST = re.compile(r"-\.?\d[^,]*,")
+
+
+def _bind_negative_lists(argv: list[str]) -> list[str]:
+    """argv with each negative list joined to the flag before it, as in
+    "--gamma=-0.63,0.3": argparse reads a token that starts with "-" and is
+    not one plain number as an option."""
+    out: list[str] = []
+    for token in argv:
+        if (
+            out
+            and _NEGATIVE_LIST.match(token)
+            and out[-1].startswith("--")
+            and "=" not in out[-1]
+        ):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -351,7 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        if argv is None:
+            argv = sys.argv[1:]
+        args = build_parser().parse_args(_bind_negative_lists(argv))
         _check_common(args)
         return args.run(args)
     except ValueError as exc:

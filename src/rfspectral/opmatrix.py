@@ -5,8 +5,9 @@ of the six operator kinds at map scale L is the base with its k > 0 columns
 times one complex number, the kind's phase over L^alpha (its k < 0 columns
 times the conjugate).  Every OperatorMatrix stores the base entries.  The
 series entries come from the gamma-ratio sum folded onto the grid through
-the aliasing identity, truncated at |l1| <= l_lim; each column is one IFFT
-over all N rows.
+the aliasing identity, truncated at |l1| <= l_lim.  The fold sums run as
+matrix products over a two-sided table of the V2 ratios, one chunk of
+columns at a time, and each chunk of columns is one IFFT over all N rows.
 
 Only the top ceil(N/2) rows of the positive-mode columns k = 1..ceil(N/2)-1
 are kept.  The rest of the full N x N matrix is implied, as `_full_rows`
@@ -24,6 +25,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._fanout import fan_out
 from .basis import CoeffVector, make_grid, mode_numbers
@@ -46,6 +49,12 @@ _TAG_KINDS = {tag: kind for kind, tag in _KIND_TAGS.items()}
 
 # Default number of aliasing shells |l1| <= l_lim summed per matrix entry.
 DEFAULT_L_LIM = 100
+
+# Columns k per chunk of the series fold, and fold columns l2 per tile of a
+# chunk's matrix products.  Both are fixed, so that how each entry is summed,
+# and so the result, does not depend on the number of jobs.
+_FOLD_CHUNK = 256
+_FOLD_TILE = 64
 
 # Size of one row block of the full matrix streamed to or from a file.
 _BLOCK_BYTES = 1 << 22
@@ -107,11 +116,6 @@ class OperatorMatrix:
         return phase / self.l_scale ** self.alpha
 
 
-def _nodal_transform(coeff_l2: np.ndarray, phase: np.ndarray, n: int) -> np.ndarray:
-    # sum_{l2} a(l2) e^{i 2 l2 s_j} over the midpoint nodes, as a phased IFFT.
-    return np.fft.ifft(coeff_l2 * phase) * n
-
-
 def _store_column(entries: np.ndarray, k: int, col: np.ndarray) -> None:
     # The top rows of the full column of mode k; the bottom rows see the
     # conjugate node phases and are implied.
@@ -126,9 +130,9 @@ def build_base_matrix(
     """Base matrix (symmetric operator, map scale 1) of size N x N, stored
     as the top rows of its positive-mode columns.
 
-    jobs > 1 spreads the independent columns over a thread pool; each
-    column's summation order is unchanged, so the result is identical to the
-    serial build.
+    jobs > 1 spreads the column chunks of the series fold over a thread
+    pool.  The chunk bounds are fixed, so every entry is summed in the same
+    order and the result is identical to the serial build.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"order must lie in (0, 2), got {alpha}")
@@ -161,28 +165,95 @@ def build_base_matrix(
 
 
 def _series_columns(entries, alpha, n, l_lim, s, jobs=1):
+    # Entry (k, l2) of the folded coefficients is the sum over |l1| <= l_lim
+    # of S ((1 - alpha) k^2 - 2 k m) V2(|k - m|), with m = l1 n + l2 and
+    # S = (-1)^l1 V1(|m|), so it is (1 - alpha) k^2 A - 2 k B with
+    # A = sum S V2(|k - m|) and B = sum S m V2(|k - m|).  For a tile of l2
+    # and a chunk of k both sums are matrix products against one strided
+    # view of the two-sided V2 table (see `_fold_band`).
     assert alpha != 1.0, "series path is undefined at alpha = 1"
-    p_max = l_lim * n + n - 1
-    v1 = ratio_table(alpha, RatioKind.V1, p_max)
-    v2 = ratio_table(alpha, RatioKind.V2, p_max)
-    l2 = mode_numbers(n)
-    l1 = np.arange(-l_lim, l_lim + 1, dtype=np.int64)
-    folded = l1[:, None] * n + l2[None, :]
-    signed_v1 = np.where(l1[:, None] % 2 == 0, 1.0, -1.0) * v1[np.abs(folded)]
+    w, s_rows, m_rows = _fold_tables(alpha, n, l_lim)
     prefac = (
         c_alpha(alpha)
         * np.sin(s) ** (alpha - 1.0)
         / (2.0 * math.tan(alpha * math.pi / 2.0))
     )
-    phase = np.exp(1j * math.pi * l2 / n)
-    folded_f = folded.astype(np.float64)
+    scale = n * prefac[: entries.shape[1]]
+    phase = np.exp(1j * math.pi * mode_numbers(n) / n)
+    half = entries.shape[2]
+    # Tiles of the columns q of s_rows (l2 = q - n//2, ascending), split at
+    # l2 = 0 so that each is one slice in DFT order too.
+    h = n // 2
+    tiles = [
+        (a, min(a + _FOLD_TILE, end))
+        for start, end in ((0, h), (h, n))
+        for a in range(start, end, _FOLD_TILE)
+    ]
 
-    def fill_column(k):
-        poly = (1.0 - alpha) * k * k - 2.0 * k * folded_f
-        coeff_l2 = (signed_v1 * poly * v2[np.abs(k - folded)]).sum(axis=0)
-        _store_column(entries, k, prefac * _nodal_transform(coeff_l2, phase, n))
+    def fold_chunk(k0):
+        c = min(_FOLD_CHUNK, half + 1 - k0)
+        # A and B in the real and imaginary parts, l2 in DFT order.
+        col = np.empty((c, n), dtype=np.complex128)
+        a_sum, b_sum = col.real, col.imag
+        for a, b in tiles:
+            band = _fold_band(w, n, s_rows.shape[0], a, b, k0, c)
+            at = (a - h) % n
+            for rows, out in ((s_rows, a_sum), (m_rows, b_sum)):
+                out[:, at : at + b - a] = _skew_diagonal(rows[:, a:b].T @ band, c)
+        k = np.arange(k0, k0 + c, dtype=np.float64)[:, None]
+        a_sum *= (1.0 - alpha) * k * k
+        b_sum *= 2.0 * k
+        a_sum -= b_sum
+        # sum_{l2} a(l2) e^{i 2 l2 s_j} over the midpoint nodes, as a phased
+        # IFFT in place; the bottom rows see the conjugate node phases and are
+        # implied.
+        np.multiply(a_sum, phase.imag, out=b_sum)
+        a_sum *= phase.real
+        col = scipy.fft.ifft(col, axis=1, overwrite_x=True)
+        top = col[:, : len(scale)]
+        top *= scale
+        entries[0, :, k0 - 1 : k0 - 1 + c] = top.real.T
+        entries[1, :, k0 - 1 : k0 - 1 + c] = top.imag.T
 
-    fan_out(fill_column, range(1, entries.shape[2] + 1), jobs)
+    fan_out(fold_chunk, range(1, half + 1, _FOLD_CHUNK), jobs)
+
+
+def _fold_tables(alpha, n, l_lim):
+    # The two-sided V2 table w, w[p_max + d] = V2(|d|), and the rows S and
+    # S m of the fold: row r is l1 = r - l_lim, column q is l2 = q - n//2,
+    # so that m = l1 n + l2 runs over one integer range in row-major order
+    # and S is that run of V1(|m|) with the rows of odd l1 negated.  V1 and
+    # V2 are dropped on return.
+    p_max = l_lim * n + n - 1
+    v2 = ratio_table(alpha, RatioKind.V2, p_max)
+    w = np.concatenate((v2[:0:-1], v2))
+    del v2
+    v1 = ratio_table(alpha, RatioKind.V1, p_max)
+    lo, hi = l_lim * n + n // 2, l_lim * n + (n + 1) // 2
+    s_rows = np.concatenate((v1[lo:0:-1], v1[:hi])).reshape(-1, n)
+    s_rows[(l_lim + 1) % 2 :: 2] *= -1.0
+    m_rows = np.arange(-lo, hi, dtype=np.float64).reshape(-1, n)
+    m_rows *= s_rows
+    return w, s_rows, m_rows
+
+
+def _fold_band(w, n, rows, a, b, k0, c):
+    # The V2 values that fold columns q = a..b-1 meet in the modes
+    # k = k0..k0+c-1: band[r, e] = w[p_max + m - k] = V2(|k - m|), with m the
+    # fold index of row r and column q and e = (q - a) - (k - k0) + c - 1.
+    # m moves by n per row and q - k by 1 per column, so this is a view of w
+    # with row stride n.
+    start = (n + 1) // 2 + a - k0 - c
+    return sliding_window_view(w, b - a + c - 1)[start :: n][:rows]
+
+
+def _skew_diagonal(band_product, c):
+    # out[kk, i] = band_product[i, i - kk + c - 1], the (c, t) entries of a
+    # (t, t + c - 1) product that belong to the chunk's columns: flat index
+    # i (t + c) + c - 1 - kk.
+    d = band_product.shape[1]
+    windows = sliding_window_view(band_product.reshape(-1), c)
+    return windows[:: d + 1, ::-1].T
 
 
 def scale_to_operator(

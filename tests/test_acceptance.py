@@ -3,9 +3,10 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Criterion 4's full-size configuration (N = 16384, L = 2100,
 t in [0, 22]) only runs when RF_SPECTRAL_FULL_FISHER=1.  It takes about
-13 minutes on one core (a 615 s matrix build plus 1760 right-hand sides at
-about 142 ms each, 1326 MiB peak resident, on a 2-core x86 VM with one BLAS
-thread) and fails its slope bound: |sigma - 1/alpha| = 1.665e-4 > 1e-4.
+4 minutes on one core (a 15 s set-up, most of it the matrix build, plus
+1760 right-hand sides at about 123 ms each, 1261 MiB peak resident, on a
+2-core x86 VM with one BLAS thread) and fails its slope bound:
+|sigma - 1/alpha| = 1.665e-4 > 1e-4.
 """
 
 import io
@@ -132,7 +133,7 @@ def test_criterion_4_front_speed_slope():
 
 @pytest.mark.skipif(
     os.environ.get("RF_SPECTRAL_FULL_FISHER") != "1",
-    reason="full-size run takes about 13 min (799 s); set RF_SPECTRAL_FULL_FISHER=1",
+    reason="full-size run takes about 4 min (232 s); set RF_SPECTRAL_FULL_FISHER=1",
 )
 def test_criterion_4_full_paper_configuration():
     alpha, skew = 1.37, -0.63

@@ -259,6 +259,17 @@ class TestEvolve:
                 tmp_path / "fan" / name / "summary.json"
             ).read_bytes()
 
+    def test_negative_gamma_list_as_its_own_argument(self, tmp_path):
+        common = ["evolve", "--alpha", "1.37", "--N", "64", "--L", "10",
+                  "--llim", "10", "--dt", "0.05", "--t-end", "1",
+                  "--stride", "10", "--fit-window", "0,1"]
+        assert run(common + ["--gamma", "-0.2,0.2", "--out-dir", tmp_path / "spaced"]) == 0
+        assert run(common + ["--gamma=-0.2,0.2", "--out-dir", tmp_path / "joined"]) == 0
+        for name in ("gamma_m0.2000", "gamma_p0.2000"):
+            assert (tmp_path / "spaced" / name / "summary.json").read_bytes() == (
+                tmp_path / "joined" / name / "summary.json"
+            ).read_bytes()
+
     def test_bad_fit_window(self, tmp_path, capsys):
         code = run([
             "evolve", "--alpha", "1.37", "--gamma", "0", "--N", "64",

@@ -1,7 +1,8 @@
 """Special-function kernel tests.
 
 High-precision reference values were generated with 50-digit arithmetic
-(mpmath) and frozen here as literals.
+(mpmath) and frozen here as literals; the Kummer values of the erf reference
+(`_ERF_KUMMER_REF`) with 40-digit arithmetic.
 """
 
 import cmath
@@ -25,6 +26,57 @@ from rfspectral.specfun import (
 )
 
 SQRT_PI = math.sqrt(math.pi)
+
+# 1F1(alpha/2; 1/2; -y) and 1F1((1+alpha)/2; 3/2; -y), the two Kummer values
+# per node of the erf reference, on both sides of the switch from the
+# transformed series to the large-argument expansion at y = 50.
+_ERF_KUMMER_Y = (0.5, 10.0, 49.9, 50.1, 80.0, 300.0, 699.0, 701.0, 2500.0)
+_ERF_KUMMER_REF = {
+    0.05: (
+        (9.787513864049494018246e-1, 8.487687192801610569866e-1),
+        (8.987053124192800728946e-1, 2.610196408581188224272e-1),
+        (8.622943282559580801446e-1, 1.121153746344160238113e-1),
+        (8.622071680839178840325e-1, 1.118800577585589612544e-1),
+        (8.520923796503341622334e-1, 8.749870060945983527003e-2),
+        (8.242956206659933310346e-1, 4.371014839359185301505e-2),
+        (8.070272670364152636803e-1, 2.803557942768400138564e-2),
+        (8.069695809244301453765e-1, 2.799355605124957428568e-2),
+        (7.817101565703572409783e-1, 1.435937925447231060209e-2),
+    ),
+    0.62: (
+        (7.483831345859384083852e-1, 7.729665084421830928226e-1),
+        (1.843435847078799812038e-1, 1.074844269437751801911e-1),
+        (1.093820157400534039498e-1, 2.855378977589564510979e-2),
+        (1.092441717365926670192e-1, 2.846082739406039102666e-2),
+        (9.430765289541237893673e-2, 1.944330330396078364457e-2),
+        (6.245688641398635199022e-2, 6.649481939901119515409e-3),
+        (4.802766184616250140112e-2, 3.349816090984927866179e-3),
+        (4.798509253450054851416e-2, 3.342069182242357409034e-3),
+        (3.234486607012151088419e-2, 1.192898413373211366175e-3),
+    ),
+    1.37: (
+        (4.770342881594110222708e-1, 6.796064239588969146132e-1),
+        (-6.506446246855804403591e-2, 2.24952304578311726e-2),
+        (-1.995098821713008080651e-2, 3.082572044276712883404e-3),
+        (-1.989502420348281033937e-2, 3.06778348438902331521e-3),
+        (-1.434680026595442058387e-2, 1.750689612172157782893e-3),
+        (-5.757525637834735655598e-3, 3.628059069579006713271e-4),
+        (-3.220487959869848978739e-3, 1.329481162410059039649e-4),
+        (-3.214180471386482236888e-3, 1.324983119355876440833e-4),
+        (-1.344111696803171221302e-3, 2.93402933901742686901e-5),
+    ),
+    1.95: (
+        (2.904062132230223295175e-1, 6.121576437105280993373e-1),
+        (-6.35195206293507379295e-2, 9.489642024648726712548e-4),
+        (-1.134208469657092063536e-2, 7.241245100474878759028e-5),
+        (-1.12965372528287057223e-2, 7.197755836214716739027e-5),
+        (-7.07669946869153643214e-3, 3.568259193686444574814e-5),
+        (-1.924250291287661063448e-3, 5.01039041691814919868e-6),
+        (-8.41184517645960454336e-4, 1.434905556251704726889e-6),
+        (-8.38839528816525496581e-4, 1.428862745447364641011e-6),
+        (-2.424483734376433526973e-4, 2.186854581732499035585e-7),
+    ),
+}
 
 
 class TestGamma:
@@ -173,6 +225,22 @@ class TestKummer:
         monkeypatch.setattr(specfun, "_KUMMER_MAX_TERMS", 3)
         with pytest.raises(NumericError, match="3 terms"):
             kummer_1f1(0.31, 0.5, 80.0)
+
+    def test_transformed_nonconvergence_names_caller_arguments(self, monkeypatch):
+        from rfspectral import specfun
+
+        monkeypatch.setattr(specfun, "_KUMMER_MAX_TERMS", 3)
+        with pytest.raises(NumericError, match="transformed series") as info:
+            kummer_1f1(0.31, 0.5, -30.0)
+        assert "a=0.31, b=0.5, x=-30.0" in str(info.value)
+
+    @pytest.mark.parametrize("alpha", sorted(_ERF_KUMMER_REF))
+    def test_erf_parameters_across_branch_switch(self, alpha):
+        for y, (f1, f2) in zip(_ERF_KUMMER_Y, _ERF_KUMMER_REF[alpha]):
+            got1 = kummer_1f1(alpha / 2.0, 0.5, -y)
+            got2 = kummer_1f1((1.0 + alpha) / 2.0, 1.5, -y)
+            assert abs(got1 / f1 - 1.0) <= 4e-15, (y, got1, f1)
+            assert abs(got2 / f2 - 1.0) <= 4e-15, (y, got2, f2)
 
 
 class TestRatioTable:

@@ -32,7 +32,6 @@ from .operators import (
     DEFAULT_AUX,
     ApplyReport,
     AuxDecomposition,
-    apply_periodic,
     apply_reference,
     apply_with_aux,
     sweep_errors,
@@ -45,12 +44,10 @@ from .opmatrix import (
     scale_to_operator,
     serialize,
 )
-from .oracle import QuadratureConfig, quad_operator
+from .oracle import quad_operator
 from .specfun import (
     RatioKind,
-    RieszFellerCoeffs,
     c_alpha,
-    gamma,
     hyp2f1_terminating,
     kummer_1f1,
     ratio_table,

@@ -1,5 +1,6 @@
 """Mapped Fourier basis on the real line: the cot map, midpoint nodes on
-(0, pi), the rational basis functions, and the phase-corrected DFT pair.
+(0, pi), the rational basis functions lambda_k, and the phase-corrected DFT
+pair (analysis by FFT, synthesis at arbitrary s).
 
 Mode ordering follows the DFT convention throughout: k = 0..ceil(N/2)-1
 followed by k = -floor(N/2)..-1.
@@ -87,17 +88,6 @@ def lambda_k(x, k: int, l_scale: float = 1.0):
     return np.exp(2j * k * theta)
 
 
-def phi_k(x, k: int):
-    """Half-index variant ((ix - 1)/(ix + 1))^(k/2) = exp(i k arccot(x))."""
-    theta = np.arctan2(1.0, x)
-    return np.exp(1j * k * theta)
-
-
-def mu_k(x, k: int):
-    """(ix - 1)^k / (ix + 1)^(k+1), identically (lambda_k - lambda_{k+1})/2."""
-    return 0.5 * (lambda_k(x, k) - lambda_k(x, k + 1))
-
-
 def analyze(samples, grid: SpectralGrid) -> CoeffVector:
     """Coefficients u_k = (exp(-i pi k / N) / N) * DFT(samples), with entries
     of magnitude <= KRASNY_EPS * max|u_k| zeroed, tagged with whether the
@@ -126,9 +116,3 @@ def synthesize(coeffs: CoeffVector, s):
         return complex(out)
     return out
 
-
-def synthesize_nodes(coeffs: CoeffVector) -> np.ndarray:
-    """Fast evaluation of the mode sum at the grid nodes via the inverse FFT."""
-    n = coeffs.n
-    k = mode_numbers(n)
-    return np.fft.ifft(coeffs.coeffs * np.exp(1j * math.pi * k / n)) * n

@@ -31,7 +31,7 @@ from .opmatrix import (
     scale_to_operator,
     serialize,
 )
-from .oracle import QuadratureConfig, quad_operator
+from .oracle import quad_operator
 
 # Parsed arguments left out of a manifest's parameters: the subcommand and
 # its handler, where the outputs go and how many threads made them.  Every
@@ -258,18 +258,15 @@ def cmd_oracle(args) -> int:
     idx = np.unique(
         np.linspace(grid.n * 0.25, grid.n * 0.75, args.num_points).astype(int)
     )
-    cfg = QuadratureConfig.for_function(
-        args.alpha, u_sup=func.sup, abs_tol=args.quad_tol, rel_tol=args.quad_tol,
-    )
-    du = func.derivative
     value = lambda x: float(func.value(x))
     rows = []
     for j in idx:
         x = float(grid.x_nodes[j])
         spectral = float(np.real(report.approx[j]))
-        quad_val = float(
-            np.real(quad_operator(kind, args.alpha, args.gamma, value, x, cfg, du=du))
-        )
+        quad_val = float(np.real(quad_operator(
+            kind, args.alpha, args.gamma, value, x, du=func.derivative,
+            tol=args.quad_tol, u_sup=func.sup,
+        )))
         closed = float(report.exact[j])
         rows.append((x, spectral, quad_val, closed))
     out = Path(args.out)

@@ -59,19 +59,6 @@ DEFAULT_AUX: dict[str, AuxDecomposition | None] = {
 }
 
 
-def apply_periodic(samples, matrix: OperatorMatrix, grid: SpectralGrid) -> np.ndarray:
-    """Operator values at the nodes for samples whose mapped function is
-    periodic: analyze, filter, multiply by the operator matrix."""
-    samples = np.asarray(samples)
-    if samples.shape != (grid.n,) or matrix.n != grid.n:
-        raise ValueError(
-            f"size mismatch: samples {samples.shape}, matrix {matrix.n}, "
-            f"grid {grid.n}"
-        )
-    coeffs = analyze(samples, grid)
-    return matrix_apply(matrix, coeffs)
-
-
 def apply_with_aux(
     u,
     decomp: AuxDecomposition | None,
@@ -85,12 +72,10 @@ def apply_with_aux(
     x = grid.x_nodes
     samples = u(x) if callable(u) else np.asarray(u)
     if decomp is not None:
-        w = samples - decomp.aux_values(x)
-        approx = apply_periodic(w, matrix, grid) + decomp.aux_operator(
-            matrix.kind, matrix.alpha, matrix.gamma, x
-        )
-    else:
-        approx = apply_periodic(samples, matrix, grid)
+        samples = samples - decomp.aux_values(x)
+    approx = matrix_apply(matrix, analyze(samples, grid))
+    if decomp is not None:
+        approx += decomp.aux_operator(matrix.kind, matrix.alpha, matrix.gamma, x)
     if exact is None:
         return ApplyReport(grid=grid, approx=approx)
     exact_values = reference_operator(

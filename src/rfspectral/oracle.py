@@ -16,48 +16,39 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-
-from scipy.integrate import IntegrationWarning, quad
 
 from .closedform import OperatorKind, validate_kind
 from .errors import ConvergenceError
 from .specfun import c_alpha, rf_coeffs
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-    split_point: float = 1.0
-    tail_cut: float = 1e9
-    max_subdivisions: int = 200
+# The singular window is [0, _SPLIT]; each adaptive integral stops after
+# _MAX_SUBDIVISIONS intervals.
+_SPLIT = 1.0
+_MAX_SUBDIVISIONS = 200
 
-    @classmethod
-    def for_function(
-        cls,
-        alpha: float,
-        u_sup: float = 1.0,
-        abs_tol: float = 1e-9,
-        rel_tol: float = 1e-9,
-    ) -> "QuadratureConfig":
-        """Config with tail_cut chosen so the |z|^(-1-alpha) tail of a function
-        bounded by u_sup contributes less than abs_tol / 10."""
-        tail_cut = (20.0 * u_sup / (alpha * abs_tol)) ** (1.0 / alpha)
-        tail_cut = max(tail_cut, 10.0 * cls.split_point)
-        return cls(abs_tol=abs_tol, rel_tol=rel_tol, tail_cut=tail_cut)
+
+def _tail_cut(alpha: float, u_sup: float, tol: float) -> float:
+    """Truncation point at which the |z|^(-1-alpha) tail of a function
+    bounded by u_sup contributes less than tol / 10."""
+    tail_cut = (20.0 * u_sup / (alpha * tol)) ** (1.0 / alpha)
+    return max(tail_cut, 10.0 * _SPLIT)
 
 
 class _Accumulator:
     """Sums weighted quadrature pieces and their error estimates."""
 
-    def __init__(self, cfg: QuadratureConfig, complex_valued: bool):
-        self.cfg = cfg
+    def __init__(self, tol: float, tail_cut: float, complex_valued: bool):
+        self.tol = tol
+        self.tail_cut = tail_cut
         self.complex_valued = complex_valued
         self.value = 0.0j if complex_valued else 0.0
         self.err = 0.0
 
     def _quad(self, f, a, b):
+        # Imported on first use, so that only runs that integrate load it.
+        from scipy.integrate import IntegrationWarning, quad
+
         # The returned error estimate is checked in result(); scipy's own
         # warning on a hit subdivision cap would only duplicate that.
         with warnings.catch_warnings():
@@ -66,9 +57,9 @@ class _Accumulator:
                 f,
                 a,
                 b,
-                epsabs=self.cfg.abs_tol / 8.0,
-                epsrel=self.cfg.rel_tol,
-                limit=self.cfg.max_subdivisions,
+                epsabs=self.tol / 8.0,
+                epsrel=self.tol,
+                limit=_MAX_SUBDIVISIONS,
                 complex_func=self.complex_valued,
             )
         return val, abs(err)
@@ -78,14 +69,13 @@ class _Accumulator:
 
     def add_singular(self, weight, h, beta):
         """weight * integral_0^split z^(-beta) h(z) dz, h smooth, beta < 1."""
-        split = self.cfg.split_point
         if beta > 0.0:
             power = 1.0 / (1.0 - beta)
             val, err = self._quad(
-                lambda t: h(t ** power) * power, 0.0, split ** (1.0 - beta)
+                lambda t: h(t ** power) * power, 0.0, _SPLIT ** (1.0 - beta)
             )
         else:
-            val, err = self._quad(lambda z: h(z) * z ** (-beta), 0.0, split)
+            val, err = self._quad(lambda z: h(z) * z ** (-beta), 0.0, _SPLIT)
         self.value += weight * val
         self.err += abs(weight) * err
 
@@ -93,14 +83,14 @@ class _Accumulator:
         """weight * integral_split^tail z^(-beta) h(z) dz via z = exp(w)."""
         val, err = self._quad(
             lambda w: h(math.exp(w)) * math.exp((1.0 - beta) * w),
-            math.log(self.cfg.split_point),
-            math.log(self.cfg.tail_cut),
+            math.log(_SPLIT),
+            math.log(self.tail_cut),
         )
         self.value += weight * val
         self.err += abs(weight) * err
 
     def result(self, label):
-        budget = max(self.cfg.abs_tol, self.cfg.rel_tol * abs(self.value))
+        budget = self.tol * max(1.0, abs(self.value))
         if self.err > budget:
             raise ConvergenceError(
                 f"quadrature error estimate {self.err:.3g} exceeds tolerance "
@@ -140,18 +130,17 @@ def _increment_second_order(acc, u, du, x, sgn, alpha, weight):
     moment, which decays only like z^-alpha, is integrated exactly, so only
     the bounded increment u(x + sgn z) - u(x) is truncated at the tail cut.
     """
-    split = acc.cfg.split_point
     ux = u(x)
     dx_u = du(x)
-    f_split = u(x + sgn * split) - ux - sgn * dx_u * split
-    acc.add_exact(weight, -f_split * split ** (-alpha) / alpha)
+    f_split = u(x + sgn * _SPLIT) - ux - sgn * dx_u * _SPLIT
+    acc.add_exact(weight, -f_split * _SPLIT ** (-alpha) / alpha)
     acc.add_singular(
         weight / alpha,
         lambda z: sgn * (du(x + sgn * z) - dx_u) / z,
         alpha - 1.0,
     )
     acc.add_exact(
-        weight, -sgn * dx_u * split ** (1.0 - alpha) / (alpha - 1.0)
+        weight, -sgn * dx_u * _SPLIT ** (1.0 - alpha) / (alpha - 1.0)
     )
     acc.add_outer(
         weight,
@@ -170,9 +159,8 @@ def _frac_lap(acc, u, du, x, alpha, weight, representation):
         return
     if alpha > 1.0 and du is not None:
         # Stabilize the singular window by parts, as in the one-sided case.
-        split = acc.cfg.split_point
-        f_split = 2.0 * ux - u(x + split) - u(x - split)
-        acc.add_exact(weight, -f_split * split ** (-alpha) / alpha)
+        f_split = 2.0 * ux - u(x + _SPLIT) - u(x - _SPLIT)
+        acc.add_exact(weight, -f_split * _SPLIT ** (-alpha) / alpha)
         acc.add_singular(
             weight / alpha,
             lambda z: (du(x - z) - du(x + z)) / z,
@@ -197,9 +185,11 @@ def quad_operator(
     gamma: float,
     u,
     x: float,
-    cfg: QuadratureConfig | None = None,
     du=None,
     representation: str = "default",
+    *,
+    tol: float = 1e-9,
+    u_sup: float = 1.0,
 ):
     """Operator value at x by adaptive quadrature of a defining integral.
 
@@ -207,16 +197,23 @@ def quad_operator(
     "difference" uses the increment kernels, "derivative" the u'-weighted
     kernels (requires du).  "default" is the increment form for the
     order-(1,2) kinds and for the symmetric operator, and the derivative
-    form for the one-sided order-(0,1) kinds.
+    form for the one-sided order-(0,1) kinds.  The Riesz-Feller kind has
+    the default form only.
+
+    `tol` is both the absolute and the relative tolerance; the integrals are
+    cut where the tail of a function bounded by `u_sup` falls below tol / 10.
     """
     validate_kind(kind, alpha, gamma)
     if representation not in ("default", "difference", "derivative"):
         raise ValueError(f"unknown representation {representation!r}")
-    if cfg is None:
-        cfg = QuadratureConfig.for_function(alpha)
+    if kind is OperatorKind.RIESZ_FELLER and representation != "default":
+        raise ValueError(
+            f"{kind.name} has only the default representation, "
+            f"got {representation!r}"
+        )
     # np.complex128 subclasses complex, so this covers numpy-valued u too.
     complex_valued = isinstance(u(x), complex)
-    acc = _Accumulator(cfg, complex_valued)
+    acc = _Accumulator(tol, _tail_cut(alpha, u_sup, tol), complex_valued)
 
     if kind is OperatorKind.WEYL_RIGHT or kind is OperatorKind.WEYL_LEFT_NEG:
         right = kind is OperatorKind.WEYL_RIGHT
@@ -241,13 +238,12 @@ def quad_operator(
             if kind is OperatorKind.DX_WEYL_LEFT_NEG:
                 weight = -weight
             dx_u = d(x)
-            split = cfg.split_point
             acc.add_singular(
                 weight, lambda z: (d(x + sgn * z) - dx_u) / z, alpha - 1.0
             )
             # Exact z^(1-alpha) moment of the constant -u'(x) on [split, inf).
             acc.add_exact(
-                weight, -dx_u * split ** (1.0 - alpha) / (alpha - 1.0)
+                weight, -dx_u * _SPLIT ** (1.0 - alpha) / (alpha - 1.0)
             )
             acc.add_outer(
                 weight, lambda z: d(x + sgn * z) / z, alpha - 1.0
@@ -262,15 +258,15 @@ def quad_operator(
                       "difference")
             acc.add_exact(math.sin(gamma * half), d(x))
         else:
-            co = rf_coeffs(alpha, gamma)
+            c1, c2 = rf_coeffs(alpha, gamma)
             if alpha < 1.0:
                 ux = u(x)
-                for sgn, weight in ((-1, co.c1), (1, co.c2)):
+                for sgn, weight in ((-1, c1), (1, c2)):
                     h = lambda z, s=sgn: (u(x + s * z) - ux) / z
                     acc.add_singular(weight, h, alpha)
                     acc.add_outer(weight, h, alpha)
             else:
                 d = _need_du(du, kind)
-                _increment_second_order(acc, u, d, x, -1, alpha, co.c1)
-                _increment_second_order(acc, u, d, x, 1, alpha, co.c2)
+                _increment_second_order(acc, u, d, x, -1, alpha, c1)
+                _increment_second_order(acc, u, d, x, 1, alpha, c2)
     return acc.result(f"{kind.name} at x={x}")

@@ -1,6 +1,6 @@
-"""Special-function kernel: gamma helpers, terminating 2F1 sums, Kummer 1F1,
-skewed-operator coefficients and the gamma-ratio tables feeding the series
-path.
+"""Special-function kernel: the operator normalization constant, terminating
+2F1 sums, Kummer 1F1, skewed-operator coefficients and the gamma-ratio
+tables feeding the series path.
 
 Kummer 1F1 is evaluated on the nonpositive axis (the erf reference's -x^2
 kernels) by one of two scalar sums: the Kummer-transformed series up to
@@ -15,7 +15,6 @@ order and tables are plain immutable arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -28,31 +27,9 @@ _KUMMER_MAX_TERMS = 20000
 _TRANSFORM_CUT = 50.0
 
 
-@dataclass(frozen=True)
-class RieszFellerCoeffs:
-    """Coefficients weighting the left/right singular integrals of the
-    skewed operator of order alpha and skewness gamma."""
-
-    c1: float
-    c2: float
-    alpha: float
-    gamma: float
-
-
 class RatioKind(Enum):
     V1 = "v1"
     V2 = "v2"
-
-
-def _check_not_pole(x: float) -> None:
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"gamma pole at x = {x}")
-
-
-def gamma(x: float) -> float:
-    """Gamma(x) for real non-pole x."""
-    _check_not_pole(x)
-    return math.gamma(x)
 
 
 def c_alpha(alpha: float) -> float:
@@ -79,14 +56,14 @@ def check_skewness(alpha: float, gamma_skew: float) -> None:
         )
 
 
-def rf_coeffs(alpha: float, gamma_skew: float) -> RieszFellerCoeffs:
-    """Left/right weights c1 = Gamma(1+a) sin((a-g) pi/2) / pi and
+def rf_coeffs(alpha: float, gamma_skew: float) -> tuple[float, float]:
+    """Left/right weights (c1, c2): c1 = Gamma(1+a) sin((a-g) pi/2) / pi and
     c2 = Gamma(1+a) sin((a+g) pi/2) / pi."""
     check_skewness(alpha, gamma_skew)
     g1a = math.gamma(1.0 + alpha) / math.pi
     c1 = g1a * math.sin((alpha - gamma_skew) * math.pi / 2.0)
     c2 = g1a * math.sin((alpha + gamma_skew) * math.pi / 2.0)
-    return RieszFellerCoeffs(c1=c1, c2=c2, alpha=alpha, gamma=gamma_skew)
+    return c1, c2
 
 
 def hyp2f1_terminating(m: int, alpha: float, z: complex, c: float = 2.0) -> complex:
@@ -203,24 +180,13 @@ def ratio_table(alpha: float, kind: RatioKind, p_max: int) -> np.ndarray:
     else:
         num0 = (-1.0 - alpha) / 2.0
         den0 = (3.0 + alpha) / 2.0
-    v0 = gamma(num0) / gamma(den0)
-    if p_max == 0:
-        values = np.array([v0])
-    else:
-        p = np.arange(p_max, dtype=np.float64)
-        ratios = (num0 + p) / (den0 + p)
-        values = np.empty(p_max + 1, dtype=np.float64)
-        values[0] = v0
-        np.cumprod(ratios, out=ratios)
-        values[1:] = v0 * ratios
+    v0 = math.gamma(num0) / math.gamma(den0)
+    p = np.arange(p_max, dtype=np.float64)
+    ratios = (num0 + p) / (den0 + p)
+    values = np.empty(p_max + 1, dtype=np.float64)
+    values[0] = v0
+    np.cumprod(ratios, out=ratios)
+    values[1:] = v0 * ratios
     values.setflags(write=False)
     return values
-
-
-_I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-
-
-def unit_imag_power(n: int) -> complex:
-    """i**n for integer n, exact."""
-    return _I_POWERS[n % 4]
 

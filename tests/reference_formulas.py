@@ -1,0 +1,168 @@
+"""Reference formulas that only the tests check the package against: the
+Christov-type basis functions and their operator values, the order-1
+odd-index formulas, the x = 0 anchors for odd indices, fast nodal
+synthesis and the full matrix as RFM1 writes it.
+
+Imported by the test modules; pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import cmath
+import io
+import math
+
+import numpy as np
+
+from rfspectral.basis import CoeffVector, lambda_k, mode_numbers
+from rfspectral.closedform import OperatorKind, phase_factor, validate_kind
+from rfspectral.opmatrix import serialize
+from rfspectral.specfun import hyp2f1_terminating
+
+
+def full_payload(matrix):
+    """The full N x N matrix as RFM1 writes it, implied columns included."""
+    buf = io.BytesIO()
+    serialize(matrix, buf)
+    payload = buf.getvalue()[-16 * matrix.n * matrix.n :]
+    return np.frombuffer(payload, dtype=np.complex128).reshape(matrix.n, matrix.n)
+
+
+# --- Basis ----------------------------------------------------------------
+
+
+def phi_k(x, k: int):
+    """Half-index variant ((ix - 1)/(ix + 1))^(k/2) = exp(i k arccot(x))."""
+    theta = np.arctan2(1.0, x)
+    return np.exp(1j * k * theta)
+
+
+def mu_k(x, k: int):
+    """(ix - 1)^k / (ix + 1)^(k+1), identically (lambda_k - lambda_{k+1})/2."""
+    return 0.5 * (lambda_k(x, k) - lambda_k(x, k + 1))
+
+
+def synthesize_nodes(coeffs: CoeffVector) -> np.ndarray:
+    """Fast evaluation of the mode sum at the grid nodes via the inverse FFT."""
+    n = coeffs.n
+    k = mode_numbers(n)
+    return np.fft.ifft(coeffs.coeffs * np.exp(1j * math.pi * k / n)) * n
+
+
+_I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+
+def unit_imag_power(n: int) -> complex:
+    """i**n for integer n, exact."""
+    return _I_POWERS[n % 4]
+
+
+# --- Christov-type functions ----------------------------------------------
+
+
+def frac_lap_mu(alpha: float, k: int, x: float) -> complex:
+    """Symmetric fractional operator on the k-th Christov-type basis
+    function, via the terminating hypergeometric form with third parameter 1."""
+    if not 0.0 < alpha < 2.0:
+        raise ValueError(f"order must lie in (0, 2), got {alpha}")
+    ga = math.gamma(1.0 + alpha)
+    if k >= 0:
+        base = 1.0 + 1j * x
+        return ga / base ** (1.0 + alpha) * hyp2f1_terminating(
+            k, alpha, 2.0 / base, c=1.0
+        )
+    base = 1.0 - 1j * x
+    return -ga / base ** (1.0 + alpha) * hyp2f1_terminating(
+        -(1 + k), alpha, 2.0 / base, c=1.0
+    )
+
+
+def op_mu(
+    kind: OperatorKind, alpha: float, k: int, x: float, gamma: float = 0.0
+) -> complex:
+    """Any supported operator applied to the k-th Christov-type function.
+
+    The mode-sign convention follows the (lambda_k - lambda_{k+1})/2
+    decomposition: the k = 0 term takes the sign of k + 1 because the
+    lambda_0 contribution vanishes.
+    """
+    validate_kind(kind, alpha, gamma)
+    sgn = 1 if k >= 0 else -1
+    return phase_factor(kind, alpha, gamma, sgn) * frac_lap_mu(alpha, k, x)
+
+
+# --- Odd-index half-basis functions ---------------------------------------
+
+
+def _odd_k_bracket(k: int, s: float) -> complex:
+    sgn = 1 if k > 0 else -1
+    log_cot_half = math.log(math.cos(0.5 * s)) - math.log(math.sin(0.5 * s))
+    total = math.cos(s) + math.sin(s) ** 2 * log_cot_half + 0.0j
+    for n in range((abs(k) - 1) // 2 + 1):
+        total += 4.0 * cmath.exp(-1j * sgn * (2 * n + 1) * s) / (
+            (2 * n - 1.0) * (2 * n + 1.0) * (2 * n + 3.0)
+        )
+    return total
+
+
+def half_lap_phi_odd(k: int, s: float) -> complex:
+    """Order-1 symmetric operator on the odd-index half-basis function,
+    expressed in s. Diverges logarithmically at the interval endpoints."""
+    if k % 2 == 0:
+        raise ValueError(f"k must be odd, got {k}")
+    if not 0.0 < s < math.pi:
+        raise ValueError(f"s must lie in (0, pi), got {s}")
+    sgn = 1 if k > 0 else -1
+    return -2j * sgn / (math.pi * (2.0 + abs(k))) - (
+        2j * k * cmath.exp(1j * k * s) / math.pi
+    ) * _odd_k_bracket(k, s)
+
+
+def d1gamma_phi_odd(k: int, gamma: float, s: float) -> complex:
+    """Order-1 skewed operator on the odd-index half-basis function:
+    -cos(g pi/2) times the symmetric value plus sin(g pi/2) times the
+    mapped derivative -i k sin^2(s) exp(i k s)."""
+    if k % 2 == 0:
+        raise ValueError(f"k must be odd, got {k}")
+    if abs(gamma) > 1.0:
+        raise ValueError(f"skewness must satisfy |gamma| <= 1, got {gamma}")
+    half_pi = math.pi / 2.0
+    deriv = -1j * k * math.sin(s) ** 2 * cmath.exp(1j * k * s)
+    return -math.cos(gamma * half_pi) * half_lap_phi_odd(k, s) + math.sin(
+        gamma * half_pi
+    ) * deriv
+
+
+def weyl_phi_at_zero(alpha: float, k: int) -> tuple[complex, complex, complex]:
+    """Values at x = 0 of the right, minus-left and symmetric operators on
+    the odd-index half-basis function, as finite gamma sums."""
+    if k % 2 == 0 or k <= 0:
+        raise ValueError(f"k must be a positive odd integer, got {k}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"order must lie in (0, 1), got {alpha}")
+    sum_right = 0.0 + 0.0j
+    sum_left = 0.0 + 0.0j
+    sum_sym = 0.0
+    for n in range(k + 1):
+        g = (
+            math.comb(k, n)
+            * math.gamma((1.0 + alpha + k - n) / 2.0)
+            * math.gamma((1.0 - alpha + n) / 2.0)
+        )
+        i_n = unit_imag_power(n)
+        sum_right += i_n * g
+        sum_left += i_n.conjugate() * g
+        sum_sym += math.sin(n * math.pi / 2.0) * g
+    front = -unit_imag_power(1 + k) * k / (
+        2.0 * math.gamma(1.0 - alpha) * math.gamma(1.0 + k / 2.0)
+    )
+    d_right = front * sum_right
+    d_left_neg = front * sum_left
+    lap = (
+        unit_imag_power(k)
+        * 2.0 ** alpha
+        * math.gamma((1.0 + alpha) / 2.0)
+        / (math.sqrt(math.pi) * math.gamma(k / 2.0) * math.gamma(1.0 - alpha / 2.0))
+        * sum_sym
+    )
+    return d_right, d_left_neg, lap

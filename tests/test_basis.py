@@ -6,16 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from reference_formulas import mu_k, phi_k, synthesize_nodes
 from rfspectral.basis import (
     CoeffVector,
     analyze,
     lambda_k,
     make_grid,
     mode_numbers,
-    mu_k,
-    phi_k,
     synthesize,
-    synthesize_nodes,
 )
 
 

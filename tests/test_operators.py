@@ -11,7 +11,6 @@ from rfspectral.closedform import OperatorKind, frac_lap_lambda, reference_opera
 from rfspectral.operators import (
     DEFAULT_AUX,
     AuxDecomposition,
-    apply_periodic,
     apply_reference,
     apply_with_aux,
     sweep_errors,
@@ -26,10 +25,12 @@ def base_62():
 
 
 class TestApplyPeriodic:
+    """apply_with_aux without an auxiliary: analyze, filter, multiply."""
+
     def test_constant_function(self, base_62):
         grid = make_grid(64, 1.0)
         matrix = scale_to_operator(base_62, OperatorKind.RIESZ_FELLER, 0.3, 1.0)
-        out = apply_periodic(np.ones(64), matrix, grid)
+        out = apply_with_aux(np.ones(64), None, matrix, grid).approx
         assert np.max(np.abs(out)) == 0.0
 
     def test_single_mode(self, base_62):
@@ -37,7 +38,7 @@ class TestApplyPeriodic:
         grid = make_grid(64, l_scale)
         matrix = scale_to_operator(base_62, OperatorKind.RIESZ_FELLER, 0.0, l_scale)
         samples = np.real(lambda_k(grid.x_nodes, 1, l_scale))
-        out = apply_periodic(samples, matrix, grid)
+        out = apply_with_aux(samples, None, matrix, grid).approx
         g1 = make_grid(64, 1.0)
         expected = -np.array(
             [frac_lap_lambda(0.62, 1, x).real for x in g1.x_nodes]
@@ -49,7 +50,9 @@ class TestApplyPeriodic:
         grid = make_grid(64, 1.0)
         matrix = scale_to_operator(base_62, OperatorKind.FRAC_LAPLACIAN, 0.0, 1.0)
         with pytest.raises(ValueError):
-            apply_periodic(np.ones(32), matrix, grid)
+            apply_with_aux(np.ones(32), None, matrix, grid)
+        with pytest.raises(ValueError):
+            apply_with_aux(np.ones(32), None, matrix, make_grid(32, 1.0))
 
 
 class TestApplyWithAux:
@@ -88,8 +91,11 @@ class TestApplyWithAux:
         u = rng.normal(size=64)
         w = rng.normal(size=64)
         a, b = 1.7, -0.4
-        combined = apply_periodic(a * u + b * w, matrix, grid)
-        parts = a * apply_periodic(u, matrix, grid) + b * apply_periodic(w, matrix, grid)
+        combined = apply_with_aux(a * u + b * w, None, matrix, grid).approx
+        parts = (
+            a * apply_with_aux(u, None, matrix, grid).approx
+            + b * apply_with_aux(w, None, matrix, grid).approx
+        )
         scale = max(1.0, np.max(np.abs(parts)))
         assert np.max(np.abs(combined - parts)) < 1e-12 * scale
 
@@ -98,17 +104,16 @@ class TestApplyWithAux:
         assert np.max(np.abs(report.approx.imag)) < 1e-11
 
     def test_oracle_agreement_interior_nodes(self):
-        from rfspectral.oracle import QuadratureConfig, quad_operator
+        from rfspectral.oracle import quad_operator
 
         report = apply_reference("erf", OperatorKind.RIESZ_FELLER, 0.4, 0.2, 128, 1.5, 100)
         grid = report.grid
-        cfg = QuadratureConfig.for_function(0.4, u_sup=1.0, abs_tol=1e-8, rel_tol=1e-8)
         du = lambda x: 2.0 / math.sqrt(math.pi) * math.exp(-x * x)
         for j in np.linspace(40, 88, 5).astype(int):
             x = float(grid.x_nodes[j])
             quad_val = quad_operator(
                 OperatorKind.RIESZ_FELLER, 0.4, 0.2, lambda t: float(erf(t)), x,
-                cfg, du=du,
+                du=du, tol=1e-8,
             )
             assert abs(report.approx[j].real - quad_val) < 1e-6
 

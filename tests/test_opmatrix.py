@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reference_formulas import full_payload
 from rfspectral.basis import CoeffVector, analyze, make_grid, mode_numbers
 from rfspectral.closedform import OperatorKind, frac_lap_lambda, phase_factor
 from rfspectral.errors import FormatError
@@ -23,14 +24,6 @@ from rfspectral.opmatrix import (
     stored_columns,
 )
 from rfspectral.specfun import RatioKind, c_alpha, ratio_table
-
-
-def full_payload(matrix):
-    """The full N x N matrix as RFM1 writes it, implied columns included."""
-    buf = io.BytesIO()
-    serialize(matrix, buf)
-    payload = buf.getvalue()[-16 * matrix.n * matrix.n :]
-    return np.frombuffer(payload, dtype=np.complex128).reshape(matrix.n, matrix.n)
 
 
 class RecordingStream(io.BytesIO):

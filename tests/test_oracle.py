@@ -6,9 +6,10 @@ import math
 import pytest
 from scipy.special import erf
 
+from rfspectral import oracle
 from rfspectral.closedform import CLOSED_FORMS, OperatorKind, reference_operator
 from rfspectral.errors import ConvergenceError
-from rfspectral.oracle import QuadratureConfig, quad_operator
+from rfspectral.oracle import quad_operator
 from rfspectral.specfun import rf_coeffs
 
 
@@ -64,6 +65,14 @@ class TestRepresentations:
     def test_derivative_representation_needs_du(self):
         with pytest.raises(ValueError):
             quad_operator(OperatorKind.WEYL_RIGHT, 0.4, 0.0, erf, 0.0)
+
+    @pytest.mark.parametrize("representation", ["difference", "derivative"])
+    def test_riesz_feller_has_one_representation(self, representation):
+        with pytest.raises(ValueError, match="RIESZ_FELLER"):
+            quad_operator(
+                OperatorKind.RIESZ_FELLER, 0.62, 0.3, erf, 0.4, du=derf,
+                representation=representation,
+            )
 
 
 _KIND_CASES = [
@@ -121,28 +130,25 @@ class TestClosedFormAgreement:
 class TestCombination:
     def test_rf_from_one_sided_operators(self):
         alpha, skew, x = 0.55, 0.3, 0.7
-        co = rf_coeffs(alpha, skew)
+        c1, c2 = rf_coeffs(alpha, skew)
         q_right = quad_operator(OperatorKind.WEYL_RIGHT, alpha, 0.0, erf, x, du=derf)
         q_left = quad_operator(OperatorKind.WEYL_LEFT_NEG, alpha, 0.0, erf, x, du=derf)
         q_rf = quad_operator(OperatorKind.RIESZ_FELLER, alpha, skew, erf, x, du=derf)
-        combo = math.gamma(-alpha) * (co.c1 * q_right - co.c2 * q_left)
+        combo = math.gamma(-alpha) * (c1 * q_right - c2 * q_left)
         assert abs(combo - q_rf) < 1e-6
 
 
 class TestConfig:
     def test_tail_cut_formula(self):
-        cfg = QuadratureConfig.for_function(0.5, u_sup=2.0, abs_tol=1e-8)
-        assert cfg.tail_cut == pytest.approx((20.0 * 2.0 / (0.5 * 1e-8)) ** 2.0)
+        tail_cut = oracle._tail_cut(0.5, 2.0, 1e-8)
+        assert tail_cut == pytest.approx((20.0 * 2.0 / (0.5 * 1e-8)) ** 2.0)
 
-    def test_convergence_error_carries_estimate(self):
-        cfg = QuadratureConfig(
-            abs_tol=1e-13, rel_tol=1e-13, split_point=1.0, tail_cut=1e6,
-            max_subdivisions=2,
-        )
+    def test_convergence_error_carries_estimate(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 2)
         with pytest.raises(ConvergenceError) as err:
             quad_operator(
-                OperatorKind.WEYL_RIGHT, 0.4, 0.0, erf, 0.0, cfg, du=derf,
-                representation="difference",
+                OperatorKind.WEYL_RIGHT, 0.4, 0.0, erf, 0.0, du=derf,
+                representation="difference", tol=1e-13,
             )
         assert err.value.achieved is not None
 

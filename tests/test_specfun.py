@@ -18,7 +18,6 @@ from rfspectral.errors import NumericError
 from rfspectral.specfun import (
     RatioKind,
     c_alpha,
-    gamma,
     hyp2f1_terminating,
     kummer_1f1,
     ratio_table,
@@ -81,14 +80,9 @@ _ERF_KUMMER_REF = {
 
 class TestGamma:
     def test_identity_values(self):
-        assert gamma(1.0) == 1.0
-        assert gamma(0.5) == pytest.approx(SQRT_PI, rel=1e-15)
-        assert gamma(-0.5) == pytest.approx(-2.0 * SQRT_PI, rel=1e-15)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -2.0, -17.0])
-    def test_poles_rejected(self, x):
-        with pytest.raises(ValueError):
-            gamma(x)
+        assert math.gamma(1.0) == 1.0
+        assert math.gamma(0.5) == pytest.approx(SQRT_PI, rel=1e-15)
+        assert math.gamma(-0.5) == pytest.approx(-2.0 * SQRT_PI, rel=1e-15)
 
     def test_euler_reflection(self):
         # Gamma(w) Gamma(1-w) sin(pi w) = pi on (0,1) u (1,2) \ {1}
@@ -99,15 +93,15 @@ class TestGamma:
             if w in (0.0, 1.0) or abs(w - 1.0) < 1e-3:
                 continue
             count += 1
-            lhs = gamma(w) * gamma(1.0 - w) * math.sin(w * math.pi)
+            lhs = math.gamma(w) * math.gamma(1.0 - w) * math.sin(w * math.pi)
             assert lhs == pytest.approx(math.pi, rel=1e-12)
 
     def test_legendre_duplication(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             w = rng.uniform(1e-2, 5.0)
-            lhs = gamma(w) * gamma(w + 0.5)
-            rhs = 2.0 ** (1.0 - 2.0 * w) * SQRT_PI * gamma(2.0 * w)
+            lhs = math.gamma(w) * math.gamma(w + 0.5)
+            rhs = 2.0 ** (1.0 - 2.0 * w) * SQRT_PI * math.gamma(2.0 * w)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -117,7 +111,7 @@ class TestCAlpha:
 
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.62, 0.9, 1.1, 1.37, 1.7, 1.9])
     def test_sine_identity(self, alpha):
-        rhs = gamma(1.0 + alpha) * math.sin(alpha * math.pi / 2.0) / math.pi
+        rhs = math.gamma(1.0 + alpha) * math.sin(alpha * math.pi / 2.0) / math.pi
         assert c_alpha(alpha) == pytest.approx(rhs, rel=1e-13)
 
     @pytest.mark.parametrize("alpha", [0.0, 2.0, -0.3, 2.5])
@@ -132,25 +126,25 @@ class TestCAlpha:
         u = lambda x: complex(basis.lambda_k(x, 1))
         du = lambda x: -2j * complex(basis.lambda_k(x, 1)) / (1.0 + x * x)
         got = oracle.quad_operator(OperatorKind.FRAC_LAPLACIAN, alpha, 0.0, u, 0.0, du=du)
-        assert abs(got - (-2.0 * gamma(1.0 + alpha))) < 1e-7
+        assert abs(got - (-2.0 * math.gamma(1.0 + alpha))) < 1e-7
 
 
 class TestRieszFellerCoeffs:
     def test_symmetric_case(self):
         for alpha in (0.3, 1.0, 1.7):
-            co = rf_coeffs(alpha, 0.0)
-            assert co.c1 == co.c2
+            c1, c2 = rf_coeffs(alpha, 0.0)
+            assert c1 == c2
 
     def test_positive_sum(self):
-        co = rf_coeffs(0.62, 0.49)
-        assert co.c1 + co.c2 > 0.0
+        c1, c2 = rf_coeffs(0.62, 0.49)
+        assert c1 + c2 > 0.0
 
     def test_fourier_symbol(self):
         alpha, skew = 1.37, -0.63
-        co = rf_coeffs(alpha, skew)
+        c1, c2 = rf_coeffs(alpha, skew)
         for xi in (1.0, -1.0):
             lhs = math.gamma(-alpha) * (
-                co.c1 * (1j * xi) ** alpha + co.c2 * (-1j * xi) ** alpha
+                c1 * (1j * xi) ** alpha + c2 * (-1j * xi) ** alpha
             )
             rhs = -abs(xi) ** alpha * cmath.exp(
                 -1j * math.copysign(1.0, xi) * skew * math.pi / 2.0
@@ -247,7 +241,7 @@ class TestRatioTable:
     def test_v1_at_zero(self):
         table = ratio_table(1.37, RatioKind.V1, 0)
         assert table[0] == pytest.approx(
-            gamma(0.185) / gamma(0.815), rel=1e-14
+            math.gamma(0.185) / math.gamma(0.815), rel=1e-14
         )
 
     def test_v2_one_step(self):

@@ -23,7 +23,7 @@ from .basis import make_grid
 from ._fanout import fan_out
 from .closedform import CLOSED_FORMS, OperatorKind, validate_kind
 from .errors import NumericError
-from .operators import apply_reference, sweep_errors, write_nodal_csv
+from .operators import apply_reference, sweep_errors
 from .opmatrix import (
     DEFAULT_L_LIM,
     build_base_matrix,
@@ -63,6 +63,15 @@ def _write_manifest(path: Path, args, outputs: list, wall_time: float,
     }
     payload.update(extra)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """The header line, then one comma-joined line per row of numbers at
+    full double precision."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 # A comma-separated list whose first value is negative, e.g. "-0.63,0.3".
@@ -126,7 +135,12 @@ def cmd_apply(args) -> int:
         base=base,
     )
     csv_path = out.with_suffix(".csv")
-    write_nodal_csv(csv_path, report.grid.x_nodes, report.approx, report.exact)
+    approx, exact = report.approx, report.exact
+    _write_csv(
+        csv_path, "x,approx_re,approx_im,exact_re,exact_im,abs_err",
+        zip(report.grid.x_nodes, approx.real, approx.imag, exact.real,
+            exact.imag, np.abs(approx - exact)),
+    )
     json_path = out.with_suffix(".json")
     _write_manifest(json_path, args, [csv_path, json_path], time.monotonic() - t0,
                     linf_error=report.linf_error)
@@ -157,11 +171,8 @@ def cmd_sweep(args) -> int:
         args.llim, jobs=args.jobs,
     )
     out = Path(args.out)
-    with open(out, "w") as fh:
-        fh.write("L," + ",".join(str(n) for n in n_list) + "\n")
-        for row, l_scale in enumerate(l_list):
-            cells = ",".join(f"{errors[row, col]:.17g}" for col in range(len(n_list)))
-            fh.write(f"{l_scale:.17g},{cells}\n")
+    _write_csv(out, "L," + ",".join(str(n) for n in n_list),
+               ([l_scale, *errors[row]] for row, l_scale in enumerate(l_list)))
     _write_manifest(out.with_suffix(out.suffix + ".json"), args, [out],
                     time.monotonic() - t0, min_error=float(np.min(errors)))
     print(f"min error {np.min(errors):.6e} -> {out}")
@@ -176,10 +187,7 @@ def _run_evolution(args, base, grid, config, out_dir: Path) -> dict:
     outputs = []
     for i, snap in enumerate(result.snapshots):
         path = out_dir / f"snapshot_{i:04d}.csv"
-        with open(path, "w") as fh:
-            fh.write("x,u\n")
-            for x, u in zip(grid.x_nodes, snap):
-                fh.write(f"{x:.17g},{u:.17g}\n")
+        _write_csv(path, "x,u", zip(grid.x_nodes, snap))
         outputs.append(path)
     fit = ev.fit_exponential(result.trace, (args.fit_window[0], args.fit_window[1]))
     summary = {
@@ -205,6 +213,10 @@ def cmd_evolve(args) -> int:
     t0 = time.monotonic()
     if len(args.fit_window) != 2 or args.fit_window[0] >= args.fit_window[1]:
         raise ValueError("--fit-window expects t0,t1 with t0 < t1")
+    if args.budget is not None and not (
+        math.isfinite(args.budget) and args.budget > 0.0
+    ):
+        raise ValueError(f"--budget must be finite and > 0, got {args.budget}")
     gammas = args.gamma
     if not gammas:
         raise ValueError("--gamma needs at least one value")
@@ -270,10 +282,7 @@ def cmd_oracle(args) -> int:
         closed = float(report.exact[j])
         rows.append((x, spectral, quad_val, closed))
     out = Path(args.out)
-    with open(out, "w") as fh:
-        fh.write("x,spectral,quadrature,closed_form\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    _write_csv(out, "x,spectral,quadrature,closed_form", rows)
     max_diff = max(abs(r[1] - r[2]) for r in rows)
     _write_manifest(out.with_suffix(out.suffix + ".json"), args, [out],
                     time.monotonic() - t0, max_spectral_vs_quadrature=max_diff)

@@ -15,7 +15,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from .basis import lambda_k
 from .specfun import check_skewness, hyp2f1_terminating, kummer_1f1
@@ -31,7 +30,10 @@ class OperatorKind(Enum):
 
 
 def validate_kind(kind: OperatorKind, alpha: float, gamma: float = 0.0) -> None:
-    """Check the (kind, alpha, gamma) compatibility rules."""
+    """Check the (kind, alpha, gamma) compatibility rules: only rf takes a
+    skewness, every other kind needs gamma == 0."""
+    if kind is not OperatorKind.RIESZ_FELLER and gamma != 0.0:
+        raise ValueError(f"{kind.name} takes no skewness, got gamma = {gamma}")
     if kind in (OperatorKind.WEYL_RIGHT, OperatorKind.WEYL_LEFT_NEG):
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"{kind.name} requires alpha in (0,1), got {alpha}")
@@ -138,6 +140,13 @@ def _erf_terms(alpha, x):
     return a_term, b_term
 
 
+def _erf_values(x):
+    # Imported on first use, so that only runs that evaluate erf load it.
+    from scipy.special import erf
+
+    return erf(x)
+
+
 def _erf_amplitude(alpha, x):
     a_term, b_term = _erf_terms(alpha, x)
     return b_term + 1j * a_term
@@ -166,7 +175,7 @@ ARCTAN = ClosedFormFunction(
 
 ERF = ClosedFormFunction(
     name="erf",
-    value=_erf,
+    value=_erf_values,
     derivative=lambda x: 2.0 / math.sqrt(math.pi) * math.exp(-x * x),
     sup=1.0,
     amplitude=_erf_amplitude,

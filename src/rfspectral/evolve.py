@@ -53,8 +53,10 @@ class EvolutionConfig:
             raise ValueError(f"need n >= 2, got {self.n}")
         if not self.l_scale > 0.0:
             raise ValueError(f"map scale must be positive, got {self.l_scale}")
-        if self.dt <= 0.0 or self.t_end < 0.0:
-            raise ValueError("need dt > 0 and t_end >= 0")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"need a finite dt > 0, got {self.dt}")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
+            raise ValueError(f"need a finite t_end >= 0, got {self.t_end}")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
 
@@ -74,7 +76,6 @@ class RegressionResult:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    config: EvolutionConfig
     snapshots: list
     trace: FrontTrace
 
@@ -203,36 +204,41 @@ def _sample_times(config: EvolutionConfig) -> tuple[list, np.ndarray]:
 def rk4_evolve(
     config: EvolutionConfig,
     system: FisherSystem | None = None,
-    track_front: bool = True,
     wall_budget: float | None = None,
 ) -> EvolutionResult:
     """Classical fourth-order Runge-Kutta march of the Fisher problem,
     recording a snapshot (and the front position) every snapshot_stride
-    steps.  wall_budget, if set, aborts with BudgetError past that many
-    seconds."""
+    steps.  A given system must have been built for the config's alpha,
+    gamma, N, L and l_lim.  wall_budget, if set, aborts with BudgetError past
+    that many seconds."""
     if system is None:
         system = FisherSystem.from_config(config)
+    else:
+        built = (system.matrix.alpha, system.matrix.gamma, system.grid.n,
+                 system.grid.l_scale, system.matrix.l_lim)
+        wanted = (config.alpha, config.gamma, config.n, config.l_scale, config.l_lim)
+        if built != wanted:
+            raise ValueError(
+                f"system built for (alpha, gamma, N, L, l_lim) = {built}, not {wanted}"
+            )
     grid = system.grid
     u = initial_condition(grid.x_nodes, config.alpha)
     sampled, times = _sample_times(config)
     start = time.monotonic()
     snapshots = [u.copy()]
-    fronts = [front_position(u, grid)] if track_front else []
+    fronts = [front_position(u, grid)]
     for i in range(1, sampled[-1] + 1):
         u = rk4_step(system, u, config.dt)
         if i in sampled:
             snapshots.append(u.copy())
-            if track_front:
-                fronts.append(front_position(u, grid))
+            fronts.append(front_position(u, grid))
         if wall_budget is not None and time.monotonic() - start > wall_budget:
             raise BudgetError(
                 f"evolution exceeded wall budget of {wall_budget} s at t = "
                 f"{i * config.dt:.3f}"
             )
-    trace = FrontTrace(
-        times=times, x_half=np.asarray(fronts if track_front else [])
-    )
-    return EvolutionResult(config=config, snapshots=snapshots, trace=trace)
+    trace = FrontTrace(times=times, x_half=np.asarray(fronts))
+    return EvolutionResult(snapshots=snapshots, trace=trace)
 
 
 def fit_exponential(trace: FrontTrace, t_window) -> RegressionResult:

@@ -139,21 +139,3 @@ def sweep_errors(
     fan_out(run_column, enumerate(n_list), jobs)
     return errors
 
-
-def write_nodal_csv(path, x, approx, exact=None):
-    """CSV with one row per node: x, re/im of the approximation, re/im of the
-    exact value and the absolute error, at full double precision."""
-    approx = np.asarray(approx, dtype=np.complex128)
-    with open(path, "w") as fh:
-        fh.write("x,approx_re,approx_im,exact_re,exact_im,abs_err\n")
-        for j in range(len(x)):
-            if exact is None:
-                ex_re, ex_im, err = math.nan, math.nan, math.nan
-            else:
-                ex = complex(exact[j])
-                ex_re, ex_im = ex.real, ex.imag
-                err = abs(approx[j] - ex)
-            fh.write(
-                f"{x[j]:.17g},{approx[j].real:.17g},{approx[j].imag:.17g},"
-                f"{ex_re:.17g},{ex_im:.17g},{err:.17g}\n"
-            )

@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._fanout import fan_out
@@ -209,7 +208,7 @@ def _series_columns(entries, alpha, n, l_lim, s, jobs=1):
         # implied.
         np.multiply(a_sum, phase.imag, out=b_sum)
         a_sum *= phase.real
-        col = scipy.fft.ifft(col, axis=1, overwrite_x=True)
+        np.fft.ifft(col, axis=1, out=col)
         top = col[:, : len(scale)]
         top *= scale
         entries[0, :, k0 - 1 : k0 - 1 + c] = top.real.T

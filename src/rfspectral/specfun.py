@@ -50,7 +50,7 @@ def check_skewness(alpha: float, gamma_skew: float) -> None:
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"order must lie in (0, 2), got {alpha}")
     bound = min(alpha, 2.0 - alpha)
-    if abs(gamma_skew) > bound + 1e-15:
+    if not abs(gamma_skew) <= bound + 1e-15:
         raise ValueError(
             f"skewness |{gamma_skew}| exceeds min(alpha, 2-alpha) = {bound}"
         )

@@ -8,6 +8,7 @@ import pytest
 
 from rfspectral import cli, operators
 from rfspectral.cli import main
+from rfspectral.closedform import OperatorKind
 from rfspectral.opmatrix import build_base_matrix, serialize
 
 
@@ -122,6 +123,8 @@ class TestUsageErrors:
     ORACLE = ["oracle", "--op", "fl", "--alpha", "0.62", "--func", "erf",
               "--N", "16", "--L", "1", "--llim", "5"]
     MATRIX = ["matrix", "--alpha", "0.62", "--N", "16", "--llim", "5"]
+    EVOLVE = ["evolve", "--alpha", "1.37", "--N", "16", "--L", "10",
+              "--llim", "5", "--fit-window", "0,1"]
 
     @pytest.mark.parametrize("jobs_env, argv", [
         ("two", MATRIX),
@@ -156,6 +159,21 @@ class TestUsageErrors:
                 "--jobs", "0"]),
         ("0", ["matrix", "--alpha", "0.62", "--N", "16"]),
         ("-2", MATRIX),
+        (None, ["apply", "--op", "rf", "--alpha", "1.37", "--gamma", "nan",
+                "--func", "erf", "--N", "16", "--L", "1"]),
+        (None, APPLY + ["--gamma", "0.4"]),
+        (None, MATRIX + ["--gamma", "0.4"]),
+        (None, SWEEP + ["--L-range", "1:2:0.5", "--gamma", "-0.4"]),
+        (None, ORACLE + ["--gamma", "0.4"]),
+        (None, EVOLVE + ["--gamma", "nan", "--t-end", "1"]),
+        (None, EVOLVE + ["--gamma", "0", "--t-end", "inf"]),
+        (None, EVOLVE + ["--gamma", "0", "--t-end", "-1"]),
+        (None, EVOLVE + ["--gamma", "0", "--t-end", "1", "--dt", "nan"]),
+        (None, EVOLVE + ["--gamma", "0", "--t-end", "1", "--dt", "inf"]),
+        (None, EVOLVE + ["--gamma", "0", "--t-end", "1", "--budget", "-1"]),
+        (None, EVOLVE + ["--gamma", "0", "--t-end", "1", "--budget", "0"]),
+        (None, EVOLVE + ["--gamma", "0", "--t-end", "1", "--budget", "nan"]),
+        (None, EVOLVE + ["--gamma", "0", "--t-end", "1", "--budget", "inf"]),
     ], ids=["jobs-env", "range-parts", "step-zero", "step-negative",
             "range-empty", "scale-zero", "matrix-kind-alpha", "apply-kind-alpha",
             "oracle-kind-alpha", "sweep-skewness", "apply-scale-negative",
@@ -163,7 +181,11 @@ class TestUsageErrors:
             "num-points-zero", "fit-window-samples", "no-gamma",
             "n-list-empty", "n-list-below-two", "matrix-jobs-negative",
             "sweep-jobs-zero", "evolve-jobs-zero", "jobs-env-zero",
-            "jobs-env-negative"])
+            "jobs-env-negative", "apply-skewness-nan", "apply-fl-skewness",
+            "matrix-fl-skewness", "sweep-fl-skewness", "oracle-fl-skewness",
+            "evolve-skewness-nan", "t-end-inf", "t-end-negative", "dt-nan",
+            "dt-inf", "budget-negative", "budget-zero", "budget-nan",
+            "budget-inf"])
     def test_exit_2_before_any_build(self, tmp_path, capsys, monkeypatch,
                                      jobs_env, argv):
         def no_build(*args, **kwargs):
@@ -283,10 +305,39 @@ class TestEvolve:
         code = run([
             "evolve", "--alpha", "1.37", "--gamma", "0", "--N", "64",
             "--L", "10", "--llim", "10", "--dt", "0.05", "--t-end", "5",
-            "--stride", "10", "--fit-window", "1,5", "--budget", "0",
+            "--stride", "10", "--fit-window", "1,5", "--budget", "1e-9",
             "--out-dir", tmp_path / "b",
         ])
         assert code == 3
+
+
+class TestCsv:
+    def test_nodal_csv_layout(self, tmp_path):
+        assert run(["apply", "--op", "fl", "--alpha", "0.62", "--func", "erf",
+                    "--N", "16", "--L", "1", "--llim", "10",
+                    "--out", tmp_path / "a"]) == 0
+        lines = (tmp_path / "a.csv").read_text().splitlines()
+        assert lines[0] == "x,approx_re,approx_im,exact_re,exact_im,abs_err"
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        report = operators.apply_reference(
+            "erf", OperatorKind.FRAC_LAPLACIAN, 0.62, 0.0, 16, 1.0, 10
+        )
+        assert rows.shape == (16, 6)
+        assert np.array_equal(rows[:, 0], report.grid.x_nodes)
+        assert np.array_equal(rows[:, 1], report.approx)
+        assert np.array_equal(rows[:, 3], report.exact)
+        assert not np.any(rows[:, [2, 4]])
+        assert np.array_equal(rows[:, 5], np.abs(rows[:, 1] - rows[:, 3]))
+
+    def test_rows_keep_every_bit(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        values = [0.1, -0.0, 1.0 / 3.0, -2.5e-300, 7.0]
+        cli._write_csv(path, "a,b", [values[:2], values[2:4], np.array(values[4:])])
+        lines = path.read_text().split("\n")
+        assert lines == ["a,b", "0.10000000000000001,-0", "0.33333333333333331,-2.5e-300",
+                         "7", ""]
+        read = [float(v) for line in lines[1:-1] for v in line.split(",")]
+        assert [v.hex() for v in read] == [v.hex() for v in values]
 
 
 class TestOracle:

@@ -27,6 +27,7 @@ from rfspectral.closedform import (
     op_lambda,
     phase_factor,
     reference_operator,
+    validate_kind,
 )
 
 ALL_KINDS_ALPHAS = [
@@ -108,6 +109,19 @@ class TestOpLambda:
             op_lambda(OperatorKind.DX_WEYL_RIGHT, 0.62, 1, 0.0)
         with pytest.raises(ValueError):
             op_lambda(OperatorKind.RIESZ_FELLER, 0.62, 1, 0.0, gamma=0.9)
+
+    @pytest.mark.parametrize("kind, alpha", [
+        ka for ka in ALL_KINDS_ALPHAS if ka[0] is not OperatorKind.RIESZ_FELLER
+    ], ids=lambda v: getattr(v, "value", v))
+    def test_skewness_only_for_riesz_feller(self, kind, alpha):
+        # A skewness the other kinds ignore would label an unskewed result.
+        validate_kind(kind, alpha, 0.0)
+        validate_kind(kind, alpha, -0.0)
+        for gamma in (0.4, -1e-300, math.nan):
+            with pytest.raises(ValueError):
+                validate_kind(kind, alpha, gamma)
+        with pytest.raises(ValueError):
+            reference_operator("erf", kind, alpha, 0.4, 0.5)
 
     def test_phase_factor_rejects_zero_sign(self):
         with pytest.raises(ValueError):

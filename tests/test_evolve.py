@@ -141,7 +141,7 @@ class TestRk4:
 
     def test_snapshots_and_times(self, small_system):
         config, system = small_system
-        result = rk4_evolve(config, system=system, track_front=False)
+        result = rk4_evolve(config, system=system)
         assert result.trace.times[0] == 0.0
         assert result.trace.times[-1] == pytest.approx(1.0)
         assert len(result.snapshots) == len(result.trace.times)
@@ -153,18 +153,46 @@ class TestRk4:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_on_absurd_dt(self):
+        # Three steps, sampled at steps 0 and 3 only: the state after step 1
+        # has no front to track, and step 2 diverges.
         config = EvolutionConfig(
             alpha=1.37, gamma=-0.63, n=64, l_scale=2.0, l_lim=10, dt=1e4,
-            t_end=3e4, snapshot_stride=1,
+            t_end=3e4, snapshot_stride=3,
         )
         with pytest.raises(DivergenceError):
-            rk4_evolve(config, track_front=False)
+            rk4_evolve(config)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EvolutionConfig(alpha=1.37, gamma=0.9, n=8, l_scale=1.0)
         with pytest.raises(ValueError):
             EvolutionConfig(alpha=1.37, gamma=0.0, n=8, l_scale=1.0, dt=-0.1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", math.nan), ("dt", math.nan), ("dt", math.inf),
+        ("t_end", math.nan), ("t_end", math.inf), ("t_end", -1.0),
+    ])
+    def test_non_finite_config_rejected(self, field, value):
+        kwargs = dict(alpha=1.37, gamma=0.0, n=8, l_scale=1.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError):
+            EvolutionConfig(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", 1.2), ("gamma", 0.3), ("n", 32), ("l_scale", 5.0),
+        ("l_lim", 10),
+    ])
+    def test_system_of_another_config_rejected(self, small_system, monkeypatch,
+                                               field, value):
+        config, system = small_system
+        other = EvolutionConfig(**{**config.__dict__, field: value})
+
+        def no_step(*args):
+            raise AssertionError("marched a system of another configuration")
+
+        monkeypatch.setattr(evolve, "rk4_step", no_step)
+        with pytest.raises(ValueError, match="system built for"):
+            rk4_evolve(other, system=system)
 
     @pytest.mark.parametrize("n, l_scale", [
         (1, 1.0), (0, 1.0), (8, 0.0), (8, -1.0), (8, math.nan),

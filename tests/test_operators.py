@@ -14,7 +14,6 @@ from rfspectral.operators import (
     apply_reference,
     apply_with_aux,
     sweep_errors,
-    write_nodal_csv,
 )
 from rfspectral.opmatrix import build_base_matrix, scale_to_operator
 
@@ -154,16 +153,3 @@ class TestSweep:
         assert serial.shape == (2, 2)
         assert np.array_equal(serial, threaded)
 
-
-class TestCsv:
-    def test_nodal_csv_layout(self, tmp_path):
-        path = tmp_path / "out.csv"
-        x = np.array([1.5, -0.25])
-        approx = np.array([1.0 + 2.0j, 3.0 + 0.0j])
-        exact = np.array([1.0, 3.5])
-        write_nodal_csv(path, x, approx, exact)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "x,approx_re,approx_im,exact_re,exact_im,abs_err"
-        first = lines[1].split(",")
-        assert float(first[0]) == 1.5
-        assert float(first[5]) == abs(approx[0] - exact[0])

@@ -151,7 +151,9 @@ class TestRieszFellerCoeffs:
             )
             assert abs(lhs - rhs) < 1e-12
 
-    @pytest.mark.parametrize("alpha,skew", [(0.5, 0.9), (1.8, 0.5), (0.62, -0.7)])
+    @pytest.mark.parametrize("alpha,skew", [
+        (0.5, 0.9), (1.8, 0.5), (0.62, -0.7), (1.37, math.nan),
+    ])
     def test_skewness_constraint(self, alpha, skew):
         with pytest.raises(ValueError):
             rf_coeffs(alpha, skew)

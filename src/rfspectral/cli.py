@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import evolve as ev
-from .basis import make_grid
 from ._fanout import fan_out
 from .closedform import CLOSED_FORMS, OperatorKind, validate_kind
 from .errors import NumericError
@@ -124,12 +123,7 @@ def cmd_apply(args) -> int:
     t0 = time.monotonic()
     kind = OperatorKind(args.op)
     out = Path(args.out)
-    if args.matrix_in:
-        base = deserialize(args.matrix_in)
-        if base.alpha != args.alpha or base.n != args.N or base.l_lim != args.llim:
-            raise ValueError("--matrix-in does not match --alpha/--N/--llim")
-    else:
-        base = build_base_matrix(args.alpha, args.N, args.llim)
+    base = deserialize(args.matrix_in) if args.matrix_in else None
     report = apply_reference(
         args.func, kind, args.alpha, args.gamma, args.N, args.L, args.llim,
         base=base,
@@ -179,15 +173,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _run_evolution(args, base, grid, config, out_dir: Path) -> dict:
+def _run_evolution(args, base, config, out_dir: Path) -> dict:
     matrix = scale_to_operator(base, OperatorKind.RIESZ_FELLER, config.gamma, args.L)
-    system = ev.FisherSystem(matrix, grid)
+    system = ev.FisherSystem(matrix)
     result = ev.rk4_evolve(config, system=system, wall_budget=args.budget)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for i, snap in enumerate(result.snapshots):
         path = out_dir / f"snapshot_{i:04d}.csv"
-        _write_csv(path, "x,u", zip(grid.x_nodes, snap))
+        _write_csv(path, "x,u", zip(system.grid.x_nodes, snap))
         outputs.append(path)
     fit = ev.fit_exponential(result.trace, (args.fit_window[0], args.fit_window[1]))
     summary = {
@@ -234,13 +228,14 @@ def cmd_evolve(args) -> int:
         )
         for g in gammas
     ]
+    if len({run_dir for _, run_dir in targets}) < len(targets):
+        raise ValueError(f"--gamma {gammas}: two values round to one output directory")
     # All gammas share the sample times; the fit needs 3 inside the window.
     _, times = ev._sample_times(targets[0][0])
     ev._fit_mask(times, args.fit_window)
-    grid = make_grid(args.N, args.L)
     base = build_base_matrix(args.alpha, args.N, args.llim, jobs=args.jobs)
     runs = fan_out(
-        lambda target: _run_evolution(args, base, grid, *target), targets, args.jobs
+        lambda target: _run_evolution(args, base, *target), targets, args.jobs
     )
     outputs = [p for r in runs for p in r["outputs"]]
     _write_manifest(out_dir / "manifest.json", args, outputs, time.monotonic() - t0)

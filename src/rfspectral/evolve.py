@@ -90,7 +90,7 @@ def initial_condition(x, alpha: float):
 
 
 class FisherSystem:
-    """Precomputed machinery for one (alpha, gamma, N, L) configuration.
+    """Precomputed machinery for one Riesz-Feller matrix, on its N and L nodes.
 
     The auxiliary profile is rescaled every evaluation by the sampled
     far-field jump u(x_last) - u(x_first) of the state, so the subtracted
@@ -101,13 +101,11 @@ class FisherSystem:
     exactly.
     """
 
-    def __init__(self, matrix: OperatorMatrix, grid: SpectralGrid):
+    def __init__(self, matrix: OperatorMatrix):
         if matrix.kind is not OperatorKind.RIESZ_FELLER:
             raise ValueError("evolution expects a Riesz-Feller matrix")
-        if matrix.n != grid.n:
-            raise ValueError("matrix and grid sizes differ")
         self.matrix = matrix
-        self.grid = grid
+        self.grid = grid = make_grid(matrix.n, matrix.l_scale)
         self.v_nodes = FISHER_AUX.aux_values(grid.x_nodes)
         # Jump of the auxiliary itself between the extreme nodes, used to
         # normalize the state jump (it tends to 1 as L or N grows).
@@ -127,7 +125,7 @@ class FisherSystem:
         matrix = scale_to_operator(
             base, OperatorKind.RIESZ_FELLER, config.gamma, config.l_scale
         )
-        return cls(matrix, make_grid(config.n, config.l_scale))
+        return cls(matrix)
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
         jump = (u[-1] - u[0]) / self.v_jump
@@ -191,14 +189,14 @@ def front_position(u_nodes, grid: SpectralGrid, level: float = 0.5) -> float:
     return grid.l_scale / math.tan(s_star)
 
 
-def _sample_times(config: EvolutionConfig) -> tuple[list, np.ndarray]:
-    """Step numbers and times of the samples rk4_evolve records: step 0,
-    every snapshot_stride-th step and the last step."""
+def _sample_times(config: EvolutionConfig) -> tuple[int, np.ndarray]:
+    """The number of steps, and the times of the samples rk4_evolve records:
+    step 0, every snapshot_stride-th step and the last step."""
     steps = round(config.t_end / config.dt)
-    sampled = [
-        i for i in range(steps + 1) if i % config.snapshot_stride == 0 or i == steps
-    ]
-    return sampled, np.asarray(sampled) * config.dt
+    sampled = np.arange(0, steps + 1, config.snapshot_stride)
+    if sampled[-1] != steps:
+        sampled = np.append(sampled, steps)
+    return steps, sampled * config.dt
 
 
 def rk4_evolve(
@@ -214,8 +212,8 @@ def rk4_evolve(
     if system is None:
         system = FisherSystem.from_config(config)
     else:
-        built = (system.matrix.alpha, system.matrix.gamma, system.grid.n,
-                 system.grid.l_scale, system.matrix.l_lim)
+        m = system.matrix
+        built = (m.alpha, m.gamma, m.n, m.l_scale, m.l_lim)
         wanted = (config.alpha, config.gamma, config.n, config.l_scale, config.l_lim)
         if built != wanted:
             raise ValueError(
@@ -223,13 +221,13 @@ def rk4_evolve(
             )
     grid = system.grid
     u = initial_condition(grid.x_nodes, config.alpha)
-    sampled, times = _sample_times(config)
+    steps, times = _sample_times(config)
     start = time.monotonic()
     snapshots = [u.copy()]
     fronts = [front_position(u, grid)]
-    for i in range(1, sampled[-1] + 1):
+    for i in range(1, steps + 1):
         u = rk4_step(system, u, config.dt)
-        if i in sampled:
+        if i % config.snapshot_stride == 0 or i == steps:
             snapshots.append(u.copy())
             fronts.append(front_position(u, grid))
         if wall_budget is not None and time.monotonic() - start > wall_budget:

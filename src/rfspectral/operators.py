@@ -63,12 +63,12 @@ def apply_with_aux(
     u,
     decomp: AuxDecomposition | None,
     matrix: OperatorMatrix,
-    grid: SpectralGrid,
     exact: str | None = None,
 ) -> ApplyReport:
-    """Operator of u via the auxiliary split; u may be a callable on x or an
-    array of node samples.  `exact`, the name of a registered closed form,
-    fills the report's exact values and error field."""
+    """Operator of u via the auxiliary split, on the nodes of the matrix's N
+    and L; u may be a callable on x or node samples.  `exact`, a registered
+    closed form's name, fills the report's exact values and error field."""
+    grid = make_grid(matrix.n, matrix.l_scale)
     x = grid.x_nodes
     samples = u(x) if callable(u) else np.asarray(u)
     if decomp is not None:
@@ -96,18 +96,19 @@ def apply_reference(
     base: OperatorMatrix | None = None,
 ) -> ApplyReport:
     """Full pipeline for one of the registered reference functions, returning
-    nodal approximation, exact values and the max-norm error."""
+    nodal approximation, exact values and the max-norm error.  A given base
+    must match alpha, n and l_lim."""
     func = CLOSED_FORMS[func_name]
     if base is None:
         base = build_base_matrix(alpha, n, l_lim)
+    elif (base.alpha, base.n, base.l_lim) != (alpha, n, l_lim):
+        raise ValueError(
+            f"base matrix (alpha, N, l_lim) = {(base.alpha, base.n, base.l_lim)} "
+            f"does not match {(alpha, n, l_lim)}"
+        )
     matrix = scale_to_operator(base, kind, gamma, l_scale)
-    grid = make_grid(n, l_scale)
     return apply_with_aux(
-        lambda x: func.value(x),
-        DEFAULT_AUX[func_name],
-        matrix,
-        grid,
-        exact=func_name,
+        lambda x: func.value(x), DEFAULT_AUX[func_name], matrix, exact=func_name
     )
 
 

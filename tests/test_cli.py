@@ -174,6 +174,7 @@ class TestUsageErrors:
         (None, EVOLVE + ["--gamma", "0", "--t-end", "1", "--budget", "0"]),
         (None, EVOLVE + ["--gamma", "0", "--t-end", "1", "--budget", "nan"]),
         (None, EVOLVE + ["--gamma", "0", "--t-end", "1", "--budget", "inf"]),
+        (None, EVOLVE + ["--gamma", "0.30001,0.30002", "--t-end", "1"]),
     ], ids=["jobs-env", "range-parts", "step-zero", "step-negative",
             "range-empty", "scale-zero", "matrix-kind-alpha", "apply-kind-alpha",
             "oracle-kind-alpha", "sweep-skewness", "apply-scale-negative",
@@ -185,7 +186,7 @@ class TestUsageErrors:
             "matrix-fl-skewness", "sweep-fl-skewness", "oracle-fl-skewness",
             "evolve-skewness-nan", "t-end-inf", "t-end-negative", "dt-nan",
             "dt-inf", "budget-negative", "budget-zero", "budget-nan",
-            "budget-inf"])
+            "budget-inf", "gammas-share-a-directory"])
     def test_exit_2_before_any_build(self, tmp_path, capsys, monkeypatch,
                                      jobs_env, argv):
         def no_build(*args, **kwargs):

@@ -21,7 +21,8 @@ from rfspectral.evolve import (
     rk4_evolve,
     rk4_step,
 )
-from rfspectral.opmatrix import build_base_matrix
+from rfspectral.closedform import OperatorKind
+from rfspectral.opmatrix import build_base_matrix, scale_to_operator
 
 
 @pytest.fixture(scope="module")
@@ -68,10 +69,17 @@ class TestRhs:
             system.rhs(u)
 
     def test_requires_riesz_feller_matrix(self):
-        base = build_base_matrix(0.62, 16, 10)
-        grid = make_grid(16, 1.0)
         with pytest.raises(ValueError):
-            FisherSystem(base, grid)
+            FisherSystem(build_base_matrix(0.62, 16, 10))
+
+    def test_nodes_come_from_the_matrix(self):
+        base = build_base_matrix(1.37, 33, 10)
+        matrix = scale_to_operator(base, OperatorKind.RIESZ_FELLER, -0.3, 7.5)
+        grid = FisherSystem(matrix).grid
+        expected = make_grid(33, 7.5)
+        assert (grid.n, grid.l_scale) == (expected.n, expected.l_scale)
+        assert grid.s_nodes.tobytes() == expected.s_nodes.tobytes()
+        assert grid.x_nodes.tobytes() == expected.x_nodes.tobytes()
 
 
 class TestRk4:
@@ -145,6 +153,27 @@ class TestRk4:
         assert result.trace.times[0] == 0.0
         assert result.trace.times[-1] == pytest.approx(1.0)
         assert len(result.snapshots) == len(result.trace.times)
+
+    @pytest.mark.parametrize("t_end, dt, stride", [
+        (1.0, 0.05, 5), (1.0, 0.05, 3), (1.0, 0.05, 1), (1.0, 0.05, 40),
+        (0.0, 0.05, 10), (22.0, 0.05, 10), (12.0, 0.05, 7), (0.3, 0.1, 2),
+    ])
+    def test_sample_schedule(self, t_end, dt, stride):
+        config = EvolutionConfig(alpha=1.37, gamma=0.0, n=8, l_scale=1.0,
+                                 dt=dt, t_end=t_end, snapshot_stride=stride)
+        steps = round(t_end / dt)
+        listed = [i for i in range(steps + 1) if i % stride == 0 or i == steps]
+        got_steps, times = evolve._sample_times(config)
+        assert got_steps == steps
+        assert times.tobytes() == (np.asarray(listed) * dt).tobytes()
+
+    def test_last_step_sampled_off_the_stride(self, small_system):
+        config, system = small_system
+        config = EvolutionConfig(**{**config.__dict__, "snapshot_stride": 3})
+        result = rk4_evolve(config, system=system)
+        # 20 steps: every third, then the last.
+        assert len(result.snapshots) == len(result.trace.times) == 8
+        assert result.trace.times[-1] == 20 * config.dt
 
     def test_wall_budget(self, small_system):
         config, system = small_system

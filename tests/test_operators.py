@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from rfspectral import operators
 from rfspectral.basis import lambda_k, make_grid
 from rfspectral.closedform import OperatorKind, frac_lap_lambda, reference_operator
 from rfspectral.operators import (
@@ -27,9 +28,8 @@ class TestApplyPeriodic:
     """apply_with_aux without an auxiliary: analyze, filter, multiply."""
 
     def test_constant_function(self, base_62):
-        grid = make_grid(64, 1.0)
         matrix = scale_to_operator(base_62, OperatorKind.RIESZ_FELLER, 0.3, 1.0)
-        out = apply_with_aux(np.ones(64), None, matrix, grid).approx
+        out = apply_with_aux(np.ones(64), None, matrix).approx
         assert np.max(np.abs(out)) == 0.0
 
     def test_single_mode(self, base_62):
@@ -37,7 +37,10 @@ class TestApplyPeriodic:
         grid = make_grid(64, l_scale)
         matrix = scale_to_operator(base_62, OperatorKind.RIESZ_FELLER, 0.0, l_scale)
         samples = np.real(lambda_k(grid.x_nodes, 1, l_scale))
-        out = apply_with_aux(samples, None, matrix, grid).approx
+        report = apply_with_aux(samples, None, matrix)
+        # The nodes come from the matrix's N and L.
+        assert report.grid.x_nodes.tobytes() == grid.x_nodes.tobytes()
+        out = report.approx
         g1 = make_grid(64, 1.0)
         expected = -np.array(
             [frac_lap_lambda(0.62, 1, x).real for x in g1.x_nodes]
@@ -46,12 +49,9 @@ class TestApplyPeriodic:
         assert np.max(np.abs(out.imag)) < 1e-11
 
     def test_dimension_mismatch(self, base_62):
-        grid = make_grid(64, 1.0)
         matrix = scale_to_operator(base_62, OperatorKind.FRAC_LAPLACIAN, 0.0, 1.0)
         with pytest.raises(ValueError):
-            apply_with_aux(np.ones(32), None, matrix, grid)
-        with pytest.raises(ValueError):
-            apply_with_aux(np.ones(32), None, matrix, make_grid(32, 1.0))
+            apply_with_aux(np.ones(32), None, matrix)
 
 
 class TestApplyWithAux:
@@ -67,12 +67,21 @@ class TestApplyWithAux:
         )
         assert report.linf_error <= 5e-13
 
+    @pytest.mark.parametrize("alpha, l_lim", [(1.37, 50), (0.62, 100)],
+                             ids=["alpha", "l_lim"])
+    def test_base_of_another_config_rejected(self, base_62, monkeypatch,
+                                             alpha, l_lim):
+        def no_values(*args, **kwargs):
+            raise AssertionError("erf evaluated with a mismatched base")
+
+        monkeypatch.setattr(operators, "apply_with_aux", no_values)
+        with pytest.raises(ValueError, match="does not match"):
+            apply_reference("erf", OperatorKind.FRAC_LAPLACIAN, alpha, 0.0, 64,
+                            1.1, l_lim, base=base_62)
+
     def test_arctan_self_aux_is_exact(self, base_62):
-        grid = make_grid(64, 1.3)
         matrix = scale_to_operator(base_62, OperatorKind.WEYL_RIGHT, 0.0, 1.3)
-        report = apply_with_aux(
-            np.arctan, DEFAULT_AUX["arctan"], matrix, grid, exact="arctan"
-        )
+        report = apply_with_aux(np.arctan, DEFAULT_AUX["arctan"], matrix, exact="arctan")
         # w vanishes identically, so the numeric part contributes nothing.
         assert report.linf_error < 1e-14
 
@@ -84,16 +93,15 @@ class TestApplyWithAux:
 
     def test_linearity(self, base_62):
         l_scale = 1.4
-        grid = make_grid(64, l_scale)
         matrix = scale_to_operator(base_62, OperatorKind.WEYL_LEFT_NEG, 0.0, l_scale)
         rng = np.random.default_rng(6)
         u = rng.normal(size=64)
         w = rng.normal(size=64)
         a, b = 1.7, -0.4
-        combined = apply_with_aux(a * u + b * w, None, matrix, grid).approx
+        combined = apply_with_aux(a * u + b * w, None, matrix).approx
         parts = (
-            a * apply_with_aux(u, None, matrix, grid).approx
-            + b * apply_with_aux(w, None, matrix, grid).approx
+            a * apply_with_aux(u, None, matrix).approx
+            + b * apply_with_aux(w, None, matrix).approx
         )
         scale = max(1.0, np.max(np.abs(parts)))
         assert np.max(np.abs(combined - parts)) < 1e-12 * scale

@@ -1,8 +1,8 @@
 """Command-line interface: operator application, matrix build/save, L x N
 error sweeps, Fisher evolution runs and oracle comparisons.
 
-Exit codes: 0 success, 2 usage error, 3 numeric failure.  Identical flags
-produce byte-identical CSV outputs.
+Exit codes: 0 success, 2 usage or file error, 3 numeric failure.  Identical
+flags produce byte-identical CSV outputs.
 """
 
 from __future__ import annotations
@@ -177,7 +177,6 @@ def _run_evolution(args, base, config, out_dir: Path) -> dict:
     matrix = scale_to_operator(base, OperatorKind.RIESZ_FELLER, config.gamma, args.L)
     system = ev.FisherSystem(matrix)
     result = ev.rk4_evolve(config, system=system, wall_budget=args.budget)
-    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for i, snap in enumerate(result.snapshots):
         path = out_dir / f"snapshot_{i:04d}.csv"
@@ -233,6 +232,8 @@ def cmd_evolve(args) -> int:
     # All gammas share the sample times; the fit needs 3 inside the window.
     _, times = ev._sample_times(targets[0][0])
     ev._fit_mask(times, args.fit_window)
+    for _, run_dir in targets:
+        run_dir.mkdir(parents=True, exist_ok=True)
     base = build_base_matrix(args.alpha, args.N, args.llim, jobs=args.jobs)
     runs = fan_out(
         lambda target: _run_evolution(args, base, *target), targets, args.jobs
@@ -301,13 +302,18 @@ def _add_common(p, op_default=None, with_func=True, with_grid=True):
 
 
 def _check_common(args) -> None:
-    """Operator kind against order and skewness, a positive map scale and at
-    least one job (--jobs, else $RF_SPECTRAL_JOBS, else 1): checked before
-    any subcommand builds a matrix."""
+    """Operator kind against order and skewness, a positive map scale, at
+    least one aliasing shell, an existing directory for --out and at least
+    one job (--jobs, else $RF_SPECTRAL_JOBS, else 1): checked before any
+    subcommand builds a matrix."""
     if hasattr(args, "op"):
         validate_kind(OperatorKind(args.op), args.alpha, args.gamma)
     if hasattr(args, "L") and not args.L > 0.0:
         raise ValueError(f"map scale --L must be positive, got {args.L}")
+    if args.llim < 1:
+        raise ValueError(f"--llim must be >= 1, got {args.llim}")
+    if hasattr(args, "out") and not Path(args.out).parent.is_dir():
+        raise ValueError(f"--out {args.out} is not inside an existing directory")
     if hasattr(args, "jobs"):
         if args.jobs is None:
             args.jobs = _default_jobs()
@@ -380,7 +386,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(_bind_negative_lists(argv))
         _check_common(args)
         return args.run(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

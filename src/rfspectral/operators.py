@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fanout import fan_out
 from .basis import SpectralGrid, analyze, make_grid
 from .closedform import (
     ARCTAN,
@@ -123,20 +122,17 @@ def sweep_errors(
     jobs: int = 1,
 ):
     """Max-norm error for every (N, L) cell; returns an array of shape
-    (len(l_list), len(n_list)) with rows indexed by L."""
+    (len(l_list), len(n_list)) with rows indexed by L.  One base per N, built
+    on `jobs` threads and released before the next build."""
     n_list = list(n_list)
     l_list = list(l_list)
     errors = np.empty((len(l_list), len(n_list)))
-
-    def run_column(cell):
-        col, n = cell
-        base = build_base_matrix(alpha, n, l_lim)
+    for col, n in enumerate(n_list):
+        base = build_base_matrix(alpha, n, l_lim, jobs=jobs)
         for row, l_scale in enumerate(l_list):
             report = apply_reference(
                 func_name, kind, alpha, gamma, n, l_scale, l_lim, base=base
             )
             errors[row, col] = report.linf_error
-
-    fan_out(run_column, enumerate(n_list), jobs)
+        del base
     return errors
-

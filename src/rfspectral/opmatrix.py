@@ -123,6 +123,18 @@ def _store_column(entries: np.ndarray, k: int, col: np.ndarray) -> None:
     entries[1, :, k - 1] = top.imag
 
 
+def _check_base(alpha, n, l_lim, error=ValueError) -> None:
+    # The labels a build accepts, which a base file's header must also
+    # carry.  The alpha = 1 closed form ignores l_lim, but the matrix and
+    # its file record it.
+    if not 0.0 < alpha < 2.0:
+        raise error(f"order must lie in (0, 2), got {alpha}")
+    if n < 2:
+        raise error(f"matrix size must be >= 2, got {n}")
+    if l_lim < 1:
+        raise error(f"need l_lim >= 1, got {l_lim}")
+
+
 def build_base_matrix(
     alpha: float, n: int, l_lim: int, jobs: int = 1
 ) -> OperatorMatrix:
@@ -133,12 +145,7 @@ def build_base_matrix(
     pool.  The chunk bounds are fixed, so every entry is summed in the same
     order and the result is identical to the serial build.
     """
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"order must lie in (0, 2), got {alpha}")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if alpha != 1.0 and l_lim < 1:
-        raise ValueError(f"need l_lim >= 1, got {l_lim}")
+    _check_base(alpha, n, l_lim)
     grid = make_grid(n, 1.0)
     s = grid.s_nodes
     entries = np.zeros((2, _stored_rows(n), stored_columns(n)))
@@ -346,14 +353,10 @@ def serialize(matrix: OperatorMatrix, sink) -> None:
     divided by L^alpha, then, except for the fractional Laplacian, with its
     columns of modes k > 0 (k < 0, including -N/2) multiplied by the kind's
     phase (its conjugate).  The payload is written in row blocks of a few
-    MiB."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "wb") as fh:
-            serialize(matrix, fh)
-        return
-    sink.write(_MAGIC)
-    sink.write(
-        _HEADER.pack(
+    MiB.  A field the header cannot hold raises ValueError before anything
+    is opened or written."""
+    try:
+        header = _HEADER.pack(
             matrix.n,
             _KIND_TAGS[matrix.kind],
             matrix.alpha,
@@ -361,7 +364,15 @@ def serialize(matrix: OperatorMatrix, sink) -> None:
             matrix.l_scale,
             matrix.l_lim,
         )
-    )
+    except struct.error as exc:
+        raise ValueError(
+            f"the header cannot hold N = {matrix.n}, l_lim = {matrix.l_lim}: {exc}"
+        ) from None
+    if isinstance(sink, (str, Path)):
+        with open(sink, "wb") as fh:
+            serialize(matrix, fh)
+        return
+    sink.write(_MAGIC + header)
     n = matrix.n
     half = stored_columns(n)
     scaled = not _is_base(matrix.kind, matrix.l_scale)
@@ -424,12 +435,14 @@ def deserialize(source) -> OperatorMatrix:
     """Read back a serialized base matrix and keep the top rows of its
     positive-mode columns.
 
-    Only base files (kind fl, map scale 1) are read: a scaled header raises
-    FormatError before any payload is read.  FormatError is also raised on
-    bad magic, a truncated payload, a non-finite entry, or any entry other
-    than the one the kept top rows imply (a zero matches either sign).  On a
-    seekable source the payload size the header asks for is checked against
-    the bytes left before anything is read."""
+    Only base files (kind fl, map scale 1) are read: a scaled header, or one
+    with labels no build makes (alpha outside (0, 2), N < 2, l_lim < 1 or a
+    nonzero skewness), raises FormatError before any payload is read.
+    FormatError is also raised on bad magic, a truncated payload, a
+    non-finite entry, or any entry other than the one the kept top rows
+    imply (a zero matches either sign).  On a seekable source the payload
+    size the header asks for is checked against the bytes left before
+    anything is read."""
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             return deserialize(fh)
@@ -449,8 +462,9 @@ def deserialize(source) -> OperatorMatrix:
             f"only base matrices (kind fl, L = 1) can be read, header says "
             f"kind {kind.value}, L = {l_scale!r}"
         )
-    if n < 2:
-        raise FormatError(f"matrix size must be >= 2, header says {n}")
+    _check_base(alpha, n, l_lim, FormatError)
+    if gamma != 0.0:
+        raise FormatError(f"a base matrix has skewness 0, header says {gamma!r}")
     size = 16 * n * n
     left = _bytes_left(source)
     if left is not None and left < size:

@@ -113,6 +113,15 @@ class TestMatrix:
         serialize(build_base_matrix(1.37, n, 10), buf)
         assert out.read_bytes() == buf.getvalue()
 
+    def test_unwritable_header_leaves_no_file(self, tmp_path, capsys):
+        # The alpha = 1 build ignores l_lim, which the u32 header field
+        # cannot hold.
+        out = tmp_path / "big.rfm"
+        assert run(["matrix", "--alpha", "1", "--N", "8",
+                    "--llim", "5000000000", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestUsageErrors:
     APPLY = ["apply", "--op", "fl", "--alpha", "0.62", "--func", "erf",
@@ -175,6 +184,19 @@ class TestUsageErrors:
         (None, EVOLVE + ["--gamma", "0", "--t-end", "1", "--budget", "nan"]),
         (None, EVOLVE + ["--gamma", "0", "--t-end", "1", "--budget", "inf"]),
         (None, EVOLVE + ["--gamma", "0.30001,0.30002", "--t-end", "1"]),
+        (None, ["matrix", "--alpha", "1", "--N", "8", "--llim", "-5"]),
+        (None, ["apply", "--op", "fl", "--alpha", "1", "--func", "erf",
+                "--N", "16", "--L", "1", "--llim", "-5"]),
+        (None, ["evolve", "--alpha", "1", "--gamma", "0", "--N", "16",
+                "--L", "10", "--llim", "-3", "--t-end", "1",
+                "--fit-window", "0,1"]),
+        (None, APPLY + ["--matrix-in", "missing.rfm"]),
+        (None, APPLY + ["--out", "missing/out"]),
+        (None, MATRIX + ["--out", "missing/m.rfm"]),
+        (None, SWEEP + ["--L-range", "1:2:0.5", "--out", "missing/s.csv"]),
+        (None, ORACLE + ["--out", "missing/o.csv"]),
+        (None, EVOLVE + ["--gamma", "0", "--t-end", "1",
+                         "--out-dir", f"{__file__}/run"]),
     ], ids=["jobs-env", "range-parts", "step-zero", "step-negative",
             "range-empty", "scale-zero", "matrix-kind-alpha", "apply-kind-alpha",
             "oracle-kind-alpha", "sweep-skewness", "apply-scale-negative",
@@ -186,7 +208,11 @@ class TestUsageErrors:
             "matrix-fl-skewness", "sweep-fl-skewness", "oracle-fl-skewness",
             "evolve-skewness-nan", "t-end-inf", "t-end-negative", "dt-nan",
             "dt-inf", "budget-negative", "budget-zero", "budget-nan",
-            "budget-inf", "gammas-share-a-directory"])
+            "budget-inf", "gammas-share-a-directory", "matrix-alpha-1-llim",
+            "apply-alpha-1-llim", "evolve-alpha-1-llim", "matrix-in-missing",
+            "apply-out-no-directory", "matrix-out-no-directory",
+            "sweep-out-no-directory", "oracle-out-no-directory",
+            "evolve-out-dir-below-a-file"])
     def test_exit_2_before_any_build(self, tmp_path, capsys, monkeypatch,
                                      jobs_env, argv):
         def no_build(*args, **kwargs):
@@ -196,8 +222,12 @@ class TestUsageErrors:
         monkeypatch.setattr(operators, "build_base_matrix", no_build)
         if jobs_env is not None:
             monkeypatch.setenv("RF_SPECTRAL_JOBS", jobs_env)
+        # Relative paths in argv name entries of tmp_path.
+        monkeypatch.chdir(tmp_path)
         out_flag = "--out-dir" if argv[0] == "evolve" else "--out"
-        assert run(argv + [out_flag, tmp_path / "out"]) == 2
+        if out_flag not in argv:
+            argv = argv + [out_flag, tmp_path / "out"]
+        assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 

@@ -1,6 +1,7 @@
 """End-to-end operator application with the auxiliary-subtraction path."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -161,3 +162,22 @@ class TestSweep:
         assert serial.shape == (2, 2)
         assert np.array_equal(serial, threaded)
 
+    def test_builds_are_threaded_and_one_at_a_time(self, monkeypatch):
+        calls, building, previous = [], [], []
+
+        def build(alpha, n, l_lim, jobs=1):
+            assert not building, "two base builds overlap"
+            assert all(ref() is None for ref in previous), "an earlier base is alive"
+            building.append(n)
+            calls.append((n, jobs))
+            base = build_base_matrix(alpha, n, l_lim, jobs=jobs)
+            building.pop()
+            previous.append(weakref.ref(base.entries))
+            return base
+
+        monkeypatch.setattr(operators, "build_base_matrix", build)
+        sweep_errors(
+            "erf", OperatorKind.FRAC_LAPLACIAN, 0.62, 0.0, [16, 24, 32],
+            [1.0, 2.0], 20, jobs=2,
+        )
+        assert calls == [(16, 2), (24, 2), (32, 2)]

@@ -3,6 +3,7 @@
 import cmath
 import io
 import math
+import struct
 import tracemalloc
 from dataclasses import replace
 
@@ -259,6 +260,9 @@ class TestBuild:
             build_base_matrix(0.62, 8, 0)
         with pytest.raises(ValueError):
             build_base_matrix(0.62, 1, 10)
+        # The alpha = 1 closed form ignores l_lim, but the matrix records it.
+        with pytest.raises(ValueError, match="l_lim >= 1"):
+            build_base_matrix(1.0, 8, -5)
 
 
 class TestScale:
@@ -453,6 +457,34 @@ class TestSerialization:
         with pytest.raises(FormatError, match="only base matrices"):
             deserialize(stream)
         assert sum(size for size, _ in stream.reads) == 4 + 36
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("gamma", 0.3, "skewness 0"),
+        ("gamma", math.nan, "skewness 0"),
+        ("alpha", 5.0, r"order must lie in \(0, 2\)"),
+        ("alpha", math.nan, r"order must lie in \(0, 2\)"),
+        ("l_lim", 0, "l_lim >= 1"),
+    ], ids=["gamma", "gamma-nan", "alpha", "alpha-nan", "l_lim"])
+    def test_unbuildable_header_rejected_before_payload(self, field, value,
+                                                        message):
+        buf = io.BytesIO()
+        serialize(random_matrix(4, np.random.default_rng(10)), buf)
+        labels = dict(zip(("n", "tag", "alpha", "gamma", "l_scale", "l_lim"),
+                          struct.unpack_from("<IIdddI", buf.getvalue(), 4)))
+        labels[field] = value
+        data = b"RFM1" + struct.pack("<IIdddI", *labels.values())
+        stream = RecordingStream(data + buf.getvalue()[40:])
+        with pytest.raises(FormatError, match=message):
+            deserialize(stream)
+        assert sum(size for size, _ in stream.reads) == 4 + 36
+
+    @pytest.mark.parametrize("l_lim", [-5, 2 ** 32], ids=["negative", "u32-overflow"])
+    def test_unwritable_header_leaves_no_file(self, tmp_path, l_lim):
+        matrix = replace(random_matrix(4, np.random.default_rng(11)), l_lim=l_lim)
+        path = tmp_path / "m.rfm"
+        with pytest.raises(ValueError, match="header cannot hold"):
+            serialize(matrix, path)
+        assert not path.exists()
 
     def test_file_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -60,12 +60,17 @@ def mode_numbers(n: int) -> np.ndarray:
     return k
 
 
+def check_map_scale(l_scale: float) -> None:
+    """Raise ValueError unless the map scale L is finite and > 0."""
+    if not (math.isfinite(l_scale) and l_scale > 0.0):
+        raise ValueError(f"map scale must be finite and > 0, got {l_scale}")
+
+
 def make_grid(n: int, l_scale: float) -> SpectralGrid:
     """Build the N-node grid for map scale L."""
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
-    if not l_scale > 0.0:
-        raise ValueError(f"map scale must be positive, got {l_scale}")
+    check_map_scale(l_scale)
     j = np.arange(n, dtype=np.float64)
     s = math.pi * (2.0 * j + 1.0) / (2.0 * n)
     x = l_scale / np.tan(s)

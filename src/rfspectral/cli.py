@@ -20,6 +20,7 @@ import numpy as np
 
 from . import evolve as ev
 from ._fanout import fan_out
+from .basis import check_map_scale
 from .closedform import CLOSED_FORMS, OperatorKind, validate_kind
 from .errors import NumericError
 from .operators import apply_reference, sweep_errors
@@ -30,7 +31,7 @@ from .opmatrix import (
     scale_to_operator,
     serialize,
 )
-from .oracle import quad_operator
+from .oracle import check_tolerance, quad_operator
 
 # Parsed arguments left out of a manifest's parameters: the subcommand and
 # its handler, where the outputs go and how many threads made them.  Every
@@ -251,8 +252,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_oracle(args) -> int:
     t0 = time.monotonic()
-    if not (math.isfinite(args.quad_tol) and args.quad_tol > 0.0):
-        raise ValueError(f"--quad-tol must be finite and > 0, got {args.quad_tol}")
+    check_tolerance(args.quad_tol)
     if args.num_points < 1:
         raise ValueError(f"--num-points must be >= 1, got {args.num_points}")
     kind = OperatorKind(args.op)
@@ -302,14 +302,14 @@ def _add_common(p, op_default=None, with_func=True, with_grid=True):
 
 
 def _check_common(args) -> None:
-    """Operator kind against order and skewness, a positive map scale, at
-    least one aliasing shell, an existing directory for --out and at least
+    """Operator kind against order and skewness, a finite positive map scale,
+    at least one aliasing shell, an existing directory for --out and at least
     one job (--jobs, else $RF_SPECTRAL_JOBS, else 1): checked before any
     subcommand builds a matrix."""
     if hasattr(args, "op"):
         validate_kind(OperatorKind(args.op), args.alpha, args.gamma)
-    if hasattr(args, "L") and not args.L > 0.0:
-        raise ValueError(f"map scale --L must be positive, got {args.L}")
+    if hasattr(args, "L"):
+        check_map_scale(args.L)
     if args.llim < 1:
         raise ValueError(f"--llim must be >= 1, got {args.llim}")
     if hasattr(args, "out") and not Path(args.out).parent.is_dir():
@@ -388,6 +388,9 @@ def main(argv=None) -> int:
         return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

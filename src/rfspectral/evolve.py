@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SpectralGrid, analyze, make_grid, synthesize
+from .basis import SpectralGrid, analyze, check_map_scale, make_grid, synthesize
 from .closedform import ARCTAN, OperatorKind
 from .errors import BudgetError, DivergenceError, TrackingError
 from .operators import AuxDecomposition
@@ -25,6 +25,7 @@ from .opmatrix import (
     OperatorMatrix,
     apply as matrix_apply,
     build_base_matrix,
+    check_base,
     scale_to_operator,
 )
 from .specfun import check_skewness
@@ -49,10 +50,8 @@ class EvolutionConfig:
 
     def __post_init__(self):
         check_skewness(self.alpha, self.gamma)
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
-        if not self.l_scale > 0.0:
-            raise ValueError(f"map scale must be positive, got {self.l_scale}")
+        check_base(self.alpha, self.n, self.l_lim)
+        check_map_scale(self.l_scale)
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"need a finite dt > 0, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):

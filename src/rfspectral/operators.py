@@ -20,6 +20,7 @@ from .closedform import (
     OperatorKind,
     reference_operator,
 )
+from .errors import NumericError
 from .opmatrix import OperatorMatrix, apply as matrix_apply, build_base_matrix, scale_to_operator
 
 
@@ -66,7 +67,9 @@ def apply_with_aux(
 ) -> ApplyReport:
     """Operator of u via the auxiliary split, on the nodes of the matrix's N
     and L; u may be a callable on x or node samples.  `exact`, a registered
-    closed form's name, fills the report's exact values and error field."""
+    closed form's name, fills the report's exact values and error field.
+    Raises NumericError if the operator values, or the exact values asked
+    for, are not all finite."""
     grid = make_grid(matrix.n, matrix.l_scale)
     x = grid.x_nodes
     samples = u(x) if callable(u) else np.asarray(u)
@@ -75,13 +78,22 @@ def apply_with_aux(
     approx = matrix_apply(matrix, analyze(samples, grid))
     if decomp is not None:
         approx += decomp.aux_operator(matrix.kind, matrix.alpha, matrix.gamma, x)
+    _check_finite(approx, "operator", matrix)
     if exact is None:
         return ApplyReport(grid=grid, approx=approx)
     exact_values = reference_operator(
         exact, matrix.kind, matrix.alpha, matrix.gamma, x
     )
+    _check_finite(exact_values, f"exact {exact}", matrix)
     linf = float(np.max(np.abs(approx - exact_values)))
     return ApplyReport(grid=grid, approx=approx, exact=exact_values, linf_error=linf)
+
+
+def _check_finite(values, what, matrix) -> None:
+    if not np.all(np.isfinite(values)):
+        raise NumericError(
+            f"non-finite {what} values at N = {matrix.n}, L = {matrix.l_scale}"
+        )
 
 
 def apply_reference(

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._fanout import fan_out
-from .basis import CoeffVector, make_grid, mode_numbers
+from .basis import CoeffVector, check_map_scale, make_grid, mode_numbers
 from .closedform import OperatorKind, phase_factor, validate_kind
 from .errors import FormatError, NumericError
 from .specfun import RatioKind, c_alpha, ratio_table
@@ -49,7 +49,7 @@ _TAG_KINDS = {tag: kind for kind, tag in _KIND_TAGS.items()}
 # Default number of aliasing shells |l1| <= l_lim summed per matrix entry.
 DEFAULT_L_LIM = 100
 
-# Columns k per chunk of the series fold, and fold columns l2 per tile of a
+# Columns k per chunk of the build, and fold columns l2 per tile of a
 # chunk's matrix products.  Both are fixed, so that how each entry is summed,
 # and so the result, does not depend on the number of jobs.
 _FOLD_CHUNK = 256
@@ -115,18 +115,11 @@ class OperatorMatrix:
         return phase / self.l_scale ** self.alpha
 
 
-def _store_column(entries: np.ndarray, k: int, col: np.ndarray) -> None:
-    # The top rows of the full column of mode k; the bottom rows see the
-    # conjugate node phases and are implied.
-    top = col[: entries.shape[1]]
-    entries[0, :, k - 1] = top.real
-    entries[1, :, k - 1] = top.imag
-
-
-def _check_base(alpha, n, l_lim, error=ValueError) -> None:
-    # The labels a build accepts, which a base file's header must also
-    # carry.  The alpha = 1 closed form ignores l_lim, but the matrix and
-    # its file record it.
+def check_base(alpha, n, l_lim, error=ValueError) -> None:
+    """Raise `error` unless (alpha, n, l_lim) are labels a build accepts,
+    which a base file's header and an evolution's configuration must also
+    carry.  The alpha = 1 closed form ignores l_lim, but the matrix and its
+    file record it."""
     if not 0.0 < alpha < 2.0:
         raise error(f"order must lie in (0, 2), got {alpha}")
     if n < 2:
@@ -141,24 +134,34 @@ def build_base_matrix(
     """Base matrix (symmetric operator, map scale 1) of size N x N, stored
     as the top rows of its positive-mode columns.
 
-    jobs > 1 spreads the column chunks of the series fold over a thread
-    pool.  The chunk bounds are fixed, so every entry is summed in the same
-    order and the result is identical to the serial build.
+    jobs > 1 spreads the column chunks over a thread pool.  The chunk bounds
+    are fixed, so every entry is summed in the same order and the result is
+    identical to the serial build.
     """
-    _check_base(alpha, n, l_lim)
-    grid = make_grid(n, 1.0)
-    s = grid.s_nodes
-    entries = np.zeros((2, _stored_rows(n), stored_columns(n)))
+    check_base(alpha, n, l_lim)
+    # The nodes of the stored top rows, as a column.
+    s = make_grid(n, 1.0).s_nodes[: _stored_rows(n), None]
+    entries = np.empty((2, len(s), stored_columns(n)))
+    half = entries.shape[2]
     if alpha == 1.0:
-        sin2 = np.sin(s) ** 2
-        for k in range(1, entries.shape[2] + 1):
-            _store_column(entries, k, 2.0 * k * sin2 * np.exp(2j * k * s))
+        columns = lambda k: 2.0 * k * np.sin(s) ** 2 * np.exp(2j * k * s)
     else:
-        _series_columns(entries, alpha, n, l_lim, s, jobs)
-    if not np.all(np.isfinite(entries)):
-        raise NumericError(
-            f"non-finite matrix entries for alpha={alpha}, n={n}, l_lim={l_lim}"
-        )
+        columns = _series_columns(alpha, n, l_lim, s)
+
+    def store(k0):
+        # The top rows of the columns of modes k0..k0+c-1 as one row block;
+        # the bottom rows see the conjugate node phases and are implied.
+        # Each chunk is checked on its own, with no N^2 mask of the planes.
+        c = min(_FOLD_CHUNK, half + 1 - k0)
+        top = columns(np.arange(k0, k0 + c, dtype=np.float64))
+        if not np.all(np.isfinite(top)):
+            raise NumericError(
+                f"non-finite matrix entries for alpha={alpha}, n={n}, l_lim={l_lim}"
+            )
+        entries[0, :, k0 - 1 : k0 - 1 + c] = top.real
+        entries[1, :, k0 - 1 : k0 - 1 + c] = top.imag
+
+    fan_out(store, range(1, half + 1, _FOLD_CHUNK), jobs)
     return OperatorMatrix(
         kind=OperatorKind.FRAC_LAPLACIAN,
         alpha=float(alpha),
@@ -170,23 +173,22 @@ def build_base_matrix(
     )
 
 
-def _series_columns(entries, alpha, n, l_lim, s, jobs=1):
-    # Entry (k, l2) of the folded coefficients is the sum over |l1| <= l_lim
-    # of S ((1 - alpha) k^2 - 2 k m) V2(|k - m|), with m = l1 n + l2 and
-    # S = (-1)^l1 V1(|m|), so it is (1 - alpha) k^2 A - 2 k B with
-    # A = sum S V2(|k - m|) and B = sum S m V2(|k - m|).  For a tile of l2
-    # and a chunk of k both sums are matrix products against one strided
+def _series_columns(alpha, n, l_lim, s):
+    # The top rows, at the nodes s, of a chunk of columns k, as a function
+    # of k.  Entry (l2, k) of the folded coefficients is the sum over
+    # |l1| <= l_lim of S ((1 - alpha) k^2 - 2 k m) V2(|k - m|), with
+    # m = l1 n + l2 and S = (-1)^l1 V1(|m|), so it is (1 - alpha) k^2 A - 2 k B
+    # with A = sum S V2(|k - m|) and B = sum S m V2(|k - m|).  For a tile of
+    # l2 and a chunk of k both sums are matrix products against one strided
     # view of the two-sided V2 table (see `_fold_band`).
     assert alpha != 1.0, "series path is undefined at alpha = 1"
     w, s_rows, m_rows = _fold_tables(alpha, n, l_lim)
-    prefac = (
+    scale = n * (
         c_alpha(alpha)
         * np.sin(s) ** (alpha - 1.0)
         / (2.0 * math.tan(alpha * math.pi / 2.0))
     )
-    scale = n * prefac[: entries.shape[1]]
-    phase = np.exp(1j * math.pi * mode_numbers(n) / n)
-    half = entries.shape[2]
+    phase = np.exp(1j * math.pi * mode_numbers(n) / n)[:, None]
     # Tiles of the columns q of s_rows (l2 = q - n//2, ascending), split at
     # l2 = 0 so that each is one slice in DFT order too.
     h = n // 2
@@ -196,32 +198,27 @@ def _series_columns(entries, alpha, n, l_lim, s, jobs=1):
         for a in range(start, end, _FOLD_TILE)
     ]
 
-    def fold_chunk(k0):
-        c = min(_FOLD_CHUNK, half + 1 - k0)
-        # A and B in the real and imaginary parts, l2 in DFT order.
-        col = np.empty((c, n), dtype=np.complex128)
-        a_sum, b_sum = col.real, col.imag
+    def fold_chunk(k):
+        k0, c = int(k[0]), len(k)
+        a_weight, b_weight = (1.0 - alpha) * k * k, 2.0 * k
+        # Row l2 in DFT order, column k: each tile's coefficients are
+        # weighted, combined and phased where they are folded.
+        col = np.empty((n, c), dtype=np.complex128)
         for a, b in tiles:
             band = _fold_band(w, n, s_rows.shape[0], a, b, k0, c)
-            at = (a - h) % n
-            for rows, out in ((s_rows, a_sum), (m_rows, b_sum)):
-                out[:, at : at + b - a] = _skew_diagonal(rows[:, a:b].T @ band, c)
-        k = np.arange(k0, k0 + c, dtype=np.float64)[:, None]
-        a_sum *= (1.0 - alpha) * k * k
-        b_sum *= 2.0 * k
-        a_sum -= b_sum
+            coef = (_skew_diagonal(s_rows[:, a:b].T @ band, c) * a_weight
+                    - _skew_diagonal(m_rows[:, a:b].T @ band, c) * b_weight)
+            rows = slice((a - h) % n, (a - h) % n + b - a)
+            np.multiply(coef, phase.real[rows], out=col.real[rows])
+            np.multiply(coef, phase.imag[rows], out=col.imag[rows])
         # sum_{l2} a(l2) e^{i 2 l2 s_j} over the midpoint nodes, as a phased
-        # IFFT in place; the bottom rows see the conjugate node phases and are
-        # implied.
-        np.multiply(a_sum, phase.imag, out=b_sum)
-        a_sum *= phase.real
-        np.fft.ifft(col, axis=1, out=col)
-        top = col[:, : len(scale)]
+        # IFFT in place.
+        np.fft.ifft(col, axis=0, out=col)
+        top = col[: len(scale)]
         top *= scale
-        entries[0, :, k0 - 1 : k0 - 1 + c] = top.real.T
-        entries[1, :, k0 - 1 : k0 - 1 + c] = top.imag.T
+        return top
 
-    fan_out(fold_chunk, range(1, half + 1, _FOLD_CHUNK), jobs)
+    return fold_chunk
 
 
 def _fold_tables(alpha, n, l_lim):
@@ -254,12 +251,12 @@ def _fold_band(w, n, rows, a, b, k0, c):
 
 
 def _skew_diagonal(band_product, c):
-    # out[kk, i] = band_product[i, i - kk + c - 1], the (c, t) entries of a
+    # out[i, kk] = band_product[i, i - kk + c - 1], the (t, c) entries of a
     # (t, t + c - 1) product that belong to the chunk's columns: flat index
     # i (t + c) + c - 1 - kk.
     d = band_product.shape[1]
     windows = sliding_window_view(band_product.reshape(-1), c)
-    return windows[:: d + 1, ::-1].T
+    return windows[:: d + 1, ::-1]
 
 
 def scale_to_operator(
@@ -273,8 +270,7 @@ def scale_to_operator(
     over L^alpha.  Nothing is copied, and rescaling a scaled matrix just
     relabels it."""
     validate_kind(kind, base.alpha, gamma)
-    if not l_scale > 0.0:
-        raise ValueError(f"map scale must be positive, got {l_scale}")
+    check_map_scale(l_scale)
     return replace(
         base,
         kind=kind,
@@ -462,7 +458,7 @@ def deserialize(source) -> OperatorMatrix:
             f"only base matrices (kind fl, L = 1) can be read, header says "
             f"kind {kind.value}, L = {l_scale!r}"
         )
-    _check_base(alpha, n, l_lim, FormatError)
+    check_base(alpha, n, l_lim, FormatError)
     if gamma != 0.0:
         raise FormatError(f"a base matrix has skewness 0, header says {gamma!r}")
     size = 16 * n * n

@@ -28,6 +28,12 @@ _SPLIT = 1.0
 _MAX_SUBDIVISIONS = 200
 
 
+def check_tolerance(tol: float) -> None:
+    """Raise ValueError unless the quadrature tolerance is finite and > 0."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"quadrature tolerance must be finite and > 0, got {tol}")
+
+
 def _tail_cut(alpha: float, u_sup: float, tol: float) -> float:
     """Truncation point at which the |z|^(-1-alpha) tail of a function
     bounded by u_sup contributes less than tol / 10."""
@@ -204,6 +210,7 @@ def quad_operator(
     cut where the tail of a function bounded by `u_sup` falls below tol / 10.
     """
     validate_kind(kind, alpha, gamma)
+    check_tolerance(tol)
     if representation not in ("default", "difference", "derivative"):
         raise ValueError(f"unknown representation {representation!r}")
     if kind is OperatorKind.RIESZ_FELLER and representation != "default":

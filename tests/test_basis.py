@@ -40,6 +40,27 @@ class TestGrid:
         with pytest.raises(ValueError):
             make_grid(8, 0.0)
 
+    @pytest.mark.parametrize("l_scale", [math.inf, math.nan, 0.0, -2.0])
+    @pytest.mark.parametrize("entry", ["make_grid", "scale_to_operator",
+                                       "EvolutionConfig"])
+    def test_map_scale_must_be_finite_and_positive(self, entry, l_scale):
+        from rfspectral.closedform import OperatorKind
+        from rfspectral.evolve import EvolutionConfig
+        from rfspectral.opmatrix import build_base_matrix, scale_to_operator
+
+        calls = {
+            "make_grid": lambda: make_grid(8, l_scale),
+            "scale_to_operator": lambda: scale_to_operator(
+                build_base_matrix(0.62, 8, 5), OperatorKind.RIESZ_FELLER, 0.3,
+                l_scale,
+            ),
+            "EvolutionConfig": lambda: EvolutionConfig(
+                alpha=1.37, gamma=0.0, n=8, l_scale=l_scale
+            ),
+        }
+        with pytest.raises(ValueError, match="finite and > 0"):
+            calls[entry]()
+
 
 class TestBasisFunctions:
     def test_lambda_zero_mode(self):

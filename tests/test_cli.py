@@ -103,6 +103,26 @@ class TestApply:
         assert not (tmp_path / "y.json").exists()
 
 
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning",
+)
+class TestNonFiniteResults:
+    @pytest.mark.parametrize("argv", [
+        ["apply", "--op", "fl", "--alpha", "0.62", "--func", "log1psq",
+         "--N", "64", "--L", "1e200", "--out", "a"],
+        ["apply", "--op", "fl", "--alpha", "0.62", "--func", "erf",
+         "--N", "64", "--L", "1e308", "--out", "a"],
+        ["sweep", "--op", "fl", "--alpha", "0.62", "--func", "log1psq",
+         "--N-list", "16", "--L-range", "1e200:1e200:1", "--out", "s.csv"],
+    ], ids=["apply-nodal", "apply-exact", "sweep"])
+    def test_exit_3_and_no_output(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestMatrix:
     @pytest.mark.parametrize("n", [16, 17])
     def test_fl_at_unit_scale_writes_the_base(self, tmp_path, n):
@@ -120,6 +140,17 @@ class TestMatrix:
         assert run(["matrix", "--alpha", "1", "--N", "8",
                     "--llim", "5000000000", "--out", out]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refused_allocation_exits_2(self, tmp_path, capsys, monkeypatch):
+        def refused(*args, **kwargs):
+            raise MemoryError("Unable to allocate 596. GiB for an array")
+
+        monkeypatch.setattr(cli, "build_base_matrix", refused)
+        assert run(["matrix", "--alpha", "0.62", "--N", "400000",
+                    "--out", tmp_path / "big.rfm"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "596. GiB" in err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -197,6 +228,11 @@ class TestUsageErrors:
         (None, ORACLE + ["--out", "missing/o.csv"]),
         (None, EVOLVE + ["--gamma", "0", "--t-end", "1",
                          "--out-dir", f"{__file__}/run"]),
+        (None, APPLY + ["--L", "inf"]),
+        (None, MATRIX + ["--L", "inf"]),
+        (None, ORACLE + ["--L", "inf"]),
+        (None, EVOLVE + ["--gamma", "0", "--t-end", "1", "--L", "inf"]),
+        (None, EVOLVE + ["--gamma", "0", "--t-end", "1e12", "--dt", "1e-6"]),
     ], ids=["jobs-env", "range-parts", "step-zero", "step-negative",
             "range-empty", "scale-zero", "matrix-kind-alpha", "apply-kind-alpha",
             "oracle-kind-alpha", "sweep-skewness", "apply-scale-negative",
@@ -212,7 +248,9 @@ class TestUsageErrors:
             "apply-alpha-1-llim", "evolve-alpha-1-llim", "matrix-in-missing",
             "apply-out-no-directory", "matrix-out-no-directory",
             "sweep-out-no-directory", "oracle-out-no-directory",
-            "evolve-out-dir-below-a-file"])
+            "evolve-out-dir-below-a-file", "apply-scale-inf",
+            "matrix-scale-inf", "oracle-scale-inf", "evolve-scale-inf",
+            "evolve-samples-out-of-memory"])
     def test_exit_2_before_any_build(self, tmp_path, capsys, monkeypatch,
                                      jobs_env, argv):
         def no_build(*args, **kwargs):

@@ -197,6 +197,11 @@ class TestRk4:
         with pytest.raises(ValueError):
             EvolutionConfig(alpha=1.37, gamma=0.0, n=8, l_scale=1.0, dt=-0.1)
 
+    @pytest.mark.parametrize("l_lim", [0, -3])
+    def test_l_lim_checked_by_the_build_rule(self, l_lim):
+        with pytest.raises(ValueError, match="l_lim >= 1"):
+            EvolutionConfig(alpha=1.37, gamma=0.0, n=16, l_scale=10.0, l_lim=l_lim)
+
     @pytest.mark.parametrize("field, value", [
         ("gamma", math.nan), ("dt", math.nan), ("dt", math.inf),
         ("t_end", math.nan), ("t_end", math.inf), ("t_end", -1.0),

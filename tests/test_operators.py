@@ -10,6 +10,7 @@ from scipy.special import erf
 from rfspectral import operators
 from rfspectral.basis import lambda_k, make_grid
 from rfspectral.closedform import OperatorKind, frac_lap_lambda, reference_operator
+from rfspectral.errors import NumericError
 from rfspectral.operators import (
     DEFAULT_AUX,
     AuxDecomposition,
@@ -124,6 +125,26 @@ class TestApplyWithAux:
                 du=du, tol=1e-8,
             )
             assert abs(report.approx[j].real - quad_val) < 1e-6
+
+
+# Samples or closed forms that overflow at a huge map scale.
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning",
+)
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("func, l_scale, what", [
+        ("log1psq", 1e200, "operator"), ("erf", 1e308, "exact erf"),
+    ])
+    def test_apply_raises_numeric_error(self, func, l_scale, what):
+        with pytest.raises(NumericError, match=f"non-finite {what} values"):
+            apply_reference(func, OperatorKind.FRAC_LAPLACIAN, 0.62, 0.0, 64,
+                            l_scale, 10)
+
+    def test_sweep_raises_numeric_error(self):
+        with pytest.raises(NumericError):
+            sweep_errors("log1psq", OperatorKind.FRAC_LAPLACIAN, 0.62, 0.0,
+                         [16], [1.0, 1e200], 10)
 
 
 class TestAuxDecomposition:

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from reference_formulas import full_payload
+from rfspectral import opmatrix
 from rfspectral.basis import CoeffVector, analyze, make_grid, mode_numbers
 from rfspectral.closedform import OperatorKind, frac_lap_lambda, phase_factor
-from rfspectral.errors import FormatError
+from rfspectral.errors import FormatError, NumericError
 from rfspectral.opmatrix import (
     _FOLD_CHUNK,
     OperatorMatrix,
@@ -263,6 +264,21 @@ class TestBuild:
         # The alpha = 1 closed form ignores l_lim, but the matrix records it.
         with pytest.raises(ValueError, match="l_lim >= 1"):
             build_base_matrix(1.0, 8, -5)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_non_finite_entries_raise(self, monkeypatch, jobs):
+        # Only the last of three column chunks holds the poisoned mode.
+        n = 4 * _FOLD_CHUNK + 7
+        last = stored_columns(n)
+        fold = opmatrix._series_columns
+
+        def poisoned(*args):
+            columns = fold(*args)
+            return lambda k: columns(k) * np.where(k == last, np.nan, 1.0)
+
+        monkeypatch.setattr(opmatrix, "_series_columns", poisoned)
+        with pytest.raises(NumericError, match="non-finite matrix entries"):
+            build_base_matrix(0.62, n, 5, jobs=jobs)
 
 
 class TestScale:

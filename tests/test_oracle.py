@@ -143,6 +143,11 @@ class TestConfig:
         tail_cut = oracle._tail_cut(0.5, 2.0, 1e-8)
         assert tail_cut == pytest.approx((20.0 * 2.0 / (0.5 * 1e-8)) ** 2.0)
 
+    @pytest.mark.parametrize("tol", [0.0, math.nan, -1e-9, math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
+            quad_operator(OperatorKind.FRAC_LAPLACIAN, 0.62, 0.0, erf, 0.3, tol=tol)
+
     def test_convergence_error_carries_estimate(self, monkeypatch):
         monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 2)
         with pytest.raises(ConvergenceError) as err:

@@ -60,37 +60,44 @@ def mode_numbers(n: int) -> np.ndarray:
     return k
 
 
-def check_map_scale(l_scale: float) -> None:
-    """Raise ValueError unless the map scale L is finite and > 0."""
+def check_grid(n: int, l_scale: float) -> None:
+    """Raise ValueError unless N >= 2 and the map scale L is finite and > 0
+    with finite outer nodes +-L cot(pi/(2N))."""
+    if n < 2:
+        raise ValueError(f"need at least 2 nodes, got {n}")
     if not (math.isfinite(l_scale) and l_scale > 0.0):
         raise ValueError(f"map scale must be finite and > 0, got {l_scale}")
+    # make_grid's first node, bit for bit, divided in Python floats, which
+    # overflow with no warning.
+    if not math.isfinite(float(l_scale) / float(np.tan(math.pi / (2.0 * n)))):
+        raise ValueError(
+            f"map scale {l_scale} puts the outer nodes of N = {n} at infinity"
+        )
 
 
 def make_grid(n: int, l_scale: float) -> SpectralGrid:
     """Build the N-node grid for map scale L."""
-    if n < 2:
-        raise ValueError(f"need at least 2 nodes, got {n}")
-    check_map_scale(l_scale)
+    check_grid(n, l_scale)
     j = np.arange(n, dtype=np.float64)
     s = math.pi * (2.0 * j + 1.0) / (2.0 * n)
-    x = l_scale / np.tan(s)
-    # cot(pi - s) = -cot(s): mirror the first half so the antisymmetry
-    # x[n-1-j] = -x[j] holds exactly, not just to roundoff.
+    # cot(pi - s) = -cot(s): the second half mirrors the first, so the
+    # antisymmetry x[n-1-j] = -x[j] holds exactly, not just to roundoff, and
+    # the middle node of odd N is 0.
     half = n // 2
+    x = np.zeros(n)
+    x[:half] = l_scale / np.tan(s[:half])
     x[n - half :] = -x[half - 1 :: -1]
-    if n % 2:
-        x[half] = 0.0
     return SpectralGrid(n=n, l_scale=float(l_scale), s_nodes=s, x_nodes=x)
 
 
-def lambda_k(x, k: int, l_scale: float = 1.0):
-    """Rational basis function ((ix - L)/(ix + L))^k.
+def lambda_k(x, k: int):
+    """Rational basis function ((ix - 1)/(ix + 1))^k at map scale 1; at map
+    scale L it is lambda_k(x / L, k).
 
     The base has unit modulus, so it is evaluated in polar form
-    exp(i 2k atan2(L, x)), which stays exact for any |k|.
+    exp(i 2k atan2(1, x)), which stays exact for any |k|.
     """
-    theta = np.arctan2(l_scale, x)
-    return np.exp(2j * k * theta)
+    return np.exp(2j * k * np.arctan2(1.0, x))
 
 
 def analyze(samples, grid: SpectralGrid) -> CoeffVector:

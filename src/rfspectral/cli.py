@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 import time
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import evolve as ev
 from ._fanout import fan_out
-from .basis import check_map_scale
+from .basis import check_grid
 from .closedform import CLOSED_FORMS, OperatorKind, validate_kind
 from .errors import NumericError
 from .operators import apply_reference, sweep_errors
@@ -37,18 +36,6 @@ from .oracle import check_tolerance, quad_operator
 # its handler, where the outputs go and how many threads made them.  Every
 # other flag, defaults included, is recorded.
 _UNRECORDED = {"command", "run", "out", "out_dir", "jobs"}
-
-
-def _default_jobs() -> int:
-    # Read only when a command that takes --jobs runs without it.
-    text = os.environ.get("RF_SPECTRAL_JOBS", "1")
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ValueError(f"RF_SPECTRAL_JOBS must be an integer >= 1, got {text!r}")
-    return jobs
 
 
 def _write_manifest(path: Path, args, outputs: list, wall_time: float,
@@ -161,6 +148,8 @@ def cmd_sweep(args) -> int:
     if not n_list or min(n_list) < 2:
         raise ValueError(f"--N-list needs node counts >= 2, got {n_list}")
     l_list = _parse_range(args.L_range)
+    # The outer nodes grow with N and L, so the largest of each bound them.
+    check_grid(max(n_list), max(l_list))
     errors = sweep_errors(
         args.func, OperatorKind(args.op), args.alpha, args.gamma, n_list, l_list,
         args.llim, jobs=args.jobs,
@@ -302,23 +291,20 @@ def _add_common(p, op_default=None, with_func=True, with_grid=True):
 
 
 def _check_common(args) -> None:
-    """Operator kind against order and skewness, a finite positive map scale,
-    at least one aliasing shell, an existing directory for --out and at least
-    one job (--jobs, else $RF_SPECTRAL_JOBS, else 1): checked before any
-    subcommand builds a matrix."""
+    """Operator kind against order and skewness, a finite positive map scale
+    with finite nodes, at least one aliasing shell, an existing directory for
+    --out and at least one job: checked before any subcommand builds a
+    matrix."""
     if hasattr(args, "op"):
         validate_kind(OperatorKind(args.op), args.alpha, args.gamma)
     if hasattr(args, "L"):
-        check_map_scale(args.L)
+        check_grid(args.N, args.L)
     if args.llim < 1:
         raise ValueError(f"--llim must be >= 1, got {args.llim}")
     if hasattr(args, "out") and not Path(args.out).parent.is_dir():
         raise ValueError(f"--out {args.out} is not inside an existing directory")
-    if hasattr(args, "jobs"):
-        if args.jobs is None:
-            args.jobs = _default_jobs()
-        elif args.jobs < 1:
-            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    if hasattr(args, "jobs") and args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, op_default="fl", with_func=False, with_grid=False)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--L", type=float, default=1.0)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(run=cmd_matrix)
 
@@ -348,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated node counts, e.g. 8,16,32")
     p.add_argument("--L-range", required=True, dest="L_range",
                    help="start:stop:step map scales, e.g. 0.5:5:0.5")
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(run=cmd_sweep)
 
@@ -366,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="fit_window", help="t0,t1 for the slope fit")
     p.add_argument("--budget", type=float, default=None,
                    help="wall-time budget in seconds")
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.set_defaults(run=cmd_evolve)
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import lambda_k
-from .specfun import check_skewness, hyp2f1_terminating, kummer_1f1
+from .specfun import check_order, check_skewness, hyp2f1_terminating, kummer_1f1
 
 
 class OperatorKind(Enum):
@@ -43,24 +43,22 @@ def validate_kind(kind: OperatorKind, alpha: float, gamma: float = 0.0) -> None:
     elif kind is OperatorKind.RIESZ_FELLER:
         check_skewness(alpha, gamma)
     else:
-        if not 0.0 < alpha < 2.0:
-            raise ValueError(f"{kind.name} requires alpha in (0,2), got {alpha}")
+        check_order(alpha)
 
 
-def phase_factor(kind: OperatorKind, alpha: float, gamma: float, sign: int) -> complex:
+def phase_factor(kind: OperatorKind, alpha: float, gamma: float) -> complex:
     """Multiplier turning the symmetric-operator value of a basis function
-    with mode sign `sign` into the requested operator's value."""
-    if sign == 0:
-        raise ValueError("phase factor undefined for sign 0")
+    of positive mode into the requested operator's value; negative modes
+    take its conjugate."""
     half_pi = math.pi / 2.0
     if kind is OperatorKind.WEYL_RIGHT or kind is OperatorKind.DX_WEYL_RIGHT:
-        return cmath.exp(-1j * sign * alpha * half_pi)
+        return cmath.exp(-1j * alpha * half_pi)
     if kind is OperatorKind.WEYL_LEFT_NEG:
-        return -cmath.exp(1j * sign * alpha * half_pi)
+        return -cmath.exp(1j * alpha * half_pi)
     if kind is OperatorKind.DX_WEYL_LEFT_NEG:
-        return cmath.exp(1j * sign * alpha * half_pi)
+        return cmath.exp(1j * alpha * half_pi)
     if kind is OperatorKind.RIESZ_FELLER:
-        return -cmath.exp(1j * sign * gamma * half_pi)
+        return -cmath.exp(1j * gamma * half_pi)
     return 1.0 + 0.0j
 
 
@@ -74,8 +72,7 @@ def frac_lap_lambda(alpha: float, k: int, x: float) -> complex:
     k = 32, so past |k| of about 8 use the s-domain series of the operator
     matrix (`opmatrix.build_base_matrix`) instead.
     """
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"order must lie in (0, 2), got {alpha}")
+    check_order(alpha)
     if k == 0:
         return 0.0 + 0.0j
     if alpha == 1.0:
@@ -94,14 +91,14 @@ def op_lambda(
     validate_kind(kind, alpha, gamma)
     if k == 0:
         return 0.0 + 0.0j
-    sgn = 1 if k > 0 else -1
-    return phase_factor(kind, alpha, gamma, sgn) * frac_lap_lambda(alpha, k, x)
+    phase = phase_factor(kind, alpha, gamma)
+    return (phase if k > 0 else phase.conjugate()) * frac_lap_lambda(alpha, k, x)
 
 
 # --- Reference solutions --------------------------------------------------
 #
 # Every supported operator of a reference function u is
-# Re(phase_factor(kind, alpha, gamma, +1) * A(x)) for one complex amplitude
+# Re(phase_factor(kind, alpha, gamma) * A(x)) for one complex amplitude
 # A: the same phases the matrix columns of positive modes pick up, so the
 # symmetric operator is Re A and the other five kinds are rotations of it.
 
@@ -206,4 +203,4 @@ def reference_operator(
         except KeyError:
             raise ValueError(f"no closed form registered under {func!r}") from None
     validate_kind(kind, alpha, gamma)
-    return np.real(phase_factor(kind, alpha, gamma, 1) * func.amplitude(alpha, x))
+    return np.real(phase_factor(kind, alpha, gamma) * func.amplitude(alpha, x))

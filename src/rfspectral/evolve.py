@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SpectralGrid, analyze, check_map_scale, make_grid, synthesize
-from .closedform import ARCTAN, OperatorKind
+from .basis import SpectralGrid, analyze, check_grid, make_grid, synthesize
+from .closedform import OperatorKind
 from .errors import BudgetError, DivergenceError, TrackingError
 from .operators import AuxDecomposition
 from .opmatrix import (
@@ -26,12 +26,13 @@ from .opmatrix import (
     apply as matrix_apply,
     build_base_matrix,
     check_base,
+    check_integer,
     scale_to_operator,
 )
-from .specfun import check_skewness
+from .specfun import check_order, check_skewness
 
 # 1/2 - arctan(x)/pi
-FISHER_AUX = AuxDecomposition(aux=ARCTAN, scale=-1.0 / math.pi, offset=0.5)
+FISHER_AUX = AuxDecomposition(scale=-1.0 / math.pi, offset=0.5)
 
 # Width in s at which the front bisection stops.
 _FRONT_S_TOL = 1e-14
@@ -51,11 +52,12 @@ class EvolutionConfig:
     def __post_init__(self):
         check_skewness(self.alpha, self.gamma)
         check_base(self.alpha, self.n, self.l_lim)
-        check_map_scale(self.l_scale)
+        check_grid(self.n, self.l_scale)
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"need a finite dt > 0, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
             raise ValueError(f"need a finite t_end >= 0, got {self.t_end}")
+        check_integer("snapshot_stride", self.snapshot_stride)
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
 
@@ -82,8 +84,7 @@ class EvolutionResult:
 def initial_condition(x, alpha: float):
     """Slowly decaying front profile (1/2 - x / (2 sqrt(1 + x^2)))^(alpha/2),
     tending to 1 on the left and 0 on the right."""
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"order must lie in (0, 2), got {alpha}")
+    check_order(alpha)
     x = np.asarray(x, dtype=np.float64)
     return (0.5 - x / (2.0 * np.sqrt(1.0 + x * x))) ** (alpha / 2.0)
 
@@ -148,27 +149,24 @@ def rk4_step(system: FisherSystem, u: np.ndarray, dt: float) -> np.ndarray:
     return u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def front_position(u_nodes, grid: SpectralGrid, level: float = 0.5) -> float:
-    """x where the interpolated solution crosses `level`, taking the
-    rightmost crossing.  The interpolant is the spectral synthesis of
-    u - v plus the closed-form v = FISHER_AUX, evaluated through bisection
-    in s."""
+def front_position(u_nodes, grid: SpectralGrid) -> float:
+    """x where the interpolated solution crosses 1/2, taking the rightmost
+    crossing.  The interpolant is the spectral synthesis of u - v plus the
+    closed-form v = FISHER_AUX, evaluated through bisection in s."""
     u = np.asarray(u_nodes, dtype=np.float64)
-    d = u - level
+    d = u - 0.5
     exact = np.flatnonzero(d == 0.0)
     crossings = np.flatnonzero(d[:-1] * d[1:] < 0.0)
     if exact.size and (not crossings.size or exact[0] <= crossings[0]):
         return float(grid.x_nodes[exact[0]])
     if not crossings.size:
-        raise TrackingError(
-            f"no crossing of level {level} inside the node range"
-        )
+        raise TrackingError("no crossing of level 0.5 inside the node range")
     j = int(crossings[0])  # x decreases with j, so the first bracket is rightmost
     coeffs = analyze(u - FISHER_AUX.aux_values(grid.x_nodes), grid)
 
     def interp(s):
         x = grid.l_scale / math.tan(s)
-        return synthesize(coeffs, s).real + FISHER_AUX.aux_values(x) - level
+        return synthesize(coeffs, s).real + FISHER_AUX.aux_values(x) - 0.5
 
     lo, hi = grid.s_nodes[j], grid.s_nodes[j + 1]
     f_lo = interp(lo)
@@ -243,8 +241,8 @@ def fit_exponential(trace: FrontTrace, t_window) -> RegressionResult:
     Pearson correlation of the fitted pairs."""
     mask = _fit_mask(trace.times, t_window)
     x = trace.x_half[mask]
-    if np.any(x <= 0.0):
-        raise ValueError("front positions must be positive inside the window")
+    if not np.all(np.isfinite(x) & (x > 0.0)):
+        raise ValueError("front positions must be finite and > 0 inside the window")
     t = trace.times[mask]
     y = np.log(x)
     slope, intercept = np.polyfit(t, y, 1)

@@ -1,8 +1,8 @@
 """Apply a supported operator to a function on the real line.
 
 Functions whose limits at -inf and +inf differ are handled by subtracting a
-closed-form auxiliary first, so that the remainder maps to a periodic
-function of s; the operator of the auxiliary is added back exactly.
+multiple of arctan first, so that the remainder maps to a periodic function
+of s; the operator of the auxiliary is added back exactly.
 """
 
 from __future__ import annotations
@@ -13,32 +13,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SpectralGrid, analyze, make_grid
-from .closedform import (
-    ARCTAN,
-    CLOSED_FORMS,
-    ClosedFormFunction,
-    OperatorKind,
-    reference_operator,
-)
+from .closedform import ARCTAN, CLOSED_FORMS, OperatorKind, reference_operator
 from .errors import NumericError
 from .opmatrix import OperatorMatrix, apply as matrix_apply, build_base_matrix, scale_to_operator
 
 
 @dataclass(frozen=True)
 class AuxDecomposition:
-    """Split u = w + offset + scale * aux, with aux a registered closed-form
-    function chosen so that w has equal limits at both infinities."""
+    """Split u = w + offset + scale * arctan, with scale and offset chosen so
+    that w has equal limits at both infinities."""
 
-    aux: ClosedFormFunction
     scale: float
     offset: float = 0.0
 
     def aux_values(self, x):
-        return self.offset + self.scale * self.aux.value(x)
+        return self.offset + self.scale * ARCTAN.value(x)
 
     def aux_operator(self, kind: OperatorKind, alpha: float, gamma: float, x):
         # The additive offset is annihilated by every supported operator.
-        return self.scale * reference_operator(self.aux, kind, alpha, gamma, x)
+        return self.scale * reference_operator(ARCTAN, kind, alpha, gamma, x)
 
 
 @dataclass(frozen=True)
@@ -53,8 +46,8 @@ class ApplyReport:
 # functions: erf shares arctan's +-limits up to the factor 2/pi; the even
 # log function needs no correction.
 DEFAULT_AUX: dict[str, AuxDecomposition | None] = {
-    "erf": AuxDecomposition(aux=ARCTAN, scale=2.0 / math.pi),
-    "arctan": AuxDecomposition(aux=ARCTAN, scale=1.0),
+    "erf": AuxDecomposition(scale=2.0 / math.pi),
+    "arctan": AuxDecomposition(scale=1.0),
     "log1psq": None,
 }
 
@@ -65,14 +58,14 @@ def apply_with_aux(
     matrix: OperatorMatrix,
     exact: str | None = None,
 ) -> ApplyReport:
-    """Operator of u via the auxiliary split, on the nodes of the matrix's N
-    and L; u may be a callable on x or node samples.  `exact`, a registered
-    closed form's name, fills the report's exact values and error field.
-    Raises NumericError if the operator values, or the exact values asked
-    for, are not all finite."""
+    """Operator of u, a callable on x, via the auxiliary split, on the nodes
+    of the matrix's N and L.  `exact`, a registered closed form's name,
+    fills the report's exact values and error field.  Raises NumericError if
+    the operator values, or the exact values asked for, are not all
+    finite."""
     grid = make_grid(matrix.n, matrix.l_scale)
     x = grid.x_nodes
-    samples = u(x) if callable(u) else np.asarray(u)
+    samples = u(x)
     if decomp is not None:
         samples = samples - decomp.aux_values(x)
     approx = matrix_apply(matrix, analyze(samples, grid))
@@ -118,9 +111,7 @@ def apply_reference(
             f"does not match {(alpha, n, l_lim)}"
         )
     matrix = scale_to_operator(base, kind, gamma, l_scale)
-    return apply_with_aux(
-        lambda x: func.value(x), DEFAULT_AUX[func_name], matrix, exact=func_name
-    )
+    return apply_with_aux(func.value, DEFAULT_AUX[func_name], matrix, exact=func_name)
 
 
 def sweep_errors(

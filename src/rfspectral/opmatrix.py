@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -28,10 +29,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._fanout import fan_out
-from .basis import CoeffVector, check_map_scale, make_grid, mode_numbers
+from .basis import CoeffVector, check_grid, make_grid, mode_numbers
 from .closedform import OperatorKind, phase_factor, validate_kind
 from .errors import FormatError, NumericError
-from .specfun import RatioKind, c_alpha, ratio_table
+from .specfun import RatioKind, c_alpha, check_order, ratio_table
 
 _MAGIC = b"RFM1"
 _HEADER = struct.Struct("<IIdddI")
@@ -111,8 +112,16 @@ class OperatorMatrix:
     @property
     def factor(self) -> complex:
         """Multiplier of the k > 0 columns: the kind's phase over L^alpha."""
-        phase = phase_factor(self.kind, self.alpha, self.gamma, 1)
+        phase = phase_factor(self.kind, self.alpha, self.gamma)
         return phase / self.l_scale ** self.alpha
+
+
+def check_integer(what: str, value, error=ValueError) -> None:
+    """Raise `error` unless value is an integer; numpy integers pass."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 def check_base(alpha, n, l_lim, error=ValueError) -> None:
@@ -120,8 +129,9 @@ def check_base(alpha, n, l_lim, error=ValueError) -> None:
     which a base file's header and an evolution's configuration must also
     carry.  The alpha = 1 closed form ignores l_lim, but the matrix and its
     file record it."""
-    if not 0.0 < alpha < 2.0:
-        raise error(f"order must lie in (0, 2), got {alpha}")
+    check_order(alpha, error)
+    check_integer("matrix size", n, error)
+    check_integer("l_lim", l_lim, error)
     if n < 2:
         raise error(f"matrix size must be >= 2, got {n}")
     if l_lim < 1:
@@ -270,7 +280,7 @@ def scale_to_operator(
     over L^alpha.  Nothing is copied, and rescaling a scaled matrix just
     relabels it."""
     validate_kind(kind, base.alpha, gamma)
-    check_map_scale(l_scale)
+    check_grid(base.n, l_scale)
     return replace(
         base,
         kind=kind,
@@ -372,7 +382,7 @@ def serialize(matrix: OperatorMatrix, sink) -> None:
     n = matrix.n
     half = stored_columns(n)
     scaled = not _is_base(matrix.kind, matrix.l_scale)
-    phase = phase_factor(matrix.kind, matrix.alpha, matrix.gamma, 1)
+    phase = phase_factor(matrix.kind, matrix.alpha, matrix.gamma)
     rows = _rows_per_block(n)
     block = np.empty((min(rows, n), n), dtype=np.complex128)
     for start in range(0, n, rows):

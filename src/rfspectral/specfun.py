@@ -32,11 +32,16 @@ class RatioKind(Enum):
     V2 = "v2"
 
 
+def check_order(alpha: float, error=ValueError) -> None:
+    """Raise `error` unless the order alpha lies in (0, 2)."""
+    if not 0.0 < alpha < 2.0:
+        raise error(f"order must lie in (0, 2), got {alpha}")
+
+
 def c_alpha(alpha: float) -> float:
     """Normalization constant of the symmetric fractional operator,
     alpha * 2^(alpha-1) * Gamma(1/2 + alpha/2) / (sqrt(pi) * Gamma(1 - alpha/2))."""
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"order must lie in (0, 2), got {alpha}")
+    check_order(alpha)
     return (
         alpha
         * 2.0 ** (alpha - 1.0)
@@ -47,8 +52,7 @@ def c_alpha(alpha: float) -> float:
 
 def check_skewness(alpha: float, gamma_skew: float) -> None:
     """Validate alpha in (0,2) and |gamma| <= min(alpha, 2 - alpha)."""
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"order must lie in (0, 2), got {alpha}")
+    check_order(alpha)
     bound = min(alpha, 2.0 - alpha)
     if not abs(gamma_skew) <= bound + 1e-15:
         raise ValueError(

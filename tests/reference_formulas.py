@@ -87,8 +87,8 @@ def op_mu(
     lambda_0 contribution vanishes.
     """
     validate_kind(kind, alpha, gamma)
-    sgn = 1 if k >= 0 else -1
-    return phase_factor(kind, alpha, gamma, sgn) * frac_lap_mu(alpha, k, x)
+    phase = phase_factor(kind, alpha, gamma)
+    return (phase if k >= 0 else phase.conjugate()) * frac_lap_mu(alpha, k, x)
 
 
 # --- Odd-index half-basis functions ---------------------------------------

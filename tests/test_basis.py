@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ class TestGrid:
             make_grid(1, 1.0)
         with pytest.raises(ValueError):
             make_grid(8, 0.0)
+        with pytest.raises(ValueError, match="outer nodes"):
+            make_grid(64, 1e308)
 
     @pytest.mark.parametrize("l_scale", [math.inf, math.nan, 0.0, -2.0])
     @pytest.mark.parametrize("entry", ["make_grid", "scale_to_operator",
@@ -61,21 +64,43 @@ class TestGrid:
         with pytest.raises(ValueError, match="finite and > 0"):
             calls[entry]()
 
+    @pytest.mark.parametrize("n", [2, 3, 64, 204, 363, 1025])
+    def test_outer_nodes_must_be_finite(self, n):
+        # Within a few ulps of the largest L whose outer nodes L cot(pi/(2N))
+        # are finite, the grid either holds only finite nodes or is refused,
+        # with no warning.  (At N = 204 and 363 math.tan and numpy's tan
+        # differ in the last bit at the outer node.)
+        edge = sys.float_info.max * math.tan(math.pi / (2.0 * n))
+        below = above = edge
+        scales = [edge]
+        for _ in range(4):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            scales += [below, above]
+        refused = 0
+        for l_scale in scales:
+            try:
+                grid = make_grid(n, l_scale)
+            except ValueError:
+                refused += 1
+                continue
+            assert np.all(np.isfinite(grid.x_nodes))
+        assert 0 < refused < len(scales)
+
 
 class TestBasisFunctions:
     def test_lambda_zero_mode(self):
-        assert lambda_k(0.37, 0, 2.0) == 1.0
+        assert lambda_k(0.37 / 2.0, 0) == 1.0
 
     @pytest.mark.parametrize("k", [1, 3, -2, 40, -173])
     def test_lambda_cot_identity(self, k):
         l_scale = 1.3
         for s in (0.2, 1.0, math.pi / 2.0, 2.9):
             x = l_scale / math.tan(s)
-            assert abs(lambda_k(x, k, l_scale) - cmath.exp(2j * k * s)) < 1e-12
+            assert abs(lambda_k(x / l_scale, k) - cmath.exp(2j * k * s)) < 1e-12
 
     def test_lambda_conjugate_symmetry(self):
-        got = lambda_k(0.7, -3, 1.0)
-        assert got == pytest.approx(complex(lambda_k(0.7, 3, 1.0)).conjugate())
+        got = lambda_k(0.7, -3)
+        assert got == pytest.approx(complex(lambda_k(0.7, 3)).conjugate())
 
     def test_phi_even_equals_lambda(self):
         rng = np.random.default_rng(11)

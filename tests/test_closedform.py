@@ -123,10 +123,6 @@ class TestOpLambda:
         with pytest.raises(ValueError):
             reference_operator("erf", kind, alpha, 0.4, 0.5)
 
-    def test_phase_factor_rejects_zero_sign(self):
-        with pytest.raises(ValueError):
-            phase_factor(OperatorKind.WEYL_RIGHT, 0.5, 0.0, 0)
-
 
 class TestOpMu:
     def test_decomposition_identity(self):
@@ -284,14 +280,13 @@ class TestReferenceOperator:
         # minus-left one.
         rng = np.random.default_rng(55)
         for alpha in np.concatenate([[0.73, 1.0, 1.73], rng.uniform(0.0, 2.0, 20)]):
-            for sign in (1, -1):
-                right, dx_right, left, dx_left = (
-                    phase_factor(kind, alpha, 0.0, sign)
-                    for kind in (OperatorKind.WEYL_RIGHT, OperatorKind.DX_WEYL_RIGHT,
-                                 OperatorKind.WEYL_LEFT_NEG, OperatorKind.DX_WEYL_LEFT_NEG)
-                )
-                assert dx_right == right
-                assert dx_left == -left
+            right, dx_right, left, dx_left = (
+                phase_factor(kind, alpha, 0.0)
+                for kind in (OperatorKind.WEYL_RIGHT, OperatorKind.DX_WEYL_RIGHT,
+                             OperatorKind.WEYL_LEFT_NEG, OperatorKind.DX_WEYL_LEFT_NEG)
+            )
+            assert dx_right == right
+            assert dx_left == -left
 
     def test_symmetric_case_consistency(self):
         # gamma = 0 reduces the skewed operator to minus the symmetric one.

@@ -197,6 +197,24 @@ class TestRk4:
         with pytest.raises(ValueError):
             EvolutionConfig(alpha=1.37, gamma=0.0, n=8, l_scale=1.0, dt=-0.1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 32.0), ("l_lim", 5.0), ("snapshot_stride", 1.5),
+        ("snapshot_stride", 2.0),
+    ])
+    def test_integer_fields_must_be_integers(self, field, value):
+        # A stride of 1.5 used to give 5 front positions for 9 sample times.
+        kwargs = dict(alpha=1.37, gamma=0.0, n=32, l_scale=10.0, l_lim=5,
+                      dt=0.05, t_end=0.5)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match="must be an integer"):
+            EvolutionConfig(**kwargs)
+
+    def test_numpy_integer_stride_passes(self):
+        config = EvolutionConfig(alpha=1.37, gamma=0.0, n=32, l_scale=10.0,
+                                 dt=0.05, t_end=0.5, snapshot_stride=np.int64(4))
+        steps, times = evolve._sample_times(config)
+        assert steps == 10 and len(times) == 4
+
     @pytest.mark.parametrize("l_lim", [0, -3])
     def test_l_lim_checked_by_the_build_rule(self, l_lim):
         with pytest.raises(ValueError, match="l_lim >= 1"):
@@ -263,18 +281,20 @@ class TestFrontPosition:
         grid = make_grid(256, l_scale)
 
         def u(x):
-            return FISHER_AUX.aux_values(x) + 0.4 * np.real(lambda_k(x, 1, l_scale))
+            return FISHER_AUX.aux_values(x) + 0.4 * np.real(lambda_k(x / l_scale, 1))
 
         root = brentq(lambda x: u(x) - 0.5, -10.0, 0.0, xtol=1e-15)
         got = front_position(u(grid.x_nodes), grid)
         assert got == pytest.approx(root, abs=1e-10)
 
     def test_exact_node_level(self):
+        # The profile shifted to cross 1/2 exactly at node j.
         grid = make_grid(128, 2.0)
         u = initial_condition(grid.x_nodes, 1.37)
         j = 40
-        got = front_position(u, grid, level=float(u[j]))
-        assert got == grid.x_nodes[j]
+        u = (u - u[j]) + 0.5
+        assert u[j] == 0.5
+        assert front_position(u, grid) == grid.x_nodes[j]
 
     def test_no_bracket(self):
         grid = make_grid(32, 1.0)
@@ -307,6 +327,12 @@ class TestFitExponential:
         bad = FrontTrace(times=t, x_half=np.array([1.0, 2.0, -1.0, 3.0, 4.0, 5.0]))
         with pytest.raises(ValueError):
             fit_exponential(bad, (0.0, 5.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_positions_must_be_finite_and_positive(self, bad):
+        trace = FrontTrace(np.arange(5.0), np.array([1.0, 2.0, bad, 4.0, 5.0]))
+        with pytest.raises(ValueError, match="finite and > 0"):
+            fit_exponential(trace, (0.0, 4.0))
 
 
 class TestFrontMonotonicity:

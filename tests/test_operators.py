@@ -31,15 +31,16 @@ class TestApplyPeriodic:
 
     def test_constant_function(self, base_62):
         matrix = scale_to_operator(base_62, OperatorKind.RIESZ_FELLER, 0.3, 1.0)
-        out = apply_with_aux(np.ones(64), None, matrix).approx
+        out = apply_with_aux(np.ones_like, None, matrix).approx
         assert np.max(np.abs(out)) == 0.0
 
     def test_single_mode(self, base_62):
         l_scale = 1.7
         grid = make_grid(64, l_scale)
         matrix = scale_to_operator(base_62, OperatorKind.RIESZ_FELLER, 0.0, l_scale)
-        samples = np.real(lambda_k(grid.x_nodes, 1, l_scale))
-        report = apply_with_aux(samples, None, matrix)
+        report = apply_with_aux(
+            lambda x: np.real(lambda_k(x / l_scale, 1)), None, matrix
+        )
         # The nodes come from the matrix's N and L.
         assert report.grid.x_nodes.tobytes() == grid.x_nodes.tobytes()
         out = report.approx
@@ -53,7 +54,16 @@ class TestApplyPeriodic:
     def test_dimension_mismatch(self, base_62):
         matrix = scale_to_operator(base_62, OperatorKind.FRAC_LAPLACIAN, 0.0, 1.0)
         with pytest.raises(ValueError):
-            apply_with_aux(np.ones(32), None, matrix)
+            apply_with_aux(lambda x: np.ones(32), None, matrix)
+
+    def test_node_samples_are_refused(self):
+        # Samples carry no grid, so those taken at another L used to pass
+        # (linf_error 1.33 here); u is evaluated on the matrix's own nodes.
+        matrix = scale_to_operator(build_base_matrix(0.62, 16, 5),
+                                   OperatorKind.FRAC_LAPLACIAN, 0.0, 1.0)
+        with pytest.raises(TypeError):
+            apply_with_aux(np.arctan(make_grid(16, 5.0).x_nodes),
+                           DEFAULT_AUX["arctan"], matrix, exact="arctan")
 
 
 class TestApplyWithAux:
@@ -96,11 +106,10 @@ class TestApplyWithAux:
     def test_linearity(self, base_62):
         l_scale = 1.4
         matrix = scale_to_operator(base_62, OperatorKind.WEYL_LEFT_NEG, 0.0, l_scale)
-        rng = np.random.default_rng(6)
-        u = rng.normal(size=64)
-        w = rng.normal(size=64)
+        u = lambda x: np.exp(-((x - 0.3) ** 2))
+        w = lambda x: np.cos(x) / (1.0 + x * x)
         a, b = 1.7, -0.4
-        combined = apply_with_aux(a * u + b * w, None, matrix).approx
+        combined = apply_with_aux(lambda x: a * u(x) + b * w(x), None, matrix).approx
         parts = (
             a * apply_with_aux(u, None, matrix).approx
             + b * apply_with_aux(w, None, matrix).approx
@@ -134,12 +143,21 @@ class TestApplyWithAux:
 )
 class TestNonFiniteValues:
     @pytest.mark.parametrize("func, l_scale, what", [
-        ("log1psq", 1e200, "operator"), ("erf", 1e308, "exact erf"),
+        ("log1psq", 1e200, "operator"),
     ])
     def test_apply_raises_numeric_error(self, func, l_scale, what):
         with pytest.raises(NumericError, match=f"non-finite {what} values"):
             apply_reference(func, OperatorKind.FRAC_LAPLACIAN, 0.62, 0.0, 64,
                             l_scale, 10)
+
+    def test_non_finite_exact_values_raise(self, base_62, monkeypatch):
+        # No registered closed form overflows on a grid with finite nodes, so
+        # the exact values are made non-finite here.
+        monkeypatch.setattr(operators, "reference_operator",
+                            lambda *args: np.full(64, np.nan))
+        matrix = scale_to_operator(base_62, OperatorKind.FRAC_LAPLACIAN, 0.0, 1.0)
+        with pytest.raises(NumericError, match="non-finite exact log1psq values"):
+            apply_with_aux(np.ones_like, None, matrix, exact="log1psq")
 
     def test_sweep_raises_numeric_error(self):
         with pytest.raises(NumericError):
@@ -155,7 +173,7 @@ class TestAuxDecomposition:
             assert abs(w) < 1e-6
 
     def test_custom_aux_operator_scaling(self):
-        decomp = AuxDecomposition(aux=DEFAULT_AUX["erf"].aux, scale=-2.0, offset=5.0)
+        decomp = AuxDecomposition(scale=-2.0, offset=5.0)
         x = np.array([0.3, -1.2])
         got = decomp.aux_operator(OperatorKind.FRAC_LAPLACIAN, 0.62, 0.0, x)
         expected = -2.0 * reference_operator(

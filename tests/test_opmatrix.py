@@ -265,6 +265,15 @@ class TestBuild:
         with pytest.raises(ValueError, match="l_lim >= 1"):
             build_base_matrix(1.0, 8, -5)
 
+    @pytest.mark.parametrize("n, l_lim", [(16.0, 5), (16, 5.0)], ids=["n", "l_lim"])
+    def test_labels_must_be_integers(self, n, l_lim):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_base_matrix(0.62, n, l_lim)
+
+    def test_numpy_integer_labels_pass(self):
+        got = build_base_matrix(0.62, np.int64(16), np.int32(5))
+        assert np.array_equal(got.entries, build_base_matrix(0.62, 16, 5).entries)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_non_finite_entries_raise(self, monkeypatch, jobs):
         # Only the last of three column chunks holds the poisoned mode.
@@ -293,7 +302,7 @@ class TestScale:
         scaled = scale_to_operator(base, kind, gamma, 1.5)
         assert np.shares_memory(scaled.entries, base.entries)
         assert not scaled.entries.flags.writeable
-        assert scaled.factor == phase_factor(kind, 0.62, gamma, 1) / 1.5 ** 0.62
+        assert scaled.factor == phase_factor(kind, 0.62, gamma) / 1.5 ** 0.62
 
     def test_symmetric_gamma_zero_is_minus_base(self):
         base = build_base_matrix(0.62, 16, 10)
@@ -449,7 +458,7 @@ class TestSerialization:
         full = full_payload(base) / l_scale ** alpha
         if kind is not OperatorKind.FRAC_LAPLACIAN:
             k = mode_numbers(n)
-            pos = phase_factor(kind, alpha, gamma, 1)
+            pos = phase_factor(kind, alpha, gamma)
             mult = np.ones(n, dtype=np.complex128)
             mult[k > 0] = pos
             mult[k < 0] = np.conj(pos)

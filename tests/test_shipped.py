@@ -1,5 +1,5 @@
-"""What the shipped package holds and loads: no public code that only the
-tests call, and no scipy module at import time."""
+"""What the shipped package holds and loads: no public code and no setting
+that only the tests use, and no scipy module at import time."""
 
 import ast
 import os
@@ -13,6 +13,11 @@ SRC = ROOT / "src"
 
 # The paper's x-domain result: public although only the tests call it.
 PAPER_RESULTS = {"frac_lap_lambda", "op_lambda", "hyp2f1_terminating"}
+
+# Settings the shipped code never passes, kept as the tests' way in: the
+# CLI's argv, through which they drive every command, and the quadrature's
+# alternative forms, the reference they check its default form against.
+TEST_SETTINGS = {("main", "argv"), ("quad_operator", "representation")}
 
 _DOTTED = re.compile(r"[A-Za-z_][\w.]*")
 
@@ -34,9 +39,80 @@ def _identifiers(node):
     return found
 
 
+def _shipped_files():
+    files = [p for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"]
+    return files + sorted((ROOT / "perfbench").rglob("*.py"))
+
+
+def _defaulted_parameters(func, is_method):
+    """(position, name) of each parameter of func that has a default; the
+    position counts positional arguments of a call, None if keyword-only."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    found = [(i - is_method, a.arg) for i, a in enumerate(positional) if i >= first]
+    found += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+              if d is not None]
+    return found
+
+
+def _public_functions(tree):
+    """(name, node, is_method) of each public function and public method of
+    a public class at the top level of a module."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+            yield stmt.name, stmt, False
+        elif isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+            for sub in stmt.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield sub.name, sub, True
+
+
+def _passed(tree):
+    """(callee name, positional count or None for *args, keyword names or
+    None for **kwargs) of each call in tree, with import aliases resolved
+    to the imported name."""
+    aliases = {a.asname: a.name for sub in ast.walk(tree)
+               if isinstance(sub, ast.ImportFrom) for a in sub.names if a.asname}
+    for sub in ast.walk(tree):
+        if not isinstance(sub, ast.Call):
+            continue
+        f = sub.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        starred = any(isinstance(a, ast.Starred) for a in sub.args)
+        keywords = {k.arg for k in sub.keywords}
+        yield (aliases.get(name, name), None if starred else len(sub.args),
+               None if None in keywords else keywords)
+
+
+def test_every_setting_is_passed_outside_the_tests():
+    # A parameter with a default that no shipped call passes is a setting
+    # only the tests use.  Calls are matched by name, as above.
+    trees = [(path, ast.parse(path.read_text())) for path in _shipped_files()]
+    calls = [call for _, tree in trees for call in _passed(tree)]
+    unpassed = []
+    for path, tree in trees:
+        if not path.is_relative_to(SRC):
+            continue
+        for name, func, is_method in _public_functions(tree):
+            if name in PAPER_RESULTS:
+                continue
+            for position, param in _defaulted_parameters(func, is_method):
+                if (name, param) in TEST_SETTINGS:
+                    continue
+                if not any(
+                    callee == name and (
+                        count is None or keywords is None or param in keywords
+                        or (position is not None and position < count)
+                    )
+                    for callee, count, keywords in calls
+                ):
+                    unpassed.append(f"{path.relative_to(ROOT)}:{name}({param})")
+    assert not unpassed, f"settings only the tests pass: {unpassed}"
+
+
 def test_every_public_definition_is_used_outside_the_tests():
-    files = [p for p in SRC.rglob("*.py") if p.name != "__init__.py"]
-    files += sorted((ROOT / "perfbench").rglob("*.py"))
+    files = _shipped_files()
     # One identifier set per top-level statement, so that a definition's
     # own body does not count as a use of it.
     statements = []

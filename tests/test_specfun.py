@@ -13,11 +13,14 @@ import pytest
 from scipy.special import hyp1f1 as scipy_hyp1f1
 
 from rfspectral import basis, oracle
-from rfspectral.closedform import OperatorKind
+from rfspectral.closedform import OperatorKind, frac_lap_lambda, validate_kind
 from rfspectral.errors import NumericError
+from rfspectral.evolve import initial_condition
+from rfspectral.opmatrix import check_base
 from rfspectral.specfun import (
     RatioKind,
     c_alpha,
+    check_skewness,
     hyp2f1_terminating,
     kummer_1f1,
     ratio_table,
@@ -127,6 +130,25 @@ class TestCAlpha:
         du = lambda x: -2j * complex(basis.lambda_k(x, 1)) / (1.0 + x * x)
         got = oracle.quad_operator(OperatorKind.FRAC_LAPLACIAN, alpha, 0.0, u, 0.0, du=du)
         assert abs(got - (-2.0 * math.gamma(1.0 + alpha))) < 1e-7
+
+
+class TestOrderRule:
+    ENTRIES = {
+        "c_alpha": c_alpha,
+        "check_skewness": lambda alpha: check_skewness(alpha, 0.0),
+        "check_base": lambda alpha: check_base(alpha, 16, 5),
+        "frac_lap_lambda": lambda alpha: frac_lap_lambda(alpha, 1, 0.3),
+        "validate_kind-fl": lambda alpha: validate_kind(
+            OperatorKind.FRAC_LAPLACIAN, alpha
+        ),
+        "initial_condition": lambda alpha: initial_condition(0.3, alpha),
+    }
+
+    @pytest.mark.parametrize("alpha", [0.0, 2.0, math.nan], ids=["0", "2", "nan"])
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_one_order_rule(self, entry, alpha):
+        with pytest.raises(ValueError, match=r"order must lie in \(0, 2\), got"):
+            self.ENTRIES[entry](alpha)
 
 
 class TestRieszFellerCoeffs:

@@ -100,17 +100,16 @@ def lambda_k(x, k: int):
     return np.exp(2j * k * np.arctan2(1.0, x))
 
 
-def analyze(samples, grid: SpectralGrid) -> CoeffVector:
-    """Coefficients u_k = (exp(-i pi k / N) / N) * DFT(samples), with entries
-    of magnitude <= KRASNY_EPS * max|u_k| zeroed, tagged with whether the
-    samples were real.  The threshold is relative, so scaling the samples
-    by a power of 2 scales the coefficients exactly."""
+def analyze(samples) -> CoeffVector:
+    """Coefficients u_k = (exp(-i pi k / N) / N) * DFT(samples) of samples at
+    the N nodes of any map scale, with entries of magnitude <= KRASNY_EPS *
+    max|u_k| zeroed, tagged with whether the samples were real.  The
+    threshold is relative, so scaling the samples by a power of 2 scales the
+    coefficients exactly."""
     samples = np.asarray(samples)
-    if samples.shape != (grid.n,):
-        raise ValueError(
-            f"expected {grid.n} samples, got shape {samples.shape}"
-        )
-    n = grid.n
+    if samples.ndim != 1:
+        raise ValueError(f"expected a 1-D array of samples, got shape {samples.shape}")
+    n = len(samples)
     k = mode_numbers(n)
     coeffs = np.fft.fft(samples) * np.exp(-1j * math.pi * k / n) / n
     magnitude = np.abs(coeffs)

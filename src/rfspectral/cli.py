@@ -164,7 +164,8 @@ def cmd_sweep(args) -> int:
 
 
 def _run_evolution(args, base, config, out_dir: Path) -> dict:
-    matrix = scale_to_operator(base, OperatorKind.RIESZ_FELLER, config.gamma, args.L)
+    matrix = scale_to_operator(base, OperatorKind.RIESZ_FELLER, config.gamma,
+                               config.l_scale)
     system = ev.FisherSystem(matrix)
     result = ev.rk4_evolve(config, system=system, wall_budget=args.budget)
     outputs = []
@@ -174,13 +175,9 @@ def _run_evolution(args, base, config, out_dir: Path) -> dict:
         outputs.append(path)
     fit = ev.fit_exponential(result.trace, (args.fit_window[0], args.fit_window[1]))
     summary = {
-        "alpha": args.alpha,
-        "gamma": config.gamma,
-        "N": args.N,
-        "L": args.L,
-        "dt": args.dt,
-        "slope": fit.slope,
-        "pearson_rho": fit.pearson_rho,
+        "alpha": config.alpha, "gamma": config.gamma, "N": config.n,
+        "L": config.l_scale, "dt": config.dt,
+        "slope": fit.slope, "pearson_rho": fit.pearson_rho,
         "samples": [
             [float(t), float(x)]
             for t, x in zip(result.trace.times, result.trace.x_half)
@@ -196,10 +193,7 @@ def cmd_evolve(args) -> int:
     t0 = time.monotonic()
     if len(args.fit_window) != 2 or args.fit_window[0] >= args.fit_window[1]:
         raise ValueError("--fit-window expects t0,t1 with t0 < t1")
-    if args.budget is not None and not (
-        math.isfinite(args.budget) and args.budget > 0.0
-    ):
-        raise ValueError(f"--budget must be finite and > 0, got {args.budget}")
+    ev.check_wall_budget(args.budget)
     gammas = args.gamma
     if not gammas:
         raise ValueError("--gamma needs at least one value")
@@ -220,8 +214,8 @@ def cmd_evolve(args) -> int:
     if len({run_dir for _, run_dir in targets}) < len(targets):
         raise ValueError(f"--gamma {gammas}: two values round to one output directory")
     # All gammas share the sample times; the fit needs 3 inside the window.
-    _, times = ev._sample_times(targets[0][0])
-    ev._fit_mask(times, args.fit_window)
+    config = targets[0][0]
+    ev.fit_mask(ev.sampled_steps(config) * config.dt, args.fit_window)
     for _, run_dir in targets:
         run_dir.mkdir(parents=True, exist_ok=True)
     base = build_base_matrix(args.alpha, args.N, args.llim, jobs=args.jobs)

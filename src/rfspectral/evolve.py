@@ -57,6 +57,12 @@ class EvolutionConfig:
             raise ValueError(f"need a finite dt > 0, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
             raise ValueError(f"need a finite t_end >= 0, got {self.t_end}")
+        # A whole number of steps up to roundoff: 12 / 0.05 = 239.99999999999997.
+        steps = self.t_end / self.dt
+        if not (math.isfinite(steps)
+                and math.isclose(steps, round(steps), rel_tol=1e-9)):
+            raise ValueError(f"t_end = {self.t_end} is not a whole number "
+                             f"of dt = {self.dt} steps")
         check_integer("snapshot_stride", self.snapshot_stride)
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
@@ -130,7 +136,7 @@ class FisherSystem:
     def rhs(self, u: np.ndarray) -> np.ndarray:
         jump = (u[-1] - u[0]) / self.v_jump
         w = u - jump * self.v_nodes
-        diffusion = matrix_apply(self.matrix, analyze(w, self.grid))
+        diffusion = matrix_apply(self.matrix, analyze(w))
         out = diffusion + jump * self.dv_nodes + u * (1.0 - u)
         if not np.all(np.isfinite(out)):
             bad = int(np.flatnonzero(~np.isfinite(out))[0])
@@ -162,7 +168,7 @@ def front_position(u_nodes, grid: SpectralGrid) -> float:
     if not crossings.size:
         raise TrackingError("no crossing of level 0.5 inside the node range")
     j = int(crossings[0])  # x decreases with j, so the first bracket is rightmost
-    coeffs = analyze(u - FISHER_AUX.aux_values(grid.x_nodes), grid)
+    coeffs = analyze(u - FISHER_AUX.aux_values(grid.x_nodes))
 
     def interp(s):
         x = grid.l_scale / math.tan(s)
@@ -186,14 +192,18 @@ def front_position(u_nodes, grid: SpectralGrid) -> float:
     return grid.l_scale / math.tan(s_star)
 
 
-def _sample_times(config: EvolutionConfig) -> tuple[int, np.ndarray]:
-    """The number of steps, and the times of the samples rk4_evolve records:
-    step 0, every snapshot_stride-th step and the last step."""
+def sampled_steps(config: EvolutionConfig) -> np.ndarray:
+    """Step indices of the samples rk4_evolve records: 0, every
+    snapshot_stride-th step and the last, t_end / dt.  Times dt, they are the
+    sample times."""
     steps = round(config.t_end / config.dt)
-    sampled = np.arange(0, steps + 1, config.snapshot_stride)
-    if sampled[-1] != steps:
-        sampled = np.append(sampled, steps)
-    return steps, sampled * config.dt
+    return np.append(np.arange(0, steps, config.snapshot_stride), steps)
+
+
+def check_wall_budget(wall_budget: float | None) -> None:
+    """Raise ValueError unless wall_budget is None (no budget) or finite and > 0."""
+    if wall_budget is not None and not 0.0 < wall_budget < math.inf:
+        raise ValueError(f"wall budget must be finite and > 0 s, got {wall_budget}")
 
 
 def rk4_evolve(
@@ -202,10 +212,11 @@ def rk4_evolve(
     wall_budget: float | None = None,
 ) -> EvolutionResult:
     """Classical fourth-order Runge-Kutta march of the Fisher problem,
-    recording a snapshot (and the front position) every snapshot_stride
-    steps.  A given system must have been built for the config's alpha,
-    gamma, N, L and l_lim.  wall_budget, if set, aborts with BudgetError past
-    that many seconds."""
+    recording a snapshot and the front position after sampled_steps(config).
+    A given system must have been built for the config's alpha, gamma, N, L
+    and l_lim.  wall_budget, if set, aborts with BudgetError past that many
+    seconds."""
+    check_wall_budget(wall_budget)
     if system is None:
         system = FisherSystem.from_config(config)
     else:
@@ -218,28 +229,26 @@ def rk4_evolve(
             )
     grid = system.grid
     u = initial_condition(grid.x_nodes, config.alpha)
-    steps, times = _sample_times(config)
+    sampled = sampled_steps(config)
     start = time.monotonic()
     snapshots = [u.copy()]
     fronts = [front_position(u, grid)]
-    for i in range(1, steps + 1):
+    for i in range(1, sampled[-1] + 1):
         u = rk4_step(system, u, config.dt)
-        if i % config.snapshot_stride == 0 or i == steps:
+        if i == sampled[len(fronts)]:  # the next sampled step
             snapshots.append(u.copy())
             fronts.append(front_position(u, grid))
         if wall_budget is not None and time.monotonic() - start > wall_budget:
-            raise BudgetError(
-                f"evolution exceeded wall budget of {wall_budget} s at t = "
-                f"{i * config.dt:.3f}"
-            )
-    trace = FrontTrace(times=times, x_half=np.asarray(fronts))
+            raise BudgetError(f"evolution exceeded wall budget of {wall_budget} s "
+                              f"at t = {i * config.dt:.3f}")
+    trace = FrontTrace(times=sampled * config.dt, x_half=np.asarray(fronts))
     return EvolutionResult(snapshots=snapshots, trace=trace)
 
 
 def fit_exponential(trace: FrontTrace, t_window) -> RegressionResult:
     """Least-squares slope of ln x_half against t inside the window, with the
     Pearson correlation of the fitted pairs."""
-    mask = _fit_mask(trace.times, t_window)
+    mask = fit_mask(trace.times, t_window)
     x = trace.x_half[mask]
     if not np.all(np.isfinite(x) & (x > 0.0)):
         raise ValueError("front positions must be finite and > 0 inside the window")
@@ -251,7 +260,7 @@ def fit_exponential(trace: FrontTrace, t_window) -> RegressionResult:
                             pearson_rho=rho)
 
 
-def _fit_mask(times: np.ndarray, t_window) -> np.ndarray:
+def fit_mask(times: np.ndarray, t_window) -> np.ndarray:
     """Samples inside the closed window [t0, t1]; at least 3 are needed."""
     t0, t1 = t_window
     mask = (times >= t0) & (times <= t1)

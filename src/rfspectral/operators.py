@@ -68,7 +68,7 @@ def apply_with_aux(
     samples = u(x)
     if decomp is not None:
         samples = samples - decomp.aux_values(x)
-    approx = matrix_apply(matrix, analyze(samples, grid))
+    approx = matrix_apply(matrix, analyze(samples))
     if decomp is not None:
         approx += decomp.aux_operator(matrix.kind, matrix.alpha, matrix.gamma, x)
     _check_finite(approx, "operator", matrix)

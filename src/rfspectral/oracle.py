@@ -267,11 +267,8 @@ def quad_operator(
         else:
             c1, c2 = rf_coeffs(alpha, gamma)
             if alpha < 1.0:
-                ux = u(x)
-                for sgn, weight in ((-1, c1), (1, c2)):
-                    h = lambda z, s=sgn: (u(x + s * z) - ux) / z
-                    acc.add_singular(weight, h, alpha)
-                    acc.add_outer(weight, h, alpha)
+                _weyl_first_order(acc, u, du, x, -1, alpha, c1, "difference", kind)
+                _weyl_first_order(acc, u, du, x, 1, alpha, c2, "difference", kind)
             else:
                 d = _need_du(du, kind)
                 _increment_second_order(acc, u, d, x, -1, alpha, c1)

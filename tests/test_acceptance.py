@@ -255,8 +255,7 @@ def test_criterion_7_structural_invariants():
     herm_ok = True
     for _ in range(100):
         n = int(rng.choice([8, 16, 31, 64]))
-        grid = make_grid(n, float(rng.uniform(0.5, 3.0)))
-        coeffs = analyze(rng.normal(size=n), grid).coeffs
+        coeffs = analyze(rng.normal(size=n)).coeffs
         k = mode_numbers(n)
         for kk in range(1, (n - 1) // 2 + 1):
             pos = int(np.flatnonzero(k == kk)[0])
@@ -267,9 +266,8 @@ def test_criterion_7_structural_invariants():
     for _ in range(100):
         n = int(rng.choice([8, 16, 33, 128]))
         original = rng.normal(size=n) + 1j * rng.normal(size=n)
-        grid = make_grid(n, 1.0)
         samples = synthesize_nodes(CoeffVector(original.copy()))
-        back = analyze(samples, grid).coeffs
+        back = analyze(samples).coeffs
         round_ok &= bool(np.max(np.abs(back - original)) < 1e-12 * max(1.0, np.max(np.abs(original))))
     ok = fills_ok and herm_ok and round_ok
     report(

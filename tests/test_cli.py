@@ -228,6 +228,7 @@ class TestUsageErrors:
         ORACLE + ["--L", "inf"],
         EVOLVE + ["--gamma", "0", "--t-end", "1", "--L", "inf"],
         EVOLVE + ["--gamma", "0", "--t-end", "1e12", "--dt", "1e-6"],
+        EVOLVE + ["--gamma", "0", "--t-end", "1", "--dt", "0.3", "--stride", "1"],
         APPLY + ["--L", "1e308"],
         MATRIX + ["--L", "1e308"],
         ORACLE + ["--L", "1e308"],
@@ -249,7 +250,8 @@ class TestUsageErrors:
             "sweep-out-no-directory", "oracle-out-no-directory",
             "evolve-out-dir-below-a-file", "apply-scale-inf",
             "matrix-scale-inf", "oracle-scale-inf", "evolve-scale-inf",
-            "evolve-samples-out-of-memory", "apply-scale-overflow",
+            "evolve-samples-out-of-memory", "t-end-off-the-step-grid",
+            "apply-scale-overflow",
             "matrix-scale-overflow", "oracle-scale-overflow",
             "evolve-scale-overflow", "sweep-scale-overflow"])
     def test_exit_2_before_any_build(self, tmp_path, capsys, monkeypatch, argv):

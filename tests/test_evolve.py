@@ -157,28 +157,74 @@ class TestRk4:
     @pytest.mark.parametrize("t_end, dt, stride", [
         (1.0, 0.05, 5), (1.0, 0.05, 3), (1.0, 0.05, 1), (1.0, 0.05, 40),
         (0.0, 0.05, 10), (22.0, 0.05, 10), (12.0, 0.05, 7), (0.3, 0.1, 2),
+        (12.0, 0.05, 10),
     ])
     def test_sample_schedule(self, t_end, dt, stride):
         config = EvolutionConfig(alpha=1.37, gamma=0.0, n=8, l_scale=1.0,
                                  dt=dt, t_end=t_end, snapshot_stride=stride)
         steps = round(t_end / dt)
         listed = [i for i in range(steps + 1) if i % stride == 0 or i == steps]
-        got_steps, times = evolve._sample_times(config)
-        assert got_steps == steps
-        assert times.tobytes() == (np.asarray(listed) * dt).tobytes()
+        sampled = evolve.sampled_steps(config)
+        assert sampled.tolist() == listed
+        assert (sampled * dt).tobytes() == (np.asarray(listed) * dt).tobytes()
 
-    def test_last_step_sampled_off_the_stride(self, small_system):
+    @pytest.mark.parametrize("steps, stride", [
+        (0, 1), (1, 1), (5, 7), (9, 3), (20, 10), (20, 3),
+    ])
+    def test_last_step_sampled_off_the_stride(self, small_system, monkeypatch,
+                                              steps, stride):
         config, system = small_system
-        config = EvolutionConfig(**{**config.__dict__, "snapshot_stride": 3})
+        config = EvolutionConfig(**{**config.__dict__, "t_end": steps * config.dt,
+                                    "snapshot_stride": stride})
+        # March by hand, keeping the state after step 0, every stride-th
+        # step and the last.
+        u = initial_condition(system.grid.x_nodes, config.alpha)
+        expected = [u]
+        for i in range(1, steps + 1):
+            u = rk4_step(system, u, config.dt)
+            if i % stride == 0 or i == steps:
+                expected.append(u)
+        marched = []
+
+        def counted(*args):
+            marched.append(args)
+            return rk4_step(*args)
+
+        monkeypatch.setattr(evolve, "rk4_step", counted)
         result = rk4_evolve(config, system=system)
-        # 20 steps: every third, then the last.
-        assert len(result.snapshots) == len(result.trace.times) == 8
-        assert result.trace.times[-1] == 20 * config.dt
+        trace = result.trace
+        assert len(marched) == steps
+        assert len(result.snapshots) == len(trace.times) == len(trace.x_half)
+        assert len(result.snapshots) == len(expected)
+        for got, want in zip(result.snapshots, expected):
+            assert np.array_equal(got, want)
+        assert trace.times[0] == 0.0
+        assert trace.times[-1] == steps * config.dt
+
+    @pytest.mark.parametrize("dt, t_end", [(0.3, 1.0), (0.05, 0.02), (1e-10, 1e300)])
+    def test_t_end_off_the_step_grid_rejected(self, dt, t_end):
+        # Rounding t_end / dt would cut these runs short: 3 steps to t = 0.9
+        # for t_end = 1, no step for t_end = 0.02.
+        with pytest.raises(ValueError, match="whole number"):
+            EvolutionConfig(alpha=1.37, gamma=0.0, n=8, l_scale=1.0, dt=dt,
+                            t_end=t_end)
 
     def test_wall_budget(self, small_system):
         config, system = small_system
-        with pytest.raises(BudgetError):
-            rk4_evolve(config, system=system, wall_budget=0.0)
+        with pytest.raises(BudgetError, match="at t = 0.050"):
+            rk4_evolve(config, system=system, wall_budget=1e-9)
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_wall_budget_rejected_before_any_step(self, small_system,
+                                                       monkeypatch, budget):
+        config, system = small_system
+
+        def no_step(*args):
+            raise AssertionError("marched with an invalid wall budget")
+
+        monkeypatch.setattr(evolve, "rk4_step", no_step)
+        with pytest.raises(ValueError, match="wall budget"):
+            rk4_evolve(config, system=system, wall_budget=budget)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_on_absurd_dt(self):
@@ -212,8 +258,8 @@ class TestRk4:
     def test_numpy_integer_stride_passes(self):
         config = EvolutionConfig(alpha=1.37, gamma=0.0, n=32, l_scale=10.0,
                                  dt=0.05, t_end=0.5, snapshot_stride=np.int64(4))
-        steps, times = evolve._sample_times(config)
-        assert steps == 10 and len(times) == 4
+        sampled = evolve.sampled_steps(config)
+        assert sampled[-1] == 10 and len(sampled) == 4
 
     @pytest.mark.parametrize("l_lim", [0, -3])
     def test_l_lim_checked_by_the_build_rule(self, l_lim):

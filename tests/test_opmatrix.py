@@ -373,7 +373,7 @@ class TestApply:
             matrix = scale_to_operator(matrix, OperatorKind.RIESZ_FELLER, gamma, 1.7)
         full = full_payload(matrix)
         rng = np.random.default_rng(n)
-        real = analyze(rng.normal(size=n), make_grid(n, 1.7))
+        real = analyze(rng.normal(size=n))
         generic = CoeffVector(rng.normal(size=n) + 1j * rng.normal(size=n))
         assert real.real_samples and not generic.real_samples
         for coeffs in (real, generic):
@@ -392,7 +392,7 @@ class TestApply:
         )
         rng = np.random.default_rng(7)
         if path == "real":
-            coeffs = analyze(rng.normal(size=n), make_grid(n, 2.0))
+            coeffs = analyze(rng.normal(size=n))
         else:
             coeffs = CoeffVector(rng.normal(size=n) + 1j * rng.normal(size=n))
         apply(matrix, coeffs)

@@ -132,6 +132,48 @@ def test_every_public_definition_is_used_outside_the_tests():
     assert not unused, f"public definitions only the tests use: {unused}"
 
 
+def _private_reads(tree):
+    """(line, text) of each read of another rfspectral module's private
+    name in tree: `from .mod import _x`, or `mod._x` on a module bound by
+    an import."""
+    def ours(module, level):
+        return level > 0 or (module or "").split(".")[0] == "rfspectral"
+
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    modules = set()
+    found = []
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.ImportFrom) and ours(sub.module, sub.level):
+            for a in sub.names:
+                if private(a.name):
+                    source = "." * sub.level + (sub.module or "")
+                    found.append((sub.lineno, f"from {source} import {a.name}"))
+                else:
+                    # Possibly a module, as in `from . import evolve as ev`.
+                    modules.add(a.asname or a.name)
+        elif isinstance(sub, ast.Import):
+            modules.update(a.asname or a.name for a in sub.names
+                           if ours(a.name, 0))
+    for sub in ast.walk(tree):
+        if (isinstance(sub, ast.Attribute) and private(sub.attr)
+                and isinstance(sub.value, ast.Name) and sub.value.id in modules):
+            found.append((sub.lineno, f"{sub.value.id}.{sub.attr}"))
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    # A private name is its module's own; another module that needs it
+    # needs a public one.
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {text}"
+        for path in sorted((SRC / "rfspectral").glob("*.py"))
+        for line, text in _private_reads(ast.parse(path.read_text()))
+    ]
+    assert not found, f"private names read across modules: {found}"
+
+
 def test_import_loads_no_scipy():
     # scipy serves two leaf uses, the erf reference values (scipy.special)
     # and the oracle's quadrature (scipy.integrate); each loads it only when

@@ -1,9 +1,10 @@
 """Mapped Fourier basis on the real line: the cot map, midpoint nodes on
 (0, pi), the rational basis functions lambda_k, and the phase-corrected DFT
-pair (analysis by FFT, synthesis at arbitrary s).
+pair for real samples (analysis by FFT, synthesis at arbitrary s).
 
-Mode ordering follows the DFT convention throughout: k = 0..ceil(N/2)-1
-followed by k = -floor(N/2)..-1.
+A coefficient vector holds the modes k = 0..N//2 of real samples; the mode
+-k is the conjugate of k.  `mode_numbers` gives the DFT order of all N
+modes, which the matrix build folds over.
 """
 
 from __future__ import annotations
@@ -33,22 +34,19 @@ class SpectralGrid:
 
 @dataclass(frozen=True)
 class CoeffVector:
-    """N complex coefficients in DFT mode order.
-
-    real_samples is set by `analyze` when the samples were real, so that
-    u_{-k} = conj(u_k): opmatrix.apply then runs the real path 2 Re(M+ u+)
-    over the stored k >= 1 columns only, and the general complex path
-    otherwise."""
+    """The complex coefficients u_0..u_{N//2} of N real samples; u_{-k} is
+    conj(u_k)."""
 
     coeffs: np.ndarray
-    real_samples: bool = False
+    n: int
 
     def __post_init__(self):
+        if len(self.coeffs) != self.n // 2 + 1:
+            raise ValueError(
+                f"N = {self.n} takes {self.n // 2 + 1} coefficients, "
+                f"got {len(self.coeffs)}"
+            )
         self.coeffs.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return len(self.coeffs)
 
 
 def mode_numbers(n: int) -> np.ndarray:
@@ -101,29 +99,31 @@ def lambda_k(x, k: int):
 
 
 def analyze(samples) -> CoeffVector:
-    """Coefficients u_k = (exp(-i pi k / N) / N) * DFT(samples) of samples at
-    the N nodes of any map scale, with entries of magnitude <= KRASNY_EPS *
-    max|u_k| zeroed, tagged with whether the samples were real.  The
-    threshold is relative, so scaling the samples by a power of 2 scales the
-    coefficients exactly."""
+    """Coefficients u_k = (exp(-i pi k / N) / N) * DFT(samples)_k,
+    k = 0..N//2, of real samples at the N nodes of any map scale, with
+    entries of magnitude <= KRASNY_EPS * max|u_k| zeroed.  The threshold is
+    relative, so scaling the samples by a power of 2 scales the coefficients
+    exactly.  Complex samples raise ValueError."""
     samples = np.asarray(samples)
     if samples.ndim != 1:
         raise ValueError(f"expected a 1-D array of samples, got shape {samples.shape}")
+    if np.iscomplexobj(samples):
+        raise ValueError("expected real samples, got complex ones")
     n = len(samples)
-    k = mode_numbers(n)
-    coeffs = np.fft.fft(samples) * np.exp(-1j * math.pi * k / n) / n
+    k = np.arange(n // 2 + 1)
+    # A slice of the full transform, not rfft: it keeps apply's output
+    # bitwise equal to that of the full analysis.
+    coeffs = np.fft.fft(samples)[: n // 2 + 1] * np.exp(-1j * math.pi * k / n) / n
     magnitude = np.abs(coeffs)
     coeffs[magnitude <= KRASNY_EPS * magnitude.max()] = 0.0
-    return CoeffVector(coeffs=coeffs, real_samples=np.isrealobj(samples))
+    return CoeffVector(coeffs, n)
 
 
-def synthesize(coeffs: CoeffVector, s):
-    """Evaluate sum_k u_k exp(i 2 k s) at arbitrary s in (0, pi)."""
-    k = mode_numbers(coeffs.n)
-    s_arr = np.asarray(s, dtype=np.float64)
-    phases = np.exp(2j * np.multiply.outer(s_arr, k.astype(np.float64)))
-    out = phases @ coeffs.coeffs
-    if np.ndim(s) == 0:
-        return complex(out)
-    return out
+def synthesize(coeffs: CoeffVector, s: float) -> float:
+    """The real series sum_k u_k exp(i 2 k s) over all N modes at one s in
+    (0, pi): weight 1 on k = 0 and the even-N Nyquist mode k = N/2, weight
+    2 on the real part of each other mode k, which stands for k and -k."""
+    k = np.arange(len(coeffs.coeffs), dtype=np.float64)
+    weights = np.where((k == 0) | (2.0 * k == coeffs.n), 1.0, 2.0)
+    return float(weights @ (np.exp(2j * (s * k)) * coeffs.coeffs).real)
 

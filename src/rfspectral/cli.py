@@ -253,7 +253,7 @@ def cmd_oracle(args) -> int:
     rows = []
     for j in idx:
         x = float(grid.x_nodes[j])
-        spectral = float(np.real(report.approx[j]))
+        spectral = float(report.approx[j])
         quad_val = float(np.real(quad_operator(
             kind, args.alpha, args.gamma, value, x, du=func.derivative,
             tol=args.quad_tol, u_sup=func.sup,

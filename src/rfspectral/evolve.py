@@ -172,7 +172,7 @@ def front_position(u_nodes, grid: SpectralGrid) -> float:
 
     def interp(s):
         x = grid.l_scale / math.tan(s)
-        return synthesize(coeffs, s).real + FISHER_AUX.aux_values(x) - 0.5
+        return synthesize(coeffs, s) + FISHER_AUX.aux_values(x) - 0.5
 
     lo, hi = grid.s_nodes[j], grid.s_nodes[j + 1]
     f_lo = interp(lo)

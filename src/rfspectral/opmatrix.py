@@ -77,8 +77,8 @@ def _is_base(kind: OperatorKind, l_scale: float) -> bool:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Complex operator matrix taking DFT-ordered coefficients to nodal
-    values.
+    """Operator matrix taking the coefficients of real samples
+    (`basis.analyze`) to nodal values.
 
     `entries` always holds the base matrix: the symmetric operator at map
     scale 1.  The matrix of (kind, gamma, l_scale) is `factor` times its
@@ -290,41 +290,23 @@ def scale_to_operator(
 
 
 def apply(matrix: OperatorMatrix, coeffs: CoeffVector) -> np.ndarray:
-    """Nodal operator values, the full matrix times the coefficients.
+    """Nodal operator values of real samples from their coefficients.
 
-    With f = matrix.factor and g = f u+ over the modes 1..ceil(N/2)-1,
-    coefficients of real samples give the real vector 2 Re(M+ g), M+ the
-    base columns k >= 1.  Any other vector, with h = f conj(u-) over the
-    modes -1..-(ceil(N/2)-1), is R((g + h)/2) + i R(-i(g - h)/2) with
-    R(v) = 2 Re(M+ v).  Modes 0 and -N/2 meet zero columns."""
+    With f = matrix.factor and M+ the base columns of the modes
+    k = 1..ceil(N/2)-1, the values are 2 Re(M+ f u+): the modes -k add the
+    conjugates of the modes k, and modes 0 and N/2 meet zero columns."""
     if coeffs.n != matrix.n:
         raise ValueError(
             f"coefficient length {coeffs.n} does not match matrix size {matrix.n}"
         )
-    half = stored_columns(matrix.n)
-    c = coeffs.coeffs
-    f = matrix.factor
-    g = f * c[1 : half + 1]
-    if coeffs.real_samples:
-        return _real_product(matrix, g)
-    h = f * np.conj(c[: -half - 1 : -1])
-    parts = _real_product(matrix, np.stack((0.5 * (g + h), -0.5j * (g - h)), axis=1))
-    return parts[:, 0] + 1j * parts[:, 1]
-
-
-def _real_product(matrix: OperatorMatrix, v: np.ndarray) -> np.ndarray:
-    # 2 Re(M+ v) on all N rows for a vector or a stack of columns v.  Both
-    # products are a real plane times real vectors: a real matrix times a
-    # complex vector would copy the plane to complex.
+    g = matrix.factor * coeffs.coeffs[1 : stored_columns(matrix.n) + 1]
+    # Both products are a real plane times a real vector: a real matrix
+    # times a complex vector would copy the plane to complex.
     re, im = matrix.entries
-    a = re @ v.real
-    b = im @ v.imag
-    return _mirror_rows(2.0 * (a - b), 2.0 * (a + b), matrix.n)
-
-
-def _mirror_rows(top: np.ndarray, bottom: np.ndarray, n: int) -> np.ndarray:
-    # Rows 0..ceil(n/2)-1 from `top`; row n-1-j from bottom[j], j < n//2.
-    return np.concatenate((top, bottom[n // 2 - 1 :: -1]))
+    a = re @ g.real
+    b = im @ g.imag
+    # Row N-1-j is the conjugate of row j, so it reads a + b for a - b.
+    return np.concatenate((2.0 * (a - b), 2.0 * (a + b)[matrix.n // 2 - 1 :: -1]))
 
 
 def _rows_per_block(n: int) -> int:

@@ -1,7 +1,7 @@
 """Reference formulas that only the tests check the package against: the
 Christov-type basis functions and their operator values, the order-1
-odd-index formulas, the x = 0 anchors for odd indices, fast nodal
-synthesis and the full matrix as RFM1 writes it.
+odd-index formulas, the x = 0 anchors for odd indices, the full-spectrum
+analysis, fast nodal synthesis and the full matrix as RFM1 writes it.
 
 Imported by the test modules; pytest does not collect it.
 """
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from rfspectral.basis import CoeffVector, lambda_k, mode_numbers
+from rfspectral.basis import KRASNY_EPS, CoeffVector, lambda_k, mode_numbers
 from rfspectral.closedform import OperatorKind, phase_factor, validate_kind
 from rfspectral.opmatrix import serialize
 from rfspectral.specfun import hyp2f1_terminating
@@ -42,11 +42,24 @@ def mu_k(x, k: int):
     return 0.5 * (lambda_k(x, k) - lambda_k(x, k + 1))
 
 
-def synthesize_nodes(coeffs: CoeffVector) -> np.ndarray:
-    """Fast evaluation of the mode sum at the grid nodes via the inverse FFT."""
-    n = coeffs.n
+def full_analysis(samples) -> np.ndarray:
+    """All N coefficients u_k = (exp(-i pi k / N) / N) * DFT(samples) in DFT
+    mode order, with the same relative Krasny filter as `basis.analyze`."""
+    samples = np.asarray(samples)
+    n = len(samples)
     k = mode_numbers(n)
-    return np.fft.ifft(coeffs.coeffs * np.exp(1j * math.pi * k / n)) * n
+    coeffs = np.fft.fft(samples) * np.exp(-1j * math.pi * k / n) / n
+    magnitude = np.abs(coeffs)
+    coeffs[magnitude <= KRASNY_EPS * magnitude.max()] = 0.0
+    return coeffs
+
+
+def synthesize_nodes(coeffs: CoeffVector) -> np.ndarray:
+    """Fast evaluation of the real mode sum at the grid nodes via the
+    inverse real FFT."""
+    n = coeffs.n
+    k = np.arange(n // 2 + 1)
+    return np.fft.irfft(coeffs.coeffs * np.exp(1j * math.pi * k / n), n) * n
 
 
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)

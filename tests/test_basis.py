@@ -7,13 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from reference_formulas import mu_k, phi_k, synthesize_nodes
+from reference_formulas import full_analysis, mu_k, phi_k, synthesize_nodes
 from rfspectral.basis import (
     CoeffVector,
     analyze,
     lambda_k,
     make_grid,
-    mode_numbers,
     synthesize,
 )
 
@@ -119,15 +118,16 @@ class TestBasisFunctions:
 
 class TestAnalyzeSynthesize:
     def test_constant_is_dc_only(self):
-        coeffs = analyze(np.full(16, 2.5 + 0.0j))
+        coeffs = analyze(np.full(16, 2.5))
         assert coeffs.coeffs[0] == pytest.approx(2.5)
         assert np.max(np.abs(coeffs.coeffs[1:])) == 0.0
 
     def test_single_mode(self):
+        # cos 2s = (e^{2is} + e^{-2is}) / 2: u_1 = 1/2, and u_{-1} is implied.
         grid = make_grid(32, 1.0)
-        samples = np.exp(2j * grid.s_nodes)
-        coeffs = analyze(samples).coeffs
-        assert abs(coeffs[1] - 1.0) < 1e-14
+        coeffs = analyze(np.cos(2.0 * grid.s_nodes)).coeffs
+        assert len(coeffs) == 17
+        assert abs(coeffs[1] - 0.5) < 1e-14
         rest = np.delete(coeffs, 1)
         assert np.max(np.abs(rest)) < 1e-14
 
@@ -137,24 +137,62 @@ class TestAnalyzeSynthesize:
             with pytest.raises(ValueError, match="1-D"):
                 analyze(samples)
 
+    def test_complex_samples_are_refused(self):
+        # The half spectrum would drop their negative modes without a word.
+        samples = np.linspace(-1.0, 1.0, 8)
+        with pytest.raises(ValueError, match="real samples"):
+            analyze(samples + 0j)
+        with pytest.raises(ValueError, match="takes 5 coefficients"):
+            CoeffVector(np.zeros(8, dtype=np.complex128), 8)
+        with pytest.raises(ValueError, match="takes 4 coefficients"):
+            CoeffVector(np.zeros(5, dtype=np.complex128), 7)
+
+    def test_is_the_half_of_the_full_analysis(self):
+        # Modes 0..N//2 of the full transform, bit for bit; the even-N mode
+        # N/2 is the conjugate of the full analysis's -N/2.
+        rng = np.random.default_rng(5)
+        for n in (8, 15, 16, 33, 2048):
+            samples = rng.normal(size=n)
+            full = full_analysis(samples)
+            half = full[: n // 2 + 1].copy()
+            if n % 2 == 0:
+                half[-1] = np.conj(full[n // 2])
+            coeffs = analyze(samples)
+            assert coeffs.n == n
+            assert np.array_equal(coeffs.coeffs, half)
+
     def test_synthesize_constant(self):
-        coeffs = CoeffVector(np.array([1.0 + 0.0j] + [0.0j] * 7))
+        coeffs = CoeffVector(np.array([1.0 + 0.0j] + [0.0j] * 4), 8)
         for s in (0.1, 1.0, 3.0):
             assert synthesize(coeffs, s) == pytest.approx(1.0)
 
     def test_synthesize_single_mode(self):
-        c = np.zeros(8, dtype=np.complex128)
+        # u_1 = 1 stands for u_1 = u_{-1} = 1: the sum is 2 cos 2s.
+        c = np.zeros(5, dtype=np.complex128)
         c[1] = 1.0
-        coeffs = CoeffVector(c)
+        coeffs = CoeffVector(c, 8)
         for s in (0.3, 2.0):
-            assert synthesize(coeffs, s) == pytest.approx(cmath.exp(2j * s))
+            value = synthesize(coeffs, s)
+            assert isinstance(value, float)
+            assert value == pytest.approx(2.0 * math.cos(2.0 * s))
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_synthesize_nyquist_mode(self, n):
+        # (-1)^j holds only the mode N/2, which has no partner -N/2 of its
+        # own: a doubled or a dropped weight misses the samples by 1.
+        samples = (-1.0) ** np.arange(n)
+        coeffs = analyze(samples)
+        assert np.count_nonzero(coeffs.coeffs) == 1 and coeffs.coeffs[-1] != 0.0
+        grid = make_grid(n, 1.0)
+        values = [synthesize(coeffs, s) for s in grid.s_nodes]
+        assert np.max(np.abs(values - samples)) < 1e-14
 
     def test_nodal_synthesis_matches_samples(self):
         rng = np.random.default_rng(3)
         grid = make_grid(64, 2.0)
-        samples = rng.normal(size=64) + 1j * rng.normal(size=64)
+        samples = rng.normal(size=64)
         coeffs = analyze(samples)
-        values = synthesize(coeffs, grid.s_nodes)
+        values = np.array([synthesize(coeffs, s) for s in grid.s_nodes])
         assert np.max(np.abs(values - samples)) < 1e-13
         fast = synthesize_nodes(coeffs)
         assert np.max(np.abs(fast - samples)) < 1e-13
@@ -174,7 +212,7 @@ class TestAnalyzeSynthesize:
         u = (1.0 + x2) / (3.0 + x2)
         coeffs = analyze(u).coeffs
         scaled = analyze(2.0 ** -70 * u).coeffs
-        assert np.count_nonzero(coeffs) < 64
+        assert np.count_nonzero(coeffs) < 33
         assert np.array_equal(scaled, 2.0 ** -70 * coeffs)
         assert np.count_nonzero(analyze(np.zeros(64)).coeffs) == 0
         with_nan = u.copy()
@@ -183,36 +221,18 @@ class TestAnalyzeSynthesize:
 
     @pytest.mark.parametrize("n", [8, 16, 33, 128, 1024])
     def test_roundtrip_band_limited(self, n):
+        # Random coefficients of real samples: u_0 is real, and the even-N
+        # u_{N/2} is imaginary (the raw DFT bin is the real quantity).
         rng = np.random.default_rng(n)
-        original = rng.normal(size=n) + 1j * rng.normal(size=n)
-        coeffs = CoeffVector(original.copy())
-        samples = synthesize_nodes(coeffs)
+        original = rng.normal(size=n // 2 + 1) + 1j * rng.normal(size=n // 2 + 1)
+        original[0] = original[0].real
+        if n % 2 == 0:
+            original[-1] = 1j * original[-1].imag
+        samples = synthesize_nodes(CoeffVector(original.copy(), n))
         back = analyze(samples)
         assert np.max(np.abs(back.coeffs - original)) < 1e-13 * max(
             1.0, np.max(np.abs(original))
         )
-
-    def test_hermitian_symmetry_for_real_samples(self):
-        rng = np.random.default_rng(5)
-        for n in (8, 15, 64):
-            coeffs = analyze(rng.normal(size=n)).coeffs
-            k = mode_numbers(n)
-            for kk in range(1, (n - 1) // 2 + 1):
-                pos = np.flatnonzero(k == kk)[0]
-                neg = np.flatnonzero(k == -kk)[0]
-                assert abs(coeffs[neg] - coeffs[pos].conjugate()) < 1e-12
-            if n % 2 == 0:
-                # With the e^(-i pi k / N) phase folded in, the unpaired
-                # k = -N/2 coefficient of a real vector is pure imaginary
-                # (the raw DFT bin is the real quantity).
-                nyquist = np.flatnonzero(k == -(n // 2))[0]
-                assert abs(coeffs[nyquist].real) < 1e-12
-
-    def test_real_samples_are_tagged(self):
-        samples = np.linspace(-1.0, 1.0, 8)
-        assert analyze(samples).real_samples
-        assert not analyze(samples + 0j).real_samples
-        assert not CoeffVector(np.zeros(8, dtype=np.complex128)).real_samples
 
     def test_lambda_orthogonality_on_grid(self):
         n = 64

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reference_formulas import full_payload
+from reference_formulas import full_analysis, full_payload
 from rfspectral import opmatrix
 from rfspectral.basis import CoeffVector, analyze, make_grid, mode_numbers
 from rfspectral.closedform import OperatorKind, frac_lap_lambda, phase_factor
@@ -349,52 +349,44 @@ class TestScale:
 class TestApply:
     def test_constant_maps_to_zero(self):
         base = build_base_matrix(0.62, 16, 10)
-        c = np.zeros(16, dtype=np.complex128)
+        c = np.zeros(9, dtype=np.complex128)
         c[0] = 3.7
-        out = apply(base, CoeffVector(c))
+        out = apply(base, CoeffVector(c, 16))
         assert np.max(np.abs(out)) == 0.0
 
     def test_basis_vector_extracts_column(self):
+        # u_1 = 1 stands for u_1 = u_{-1} = 1.
         base = build_base_matrix(0.62, 16, 10)
-        c = np.zeros(16, dtype=np.complex128)
+        c = np.zeros(9, dtype=np.complex128)
         c[1] = 1.0
-        out = apply(base, CoeffVector(c))
-        assert np.array_equal(out, full_payload(base)[:, 1])
+        out = apply(base, CoeffVector(c, 16))
+        full = full_payload(base)
+        assert np.array_equal(out, full[:, 1] + full[:, -1])
 
     @pytest.mark.parametrize("scaled", [False, True], ids=["base", "rf"])
     @pytest.mark.parametrize("alpha", [0.62, 1.0, 1.37])
     @pytest.mark.parametrize("n", [16, 17])
     def test_equals_full_product(self, n, alpha, scaled):
-        # Both paths (real samples and generic complex coefficients) against
-        # the full matrix rebuilt from the serialized payload.
+        # The half-spectrum product against the full matrix, rebuilt from
+        # the serialized payload, times the full-spectrum coefficients.
         matrix = build_base_matrix(alpha, n, 20)
         if scaled:
             gamma = 0.5 * min(alpha, 2.0 - alpha)
             matrix = scale_to_operator(matrix, OperatorKind.RIESZ_FELLER, gamma, 1.7)
-        full = full_payload(matrix)
-        rng = np.random.default_rng(n)
-        real = analyze(rng.normal(size=n))
-        generic = CoeffVector(rng.normal(size=n) + 1j * rng.normal(size=n))
-        assert real.real_samples and not generic.real_samples
-        for coeffs in (real, generic):
-            expected = full @ coeffs.coeffs
-            out = apply(matrix, coeffs)
-            assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
-        assert np.isrealobj(apply(matrix, real))
+        samples = np.random.default_rng(n).normal(size=n)
+        expected = full_payload(matrix) @ full_analysis(samples)
+        out = apply(matrix, analyze(samples))
+        assert np.isrealobj(out)
+        assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("path", ["real", "complex"])
-    def test_no_matrix_sized_temporaries(self, path):
+    def test_no_matrix_sized_temporaries(self):
         # A real plane times a complex vector would make a complex copy of
         # the plane (N^2/2 bytes here) on every call.
         n = 512
         matrix = scale_to_operator(
             build_base_matrix(1.37, n, 5), OperatorKind.RIESZ_FELLER, 0.3, 2.0
         )
-        rng = np.random.default_rng(7)
-        if path == "real":
-            coeffs = analyze(rng.normal(size=n))
-        else:
-            coeffs = CoeffVector(rng.normal(size=n) + 1j * rng.normal(size=n))
+        coeffs = analyze(np.random.default_rng(7).normal(size=n))
         apply(matrix, coeffs)
         tracemalloc.start()
         try:
@@ -407,7 +399,7 @@ class TestApply:
     def test_dimension_mismatch(self):
         base = build_base_matrix(0.62, 16, 10)
         with pytest.raises(ValueError):
-            apply(base, CoeffVector(np.zeros(8, dtype=np.complex128)))
+            apply(base, CoeffVector(np.zeros(5, dtype=np.complex128), 8))
 
 
 def random_matrix(n, rng):

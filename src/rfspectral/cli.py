@@ -26,11 +26,13 @@ from .operators import apply_reference, sweep_errors
 from .opmatrix import (
     DEFAULT_L_LIM,
     build_base_matrix,
+    check_scale_power,
     deserialize,
     scale_to_operator,
     serialize,
 )
 from .oracle import check_tolerance, quad_operator
+from .specfun import check_order
 
 # Parsed arguments left out of a manifest's parameters: the subcommand and
 # its handler, where the outputs go and how many threads made them.  Every
@@ -97,11 +99,15 @@ def _parse_range(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"--L-range expects start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
-    if not (start > 0.0 and step > 0.0 and math.isfinite(stop)):
+    if not (all(map(math.isfinite, (start, stop, step)))
+            and start > 0.0 and step > 0.0):
         raise ValueError(
-            f"--L-range needs start > 0, step > 0 and a finite stop, got {text!r}"
+            f"--L-range needs a finite start > 0, step > 0 and stop, got {text!r}"
         )
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9
+    if not math.isfinite(span):
+        raise ValueError(f"--L-range {text!r} has no finite number of values")
+    count = int(math.floor(span)) + 1
     if count < 1:
         raise ValueError(f"--L-range {text!r} is empty: start exceeds stop")
     return [start + i * step for i in range(count)]
@@ -148,8 +154,11 @@ def cmd_sweep(args) -> int:
     if not n_list or min(n_list) < 2:
         raise ValueError(f"--N-list needs node counts >= 2, got {n_list}")
     l_list = _parse_range(args.L_range)
-    # The outer nodes grow with N and L, so the largest of each bound them.
+    # The outer nodes grow with N and L, so the largest of each bound them;
+    # L^alpha is bounded by the smallest and the largest L.
     check_grid(max(n_list), max(l_list))
+    check_scale_power(args.alpha, min(l_list))
+    check_scale_power(args.alpha, max(l_list))
     errors = sweep_errors(
         args.func, OperatorKind(args.op), args.alpha, args.gamma, n_list, l_list,
         args.llim, jobs=args.jobs,
@@ -285,14 +294,16 @@ def _add_common(p, op_default=None, with_func=True, with_grid=True):
 
 
 def _check_common(args) -> None:
-    """Operator kind against order and skewness, a finite positive map scale
-    with finite nodes, at least one aliasing shell, an existing directory for
-    --out and at least one job: checked before any subcommand builds a
-    matrix."""
+    """The order, operator kind against order and skewness, a finite
+    positive map scale with finite nodes and a finite positive L^alpha, at
+    least one aliasing shell, an existing directory for --out and at least
+    one job: checked before any subcommand builds a matrix."""
+    check_order(args.alpha)
     if hasattr(args, "op"):
         validate_kind(OperatorKind(args.op), args.alpha, args.gamma)
     if hasattr(args, "L"):
         check_grid(args.N, args.L)
+        check_scale_power(args.alpha, args.L)
     if args.llim < 1:
         raise ValueError(f"--llim must be >= 1, got {args.llim}")
     if hasattr(args, "out") and not Path(args.out).parent.is_dir():

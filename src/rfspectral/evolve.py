@@ -27,6 +27,7 @@ from .opmatrix import (
     build_base_matrix,
     check_base,
     check_integer,
+    check_scale_power,
     scale_to_operator,
 )
 from .specfun import check_order, check_skewness
@@ -53,6 +54,7 @@ class EvolutionConfig:
         check_skewness(self.alpha, self.gamma)
         check_base(self.alpha, self.n, self.l_lim)
         check_grid(self.n, self.l_scale)
+        check_scale_power(self.alpha, self.l_scale)
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"need a finite dt > 0, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):

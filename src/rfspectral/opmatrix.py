@@ -116,6 +116,20 @@ class OperatorMatrix:
         return phase / self.l_scale ** self.alpha
 
 
+def check_scale_power(alpha: float, l_scale: float) -> None:
+    """Raise ValueError unless L^alpha, which divides the base in every
+    scaled matrix, is finite and > 0 in Python floats, as `factor` and
+    `serialize` compute it.  L must already be finite and > 0."""
+    try:
+        power = float(l_scale) ** float(alpha)
+    except OverflowError:
+        power = math.inf
+    if not (math.isfinite(power) and power > 0.0):
+        raise ValueError(
+            f"L^alpha must be finite and > 0, got {l_scale}^{alpha} = {power}"
+        )
+
+
 def check_integer(what: str, value, error=ValueError) -> None:
     """Raise `error` unless value is an integer; numpy integers pass."""
     try:
@@ -281,6 +295,7 @@ def scale_to_operator(
     relabels it."""
     validate_kind(kind, base.alpha, gamma)
     check_grid(base.n, l_scale)
+    check_scale_power(base.alpha, l_scale)
     return replace(
         base,
         kind=kind,
@@ -341,8 +356,9 @@ def serialize(matrix: OperatorMatrix, sink) -> None:
     divided by L^alpha, then, except for the fractional Laplacian, with its
     columns of modes k > 0 (k < 0, including -N/2) multiplied by the kind's
     phase (its conjugate).  The payload is written in row blocks of a few
-    MiB.  A field the header cannot hold raises ValueError before anything
-    is opened or written."""
+    MiB.  A field the header cannot hold raises ValueError, and a scaled
+    matrix with an entry that would not be finite raises NumericError,
+    before anything is opened or written."""
     try:
         header = _HEADER.pack(
             matrix.n,
@@ -356,6 +372,22 @@ def serialize(matrix: OperatorMatrix, sink) -> None:
         raise ValueError(
             f"the header cannot hold N = {matrix.n}, l_lim = {matrix.l_lim}: {exc}"
         ) from None
+    scaled = not _is_base(matrix.kind, matrix.l_scale)
+    phase = phase_factor(matrix.kind, matrix.alpha, matrix.gamma)
+    if scaled:
+        # A bound on every entry written: numpy divides by L^alpha as a
+        # product with its reciprocal, and the phase moves at most
+        # |Re| + |Im| of its unit modulus into either part.  Base entries
+        # were checked finite when built or read.
+        entries = matrix.entries
+        largest = (float(max(entries.max(), -entries.min()))
+                   * (1.0 / matrix.l_scale ** matrix.alpha)
+                   * (abs(phase.real) + abs(phase.imag)))
+        if not math.isfinite(largest):
+            raise NumericError(
+                f"non-finite matrix entries: the base over L^alpha = "
+                f"{matrix.l_scale}^{matrix.alpha} overflows"
+            )
     if isinstance(sink, (str, Path)):
         with open(sink, "wb") as fh:
             serialize(matrix, fh)
@@ -363,8 +395,6 @@ def serialize(matrix: OperatorMatrix, sink) -> None:
     sink.write(_MAGIC + header)
     n = matrix.n
     half = stored_columns(n)
-    scaled = not _is_base(matrix.kind, matrix.l_scale)
-    phase = phase_factor(matrix.kind, matrix.alpha, matrix.gamma)
     rows = _rows_per_block(n)
     block = np.empty((min(rows, n), n), dtype=np.complex128)
     for start in range(0, n, rows):

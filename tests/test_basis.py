@@ -63,6 +63,27 @@ class TestGrid:
         with pytest.raises(ValueError, match="finite and > 0"):
             calls[entry]()
 
+    @pytest.mark.parametrize("l_scale", [1e300, 1e-300])
+    @pytest.mark.parametrize("entry", ["scale_to_operator", "EvolutionConfig"])
+    def test_scale_power_must_be_finite_and_positive(self, entry, l_scale):
+        # The nodes are finite, but L^1.5 overflows a float at L = 1e300 and
+        # rounds to 0 at L = 1e-300; a matrix divides its base by it.
+        from rfspectral.closedform import OperatorKind
+        from rfspectral.evolve import EvolutionConfig
+        from rfspectral.opmatrix import build_base_matrix, scale_to_operator
+
+        calls = {
+            "scale_to_operator": lambda: scale_to_operator(
+                build_base_matrix(1.5, 8, 5), OperatorKind.RIESZ_FELLER, 0.3,
+                l_scale,
+            ),
+            "EvolutionConfig": lambda: EvolutionConfig(
+                alpha=1.5, gamma=0.0, n=8, l_scale=l_scale
+            ),
+        }
+        with pytest.raises(ValueError, match=r"L\^alpha must be finite and > 0"):
+            calls[entry]()
+
     @pytest.mark.parametrize("n", [2, 3, 64, 204, 363, 1025])
     def test_outer_nodes_must_be_finite(self, n):
         # Within a few ulps of the largest L whose outer nodes L cot(pi/(2N))

@@ -113,7 +113,13 @@ class TestNonFiniteResults:
          "--N", "64", "--L", "1e200", "--out", "a"],
         ["sweep", "--op", "fl", "--alpha", "0.62", "--func", "log1psq",
          "--N-list", "16", "--L-range", "1e200:1e200:1", "--out", "s.csv"],
-    ], ids=["apply-nodal", "sweep"])
+        # L^alpha = 7.9e-309 passes the map-scale rule, but the base over it
+        # overflows: the file used to hold 156 non-finite entries of 256.
+        ["matrix", "--op", "fl", "--alpha", "1.95", "--N", "16",
+         "--L", "1e-158", "--out", "m.rfm"],
+        ["matrix", "--op", "rf", "--alpha", "1.95", "--gamma", "0.05",
+         "--N", "16", "--L", "1e-158", "--out", "m.rfm"],
+    ], ids=["apply-nodal", "sweep", "matrix-scaled-fl", "matrix-scaled-rf"])
     def test_exit_3_and_no_output(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         assert run(argv) == 3
@@ -234,6 +240,25 @@ class TestUsageErrors:
         ORACLE + ["--L", "1e308"],
         EVOLVE + ["--gamma", "0", "--t-end", "1", "--L", "1e308"],
         SWEEP_GRID + ["--N-list", "16,64", "--L-range", "1e306:1e307:1e306"],
+        ["apply", "--op", "fl", "--alpha", "1.5", "--func", "erf",
+         "--N", "16", "--L", "1e300"],
+        ["matrix", "--op", "fl", "--alpha", "1.5", "--N", "16", "--L", "1e300"],
+        ["sweep", "--op", "fl", "--alpha", "1.6", "--func", "erf",
+         "--N-list", "16", "--L-range", "1e200:1e200:1"],
+        ["evolve", "--alpha", "1.5", "--gamma", "0", "--N", "16", "--L", "1e300",
+         "--t-end", "1", "--fit-window", "0,1"],
+        ["apply", "--op", "fl", "--alpha", "1.5", "--func", "erf",
+         "--N", "16", "--L", "1e-300"],
+        ["oracle", "--op", "fl", "--alpha", "1.5", "--func", "erf",
+         "--N", "16", "--L", "1e-300"],
+        ["matrix", "--op", "fl", "--alpha", "1.5", "--N", "16", "--L", "1e-300"],
+        ["sweep", "--op", "fl", "--alpha", "1.6", "--func", "erf",
+         "--N-list", "16", "--L-range", "1e-300:1:0.5"],
+        ["evolve", "--alpha", "1.5", "--gamma", "0", "--N", "16",
+         "--L", "1e-300", "--t-end", "1", "--fit-window", "0,1"],
+        SWEEP + ["--L-range", "inf:5:1"],
+        SWEEP + ["--L-range", "1:1e308:1e-308"],
+        SWEEP + ["--L-range", "1:5:inf"],
     ], ids=["range-parts", "step-zero", "step-negative",
             "range-empty", "scale-zero", "matrix-kind-alpha", "apply-kind-alpha",
             "oracle-kind-alpha", "sweep-skewness", "apply-scale-negative",
@@ -253,7 +278,13 @@ class TestUsageErrors:
             "evolve-samples-out-of-memory", "t-end-off-the-step-grid",
             "apply-scale-overflow",
             "matrix-scale-overflow", "oracle-scale-overflow",
-            "evolve-scale-overflow", "sweep-scale-overflow"])
+            "evolve-scale-overflow", "sweep-scale-overflow",
+            "apply-power-overflow", "matrix-power-overflow",
+            "sweep-largest-power-overflow", "evolve-power-overflow",
+            "apply-power-underflow", "oracle-power-underflow",
+            "matrix-power-underflow", "sweep-smallest-power-underflow",
+            "evolve-power-underflow", "range-start-inf", "range-count-inf",
+            "range-step-inf"])
     def test_exit_2_before_any_build(self, tmp_path, capsys, monkeypatch, argv):
         def no_build(*args, **kwargs):
             raise AssertionError("matrix built before the inputs were checked")

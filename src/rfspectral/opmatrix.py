@@ -18,6 +18,7 @@ The RFM1 file holds the full matrix.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import operator
@@ -320,7 +321,8 @@ def apply(matrix: OperatorMatrix, coeffs: CoeffVector) -> np.ndarray:
     re, im = matrix.entries
     a = re @ g.real
     b = im @ g.imag
-    # Row N-1-j is the conjugate of row j, so it reads a + b for a - b.
+    # Row N-1-j is the conjugate of row j: it gives 2 (a + b) where row j
+    # gives 2 (a - b).
     return np.concatenate((2.0 * (a - b), 2.0 * (a + b)[matrix.n // 2 - 1 :: -1]))
 
 
@@ -388,24 +390,23 @@ def serialize(matrix: OperatorMatrix, sink) -> None:
                 f"non-finite matrix entries: the base over L^alpha = "
                 f"{matrix.l_scale}^{matrix.alpha} overflows"
             )
-    if isinstance(sink, (str, Path)):
-        with open(sink, "wb") as fh:
-            serialize(matrix, fh)
-        return
-    sink.write(_MAGIC + header)
     n = matrix.n
     half = stored_columns(n)
     rows = _rows_per_block(n)
     block = np.empty((min(rows, n), n), dtype=np.complex128)
-    for start in range(0, n, rows):
-        out = block[: min(rows, n - start)]
-        _full_rows(matrix.entries, start, out)
-        if scaled:
-            out = out / matrix.l_scale ** matrix.alpha
-            if matrix.kind is not OperatorKind.FRAC_LAPLACIAN:
-                out[:, 1 : half + 1] *= phase
-                out[:, half + 1 :] *= np.conj(phase)
-        sink.write(out.data)
+    # A path is opened only once every check has passed.
+    with (open(sink, "wb") if isinstance(sink, (str, Path))
+          else contextlib.nullcontext(sink)) as fh:
+        fh.write(_MAGIC + header)
+        for start in range(0, n, rows):
+            out = block[: min(rows, n - start)]
+            _full_rows(matrix.entries, start, out)
+            if scaled:
+                out = out / matrix.l_scale ** matrix.alpha
+                if matrix.kind is not OperatorKind.FRAC_LAPLACIAN:
+                    out[:, 1 : half + 1] *= phase
+                    out[:, half + 1 :] *= np.conj(phase)
+            fh.write(out.data)
 
 
 def _bytes_left(source) -> int | None:

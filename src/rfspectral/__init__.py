@@ -4,6 +4,7 @@ real line, via a mapped Fourier basis and an operational matrix."""
 from .basis import CoeffVector, SpectralGrid, analyze, make_grid, mode_numbers, synthesize
 from .closedform import (
     CLOSED_FORMS,
+    AuxDecomposition,
     ClosedFormFunction,
     OperatorKind,
     frac_lap_lambda,
@@ -28,14 +29,7 @@ from .evolve import (
     initial_condition,
     rk4_evolve,
 )
-from .operators import (
-    DEFAULT_AUX,
-    ApplyReport,
-    AuxDecomposition,
-    apply_reference,
-    apply_with_aux,
-    sweep_errors,
-)
+from .operators import ApplyReport, apply_reference, apply_with_aux, sweep_errors
 from .opmatrix import (
     OperatorMatrix,
     apply,

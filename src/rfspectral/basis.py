@@ -51,11 +51,7 @@ class CoeffVector:
 
 def mode_numbers(n: int) -> np.ndarray:
     """Integer mode indices in DFT order: 0..ceil(n/2)-1, -floor(n/2)..-1."""
-    k = np.empty(n, dtype=np.int64)
-    half_up = (n + 1) // 2
-    k[:half_up] = np.arange(half_up)
-    k[half_up:] = np.arange(-(n // 2), 0)
-    return k
+    return np.fft.ifftshift(np.arange(-(n // 2), (n + 1) // 2))
 
 
 def check_grid(n: int, l_scale: float) -> None:

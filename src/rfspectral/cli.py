@@ -31,7 +31,7 @@ from .opmatrix import (
     scale_to_operator,
     serialize,
 )
-from .oracle import check_tolerance, quad_operator
+from .oracle import DEFAULT_TOL, check_tolerance, quad_operator
 from .specfun import check_order
 
 # Parsed arguments left out of a manifest's parameters: the subcommand and
@@ -263,10 +263,10 @@ def cmd_oracle(args) -> int:
     for j in idx:
         x = float(grid.x_nodes[j])
         spectral = float(report.approx[j])
-        quad_val = float(np.real(quad_operator(
+        quad_val = float(quad_operator(
             kind, args.alpha, args.gamma, value, x, du=func.derivative,
             tol=args.quad_tol, u_sup=func.sup,
-        )))
+        ))
         closed = float(report.exact[j])
         rows.append((x, spectral, quad_val, closed))
     out = Path(args.out)
@@ -350,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--L", type=float, required=True)
     p.add_argument("--llim", type=int, default=DEFAULT_L_LIM)
-    p.add_argument("--dt", type=float, default=0.05)
+    p.add_argument("--dt", type=float, default=ev.EvolutionConfig.dt)
     p.add_argument("--t-end", type=float, required=True, dest="t_end")
-    p.add_argument("--stride", type=int, default=10)
+    p.add_argument("--stride", type=int, default=ev.EvolutionConfig.snapshot_stride)
     p.add_argument("--fit-window", type=_parse_float_list, required=True,
                    dest="fit_window", help="t0,t1 for the slope fit")
     p.add_argument("--budget", type=float, default=None,
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="spectral vs quadrature vs closed form")
     _add_common(p)
     p.add_argument("--num-points", type=int, default=5, dest="num_points")
-    p.add_argument("--quad-tol", type=float, default=1e-9, dest="quad_tol")
+    p.add_argument("--quad-tol", type=float, default=DEFAULT_TOL, dest="quad_tol")
     p.add_argument("--out", required=True)
     p.set_defaults(run=cmd_oracle)
     return parser

@@ -2,8 +2,9 @@
 
 Covers the six supported operators applied to the rational basis functions
 in their x-domain hypergeometric forms (the s-domain gamma-ratio series is
-summed only in `opmatrix`) and the exact reference solutions for arctan,
-erf and ln(1+x^2).
+summed only in `opmatrix`), the exact reference solutions for arctan,
+erf and ln(1+x^2) and the arctan split that makes a function's mapped
+image periodic.
 """
 
 from __future__ import annotations
@@ -150,16 +151,35 @@ def _erf_amplitude(alpha, x):
 
 
 @dataclass(frozen=True)
+class AuxDecomposition:
+    """Split u = w + offset + scale * arctan, with scale and offset chosen so
+    that w has equal limits at both infinities."""
+
+    scale: float
+    offset: float = 0.0
+
+    def aux_values(self, x):
+        return self.offset + self.scale * ARCTAN.value(x)
+
+    def aux_operator(self, kind: OperatorKind, alpha: float, gamma: float, x):
+        # The additive offset is annihilated by every supported operator.
+        return self.scale * reference_operator(ARCTAN, kind, alpha, gamma, x)
+
+
+@dataclass(frozen=True)
 class ClosedFormFunction:
     """A reference function: its value, its derivative (scalar, for the
-    quadrature oracle), a bound on |u| and the complex amplitude whose phase
-    rotations give every supported operator exactly."""
+    quadrature oracle), a bound on |u|, the complex amplitude whose phase
+    rotations give every supported operator exactly, and the auxiliary split
+    that makes its mapped image periodic (None when its limits at both
+    infinities already agree)."""
 
     name: str
     value: Callable
     derivative: Callable
     sup: float
     amplitude: Callable
+    aux: AuxDecomposition | None
 
 
 ARCTAN = ClosedFormFunction(
@@ -168,14 +188,17 @@ ARCTAN = ClosedFormFunction(
     derivative=lambda x: 1.0 / (1.0 + x * x),
     sup=math.pi / 2.0,
     amplitude=_arctan_amplitude,
+    aux=AuxDecomposition(scale=1.0),
 )
 
+# erf shares arctan's +-limits up to the factor 2/pi.
 ERF = ClosedFormFunction(
     name="erf",
     value=_erf_values,
     derivative=lambda x: 2.0 / math.sqrt(math.pi) * math.exp(-x * x),
     sup=1.0,
     amplitude=_erf_amplitude,
+    aux=AuxDecomposition(scale=2.0 / math.pi),
 )
 
 LOG1PSQ = ClosedFormFunction(
@@ -184,23 +207,20 @@ LOG1PSQ = ClosedFormFunction(
     derivative=lambda x: 2.0 * x / (1.0 + x * x),
     sup=30.0,
     amplitude=_log1psq_amplitude,
+    aux=None,
 )
 
 CLOSED_FORMS = {f.name: f for f in (ARCTAN, ERF, LOG1PSQ)}
 
 
 def reference_operator(
-    func: ClosedFormFunction | str,
+    func: ClosedFormFunction,
     kind: OperatorKind,
     alpha: float,
     gamma: float,
     x,
 ):
-    """Exact operator value of a registered reference function."""
-    if isinstance(func, str):
-        try:
-            func = CLOSED_FORMS[func]
-        except KeyError:
-            raise ValueError(f"no closed form registered under {func!r}") from None
+    """Exact operator value of a reference function, given as its
+    `ClosedFormFunction` entry (look a name up in `CLOSED_FORMS`)."""
     validate_kind(kind, alpha, gamma)
     return np.real(phase_factor(kind, alpha, gamma) * func.amplitude(alpha, x))

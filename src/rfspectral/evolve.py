@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SpectralGrid, analyze, check_grid, make_grid, synthesize
-from .closedform import OperatorKind
+from .closedform import AuxDecomposition, OperatorKind
 from .errors import BudgetError, DivergenceError, TrackingError
-from .operators import AuxDecomposition
 from .opmatrix import (
     DEFAULT_L_LIM,
     OperatorMatrix,

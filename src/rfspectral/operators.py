@@ -7,31 +7,20 @@ of s; the operator of the auxiliary is added back exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import SpectralGrid, analyze, make_grid
-from .closedform import ARCTAN, CLOSED_FORMS, OperatorKind, reference_operator
+from .closedform import (
+    CLOSED_FORMS,
+    AuxDecomposition,
+    ClosedFormFunction,
+    OperatorKind,
+    reference_operator,
+)
 from .errors import NumericError
 from .opmatrix import OperatorMatrix, apply as matrix_apply, build_base_matrix, scale_to_operator
-
-
-@dataclass(frozen=True)
-class AuxDecomposition:
-    """Split u = w + offset + scale * arctan, with scale and offset chosen so
-    that w has equal limits at both infinities."""
-
-    scale: float
-    offset: float = 0.0
-
-    def aux_values(self, x):
-        return self.offset + self.scale * ARCTAN.value(x)
-
-    def aux_operator(self, kind: OperatorKind, alpha: float, gamma: float, x):
-        # The additive offset is annihilated by every supported operator.
-        return self.scale * reference_operator(ARCTAN, kind, alpha, gamma, x)
 
 
 @dataclass(frozen=True)
@@ -42,25 +31,15 @@ class ApplyReport:
     linf_error: float | None = None
 
 
-# Aux decompositions making U(s) periodic for the shipped reference
-# functions: erf shares arctan's +-limits up to the factor 2/pi; the even
-# log function needs no correction.
-DEFAULT_AUX: dict[str, AuxDecomposition | None] = {
-    "erf": AuxDecomposition(scale=2.0 / math.pi),
-    "arctan": AuxDecomposition(scale=1.0),
-    "log1psq": None,
-}
-
-
 def apply_with_aux(
     u,
     decomp: AuxDecomposition | None,
     matrix: OperatorMatrix,
-    exact: str | None = None,
+    exact: ClosedFormFunction | None = None,
 ) -> ApplyReport:
     """Operator of u, a callable on x, via the auxiliary split, on the nodes
-    of the matrix's N and L.  `exact`, a registered closed form's name,
-    fills the report's exact values and error field.  Raises NumericError if
+    of the matrix's N and L.  `exact`, a `ClosedFormFunction` entry, fills
+    the report's exact values and error field.  Raises NumericError if
     the operator values, or the exact values asked for, are not all
     finite."""
     grid = make_grid(matrix.n, matrix.l_scale)
@@ -77,7 +56,7 @@ def apply_with_aux(
     exact_values = reference_operator(
         exact, matrix.kind, matrix.alpha, matrix.gamma, x
     )
-    _check_finite(exact_values, f"exact {exact}", matrix)
+    _check_finite(exact_values, f"exact {exact.name}", matrix)
     linf = float(np.max(np.abs(approx - exact_values)))
     return ApplyReport(grid=grid, approx=approx, exact=exact_values, linf_error=linf)
 
@@ -111,7 +90,7 @@ def apply_reference(
             f"does not match {(alpha, n, l_lim)}"
         )
     matrix = scale_to_operator(base, kind, gamma, l_scale)
-    return apply_with_aux(func.value, DEFAULT_AUX[func_name], matrix, exact=func_name)
+    return apply_with_aux(func.value, func.aux, matrix, exact=func)
 
 
 def sweep_errors(

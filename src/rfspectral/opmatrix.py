@@ -131,26 +131,26 @@ def check_scale_power(alpha: float, l_scale: float) -> None:
         )
 
 
-def check_integer(what: str, value, error=ValueError) -> None:
-    """Raise `error` unless value is an integer; numpy integers pass."""
+def check_integer(what: str, value) -> None:
+    """Raise ValueError unless value is an integer; numpy integers pass."""
     try:
         operator.index(value)
     except TypeError:
-        raise error(f"{what} must be an integer, got {value!r}") from None
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
-def check_base(alpha, n, l_lim, error=ValueError) -> None:
-    """Raise `error` unless (alpha, n, l_lim) are labels a build accepts,
+def check_base(alpha, n, l_lim) -> None:
+    """Raise ValueError unless (alpha, n, l_lim) are labels a build accepts,
     which a base file's header and an evolution's configuration must also
-    carry.  The alpha = 1 closed form ignores l_lim, but the matrix and its
-    file record it."""
-    check_order(alpha, error)
-    check_integer("matrix size", n, error)
-    check_integer("l_lim", l_lim, error)
+    carry (`deserialize` re-raises it as FormatError).  The alpha = 1 closed
+    form ignores l_lim, but the matrix and its file record it."""
+    check_order(alpha)
+    check_integer("matrix size", n)
+    check_integer("l_lim", l_lim)
     if n < 2:
-        raise error(f"matrix size must be >= 2, got {n}")
+        raise ValueError(f"matrix size must be >= 2, got {n}")
     if l_lim < 1:
-        raise error(f"need l_lim >= 1, got {l_lim}")
+        raise ValueError(f"need l_lim >= 1, got {l_lim}")
 
 
 def build_base_matrix(
@@ -481,7 +481,10 @@ def deserialize(source) -> OperatorMatrix:
             f"only base matrices (kind fl, L = 1) can be read, header says "
             f"kind {kind.value}, L = {l_scale!r}"
         )
-    check_base(alpha, n, l_lim, FormatError)
+    try:
+        check_base(alpha, n, l_lim)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
     if gamma != 0.0:
         raise FormatError(f"a base matrix has skewness 0, header says {gamma!r}")
     size = 16 * n * n

@@ -27,6 +27,9 @@ from .specfun import c_alpha, rf_coeffs
 _SPLIT = 1.0
 _MAX_SUBDIVISIONS = 200
 
+# Absolute and relative tolerance of `quad_operator` and `oracle --quad-tol`.
+DEFAULT_TOL = 1e-9
+
 
 def check_tolerance(tol: float) -> None:
     """Raise ValueError unless the quadrature tolerance is finite and > 0."""
@@ -194,7 +197,7 @@ def quad_operator(
     du=None,
     representation: str = "default",
     *,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     u_sup: float = 1.0,
 ):
     """Operator value at x by adaptive quadrature of a defining integral.

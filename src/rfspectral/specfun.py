@@ -32,10 +32,10 @@ class RatioKind(Enum):
     V2 = "v2"
 
 
-def check_order(alpha: float, error=ValueError) -> None:
-    """Raise `error` unless the order alpha lies in (0, 2)."""
+def check_order(alpha: float) -> None:
+    """Raise ValueError unless the order alpha lies in (0, 2)."""
     if not 0.0 < alpha < 2.0:
-        raise error(f"order must lie in (0, 2), got {alpha}")
+        raise ValueError(f"order must lie in (0, 2), got {alpha}")
 
 
 def c_alpha(alpha: float) -> float:

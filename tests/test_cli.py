@@ -170,122 +170,168 @@ class TestUsageErrors:
     EVOLVE = ["evolve", "--alpha", "1.37", "--N", "16", "--L", "10",
               "--llim", "5", "--fit-window", "0,1"]
 
-    @pytest.mark.parametrize("argv", [
-        SWEEP + ["--L-range", "1:2"],
-        SWEEP + ["--L-range", "1:2:0"],
-        SWEEP + ["--L-range", "1:2:-0.5"],
-        SWEEP + ["--L-range", "2:1:0.5"],
-        SWEEP + ["--L-range", "0:1:0.5"],
-        ["matrix", "--op", "dr", "--alpha", "1.37", "--N", "256"],
-        ["apply", "--op", "dr", "--alpha", "1.37", "--func", "erf",
-         "--N", "16", "--L", "1"],
-        ["oracle", "--op", "dxr", "--alpha", "0.6", "--func", "erf",
-         "--N", "16", "--L", "1"],
-        ["sweep", "--op", "rf", "--alpha", "0.6", "--gamma", "0.9",
-         "--func", "erf", "--N-list", "16", "--L-range", "1:2:0.5"],
-        ["apply", "--op", "fl", "--alpha", "0.62", "--func", "erf",
-         "--N", "16", "--L", "-1"],
-        ["matrix", "--alpha", "0.62", "--N", "16", "--L", "0"],
-        ORACLE + ["--quad-tol", "0"],
-        ORACLE + ["--quad-tol", "inf"],
-        ORACLE + ["--num-points", "0"],
-        ["evolve", "--alpha", "1.37", "--gamma", "0", "--N", "16",
-         "--L", "10", "--t-end", "0.2", "--fit-window", "0,0.2"],
-        ["evolve", "--alpha", "1.37", "--gamma", ",", "--N", "16",
-         "--L", "10", "--t-end", "1", "--fit-window", "0,1"],
-        SWEEP_GRID + ["--N-list", ",", "--L-range", "1:2:0.5"],
-        SWEEP_GRID + ["--N-list", "16,1", "--L-range", "1:2:0.5"],
-        ["matrix", "--alpha", "0.62", "--N", "16", "--jobs", "-3"],
-        SWEEP + ["--L-range", "1:2:0.5", "--jobs", "0"],
-        ["evolve", "--alpha", "1.37", "--gamma", "0", "--N", "16",
-         "--L", "10", "--t-end", "1", "--fit-window", "0,1",
-         "--jobs", "0"],
-        ["apply", "--op", "rf", "--alpha", "1.37", "--gamma", "nan",
-         "--func", "erf", "--N", "16", "--L", "1"],
-        APPLY + ["--gamma", "0.4"],
-        MATRIX + ["--gamma", "0.4"],
-        SWEEP + ["--L-range", "1:2:0.5", "--gamma", "-0.4"],
-        ORACLE + ["--gamma", "0.4"],
-        EVOLVE + ["--gamma", "nan", "--t-end", "1"],
-        EVOLVE + ["--gamma", "0", "--t-end", "inf"],
-        EVOLVE + ["--gamma", "0", "--t-end", "-1"],
-        EVOLVE + ["--gamma", "0", "--t-end", "1", "--dt", "nan"],
-        EVOLVE + ["--gamma", "0", "--t-end", "1", "--dt", "inf"],
-        EVOLVE + ["--gamma", "0", "--t-end", "1", "--budget", "-1"],
-        EVOLVE + ["--gamma", "0", "--t-end", "1", "--budget", "0"],
-        EVOLVE + ["--gamma", "0", "--t-end", "1", "--budget", "nan"],
-        EVOLVE + ["--gamma", "0", "--t-end", "1", "--budget", "inf"],
-        EVOLVE + ["--gamma", "0.30001,0.30002", "--t-end", "1"],
-        ["matrix", "--alpha", "1", "--N", "8", "--llim", "-5"],
-        ["apply", "--op", "fl", "--alpha", "1", "--func", "erf",
-         "--N", "16", "--L", "1", "--llim", "-5"],
-        ["evolve", "--alpha", "1", "--gamma", "0", "--N", "16",
-         "--L", "10", "--llim", "-3", "--t-end", "1",
-         "--fit-window", "0,1"],
-        APPLY + ["--matrix-in", "missing.rfm"],
-        APPLY + ["--out", "missing/out"],
-        MATRIX + ["--out", "missing/m.rfm"],
-        SWEEP + ["--L-range", "1:2:0.5", "--out", "missing/s.csv"],
-        ORACLE + ["--out", "missing/o.csv"],
-        EVOLVE + ["--gamma", "0", "--t-end", "1",
-                  "--out-dir", f"{__file__}/run"],
-        APPLY + ["--L", "inf"],
-        MATRIX + ["--L", "inf"],
-        ORACLE + ["--L", "inf"],
-        EVOLVE + ["--gamma", "0", "--t-end", "1", "--L", "inf"],
-        EVOLVE + ["--gamma", "0", "--t-end", "1e12", "--dt", "1e-6"],
-        EVOLVE + ["--gamma", "0", "--t-end", "1", "--dt", "0.3", "--stride", "1"],
-        APPLY + ["--L", "1e308"],
-        MATRIX + ["--L", "1e308"],
-        ORACLE + ["--L", "1e308"],
-        EVOLVE + ["--gamma", "0", "--t-end", "1", "--L", "1e308"],
-        SWEEP_GRID + ["--N-list", "16,64", "--L-range", "1e306:1e307:1e306"],
-        ["apply", "--op", "fl", "--alpha", "1.5", "--func", "erf",
-         "--N", "16", "--L", "1e300"],
-        ["matrix", "--op", "fl", "--alpha", "1.5", "--N", "16", "--L", "1e300"],
-        ["sweep", "--op", "fl", "--alpha", "1.6", "--func", "erf",
-         "--N-list", "16", "--L-range", "1e200:1e200:1"],
-        ["evolve", "--alpha", "1.5", "--gamma", "0", "--N", "16", "--L", "1e300",
-         "--t-end", "1", "--fit-window", "0,1"],
-        ["apply", "--op", "fl", "--alpha", "1.5", "--func", "erf",
-         "--N", "16", "--L", "1e-300"],
-        ["oracle", "--op", "fl", "--alpha", "1.5", "--func", "erf",
-         "--N", "16", "--L", "1e-300"],
-        ["matrix", "--op", "fl", "--alpha", "1.5", "--N", "16", "--L", "1e-300"],
-        ["sweep", "--op", "fl", "--alpha", "1.6", "--func", "erf",
-         "--N-list", "16", "--L-range", "1e-300:1:0.5"],
-        ["evolve", "--alpha", "1.5", "--gamma", "0", "--N", "16",
-         "--L", "1e-300", "--t-end", "1", "--fit-window", "0,1"],
-        SWEEP + ["--L-range", "inf:5:1"],
-        SWEEP + ["--L-range", "1:1e308:1e-308"],
-        SWEEP + ["--L-range", "1:5:inf"],
-    ], ids=["range-parts", "step-zero", "step-negative",
-            "range-empty", "scale-zero", "matrix-kind-alpha", "apply-kind-alpha",
-            "oracle-kind-alpha", "sweep-skewness", "apply-scale-negative",
-            "matrix-scale-zero", "quad-tol-zero", "quad-tol-inf",
-            "num-points-zero", "fit-window-samples", "no-gamma",
-            "n-list-empty", "n-list-below-two", "matrix-jobs-negative",
-            "sweep-jobs-zero", "evolve-jobs-zero", "apply-skewness-nan",
-            "apply-fl-skewness", "matrix-fl-skewness", "sweep-fl-skewness", "oracle-fl-skewness",
-            "evolve-skewness-nan", "t-end-inf", "t-end-negative", "dt-nan",
-            "dt-inf", "budget-negative", "budget-zero", "budget-nan",
-            "budget-inf", "gammas-share-a-directory", "matrix-alpha-1-llim",
-            "apply-alpha-1-llim", "evolve-alpha-1-llim", "matrix-in-missing",
-            "apply-out-no-directory", "matrix-out-no-directory",
-            "sweep-out-no-directory", "oracle-out-no-directory",
-            "evolve-out-dir-below-a-file", "apply-scale-inf",
-            "matrix-scale-inf", "oracle-scale-inf", "evolve-scale-inf",
-            "evolve-samples-out-of-memory", "t-end-off-the-step-grid",
-            "apply-scale-overflow",
-            "matrix-scale-overflow", "oracle-scale-overflow",
-            "evolve-scale-overflow", "sweep-scale-overflow",
-            "apply-power-overflow", "matrix-power-overflow",
-            "sweep-largest-power-overflow", "evolve-power-overflow",
-            "apply-power-underflow", "oracle-power-underflow",
-            "matrix-power-underflow", "sweep-smallest-power-underflow",
-            "evolve-power-underflow", "range-start-inf", "range-count-inf",
-            "range-step-inf"])
-    def test_exit_2_before_any_build(self, tmp_path, capsys, monkeypatch, argv):
+    @pytest.mark.parametrize("argv, fragment", [
+        pytest.param(SWEEP + ["--L-range", "1:2"],
+                     "expects start:stop:step", id="range-parts"),
+        pytest.param(SWEEP + ["--L-range", "1:2:0"],
+                     "--L-range needs a finite", id="step-zero"),
+        pytest.param(SWEEP + ["--L-range", "1:2:-0.5"],
+                     "--L-range needs a finite", id="step-negative"),
+        pytest.param(SWEEP + ["--L-range", "2:1:0.5"],
+                     "is empty: start exceeds stop", id="range-empty"),
+        pytest.param(SWEEP + ["--L-range", "0:1:0.5"],
+                     "--L-range needs a finite", id="scale-zero"),
+        pytest.param(["matrix", "--op", "dr", "--alpha", "1.37", "--N", "256"],
+                     "requires alpha in (0,1)", id="matrix-kind-alpha"),
+        pytest.param(["apply", "--op", "dr", "--alpha", "1.37", "--func", "erf",
+                      "--N", "16", "--L", "1"],
+                     "requires alpha in (0,1)", id="apply-kind-alpha"),
+        pytest.param(["oracle", "--op", "dxr", "--alpha", "0.6", "--func", "erf",
+                      "--N", "16", "--L", "1"],
+                     "requires alpha in (1,2)", id="oracle-kind-alpha"),
+        pytest.param(["sweep", "--op", "rf", "--alpha", "0.6", "--gamma", "0.9",
+                      "--func", "erf", "--N-list", "16", "--L-range", "1:2:0.5"],
+                     "exceeds min(alpha, 2-alpha)", id="sweep-skewness"),
+        pytest.param(["apply", "--op", "fl", "--alpha", "0.62", "--func", "erf",
+                      "--N", "16", "--L", "-1"],
+                     "map scale must be finite", id="apply-scale-negative"),
+        pytest.param(["matrix", "--alpha", "0.62", "--N", "16", "--L", "0"],
+                     "map scale must be finite", id="matrix-scale-zero"),
+        pytest.param(ORACLE + ["--quad-tol", "0"],
+                     "quadrature tolerance", id="quad-tol-zero"),
+        pytest.param(ORACLE + ["--quad-tol", "inf"],
+                     "quadrature tolerance", id="quad-tol-inf"),
+        pytest.param(ORACLE + ["--num-points", "0"],
+                     "--num-points", id="num-points-zero"),
+        pytest.param(["evolve", "--alpha", "1.37", "--gamma", "0", "--N", "16",
+                      "--L", "10", "--t-end", "0.2", "--fit-window", "0,0.2"],
+                     "front samples inside the window", id="fit-window-samples"),
+        pytest.param(["evolve", "--alpha", "1.37", "--gamma", ",", "--N", "16",
+                      "--L", "10", "--t-end", "1", "--fit-window", "0,1"],
+                     "--gamma needs at least one value", id="no-gamma"),
+        pytest.param(SWEEP_GRID + ["--N-list", ",", "--L-range", "1:2:0.5"],
+                     "--N-list", id="n-list-empty"),
+        pytest.param(SWEEP_GRID + ["--N-list", "16,1", "--L-range", "1:2:0.5"],
+                     "--N-list", id="n-list-below-two"),
+        pytest.param(["matrix", "--alpha", "0.62", "--N", "16", "--jobs", "-3"],
+                     "--jobs", id="matrix-jobs-negative"),
+        pytest.param(SWEEP + ["--L-range", "1:2:0.5", "--jobs", "0"],
+                     "--jobs", id="sweep-jobs-zero"),
+        pytest.param(["evolve", "--alpha", "1.37", "--gamma", "0", "--N", "16",
+                      "--L", "10", "--t-end", "1", "--fit-window", "0,1",
+                      "--jobs", "0"], "--jobs", id="evolve-jobs-zero"),
+        pytest.param(["apply", "--op", "rf", "--alpha", "1.37", "--gamma", "nan",
+                      "--func", "erf", "--N", "16", "--L", "1"],
+                     "skewness |nan|", id="apply-skewness-nan"),
+        pytest.param(APPLY + ["--gamma", "0.4"],
+                     "takes no skewness", id="apply-fl-skewness"),
+        pytest.param(MATRIX + ["--gamma", "0.4"],
+                     "takes no skewness", id="matrix-fl-skewness"),
+        pytest.param(SWEEP + ["--L-range", "1:2:0.5", "--gamma", "-0.4"],
+                     "takes no skewness", id="sweep-fl-skewness"),
+        pytest.param(ORACLE + ["--gamma", "0.4"],
+                     "takes no skewness", id="oracle-fl-skewness"),
+        pytest.param(EVOLVE + ["--gamma", "nan", "--t-end", "1"],
+                     "skewness |nan|", id="evolve-skewness-nan"),
+        pytest.param(EVOLVE + ["--gamma", "0", "--t-end", "inf"],
+                     "t_end", id="t-end-inf"),
+        pytest.param(EVOLVE + ["--gamma", "0", "--t-end", "-1"],
+                     "t_end", id="t-end-negative"),
+        pytest.param(EVOLVE + ["--gamma", "0", "--t-end", "1", "--dt", "nan"],
+                     "dt > 0", id="dt-nan"),
+        pytest.param(EVOLVE + ["--gamma", "0", "--t-end", "1", "--dt", "inf"],
+                     "dt > 0", id="dt-inf"),
+        pytest.param(EVOLVE + ["--gamma", "0", "--t-end", "1", "--budget", "-1"],
+                     "wall budget", id="budget-negative"),
+        pytest.param(EVOLVE + ["--gamma", "0", "--t-end", "1", "--budget", "0"],
+                     "wall budget", id="budget-zero"),
+        pytest.param(EVOLVE + ["--gamma", "0", "--t-end", "1", "--budget", "nan"],
+                     "wall budget", id="budget-nan"),
+        pytest.param(EVOLVE + ["--gamma", "0", "--t-end", "1", "--budget", "inf"],
+                     "wall budget", id="budget-inf"),
+        pytest.param(EVOLVE + ["--gamma", "0.30001,0.30002", "--t-end", "1"],
+                     "one output directory", id="gammas-share-a-directory"),
+        pytest.param(["matrix", "--alpha", "1", "--N", "8", "--llim", "-5"],
+                     "--llim", id="matrix-alpha-1-llim"),
+        pytest.param(["apply", "--op", "fl", "--alpha", "1", "--func", "erf",
+                      "--N", "16", "--L", "1", "--llim", "-5"],
+                     "--llim", id="apply-alpha-1-llim"),
+        pytest.param(["evolve", "--alpha", "1", "--gamma", "0", "--N", "16",
+                      "--L", "10", "--llim", "-3", "--t-end", "1",
+                      "--fit-window", "0,1"], "--llim", id="evolve-alpha-1-llim"),
+        pytest.param(APPLY + ["--matrix-in", "missing.rfm"],
+                     "missing.rfm", id="matrix-in-missing"),
+        pytest.param(APPLY + ["--out", "missing/out"],
+                     "not inside an existing directory", id="apply-out-no-directory"),
+        pytest.param(MATRIX + ["--out", "missing/m.rfm"],
+                     "not inside an existing directory", id="matrix-out-no-directory"),
+        pytest.param(SWEEP + ["--L-range", "1:2:0.5", "--out", "missing/s.csv"],
+                     "not inside an existing directory", id="sweep-out-no-directory"),
+        pytest.param(ORACLE + ["--out", "missing/o.csv"],
+                     "not inside an existing directory", id="oracle-out-no-directory"),
+        pytest.param(EVOLVE + ["--gamma", "0", "--t-end", "1",
+                               "--out-dir", f"{__file__}/run"],
+                     "Not a directory", id="evolve-out-dir-below-a-file"),
+        pytest.param(APPLY + ["--L", "inf"],
+                     "map scale must be finite", id="apply-scale-inf"),
+        pytest.param(MATRIX + ["--L", "inf"],
+                     "map scale must be finite", id="matrix-scale-inf"),
+        pytest.param(ORACLE + ["--L", "inf"],
+                     "map scale must be finite", id="oracle-scale-inf"),
+        pytest.param(EVOLVE + ["--gamma", "0", "--t-end", "1", "--L", "inf"],
+                     "map scale must be finite", id="evolve-scale-inf"),
+        pytest.param(EVOLVE + ["--gamma", "0", "--t-end", "1e12", "--dt", "1e-6"],
+                     "not enough memory", id="evolve-samples-out-of-memory"),
+        pytest.param(EVOLVE + ["--gamma", "0", "--t-end", "1", "--dt", "0.3",
+                              "--stride", "1"],
+                     "whole number of dt", id="t-end-off-the-step-grid"),
+        pytest.param(APPLY + ["--L", "1e308"],
+                     "outer nodes", id="apply-scale-overflow"),
+        pytest.param(MATRIX + ["--L", "1e308"],
+                     "outer nodes", id="matrix-scale-overflow"),
+        pytest.param(ORACLE + ["--L", "1e308"],
+                     "outer nodes", id="oracle-scale-overflow"),
+        pytest.param(EVOLVE + ["--gamma", "0", "--t-end", "1", "--L", "1e308"],
+                     "outer nodes", id="evolve-scale-overflow"),
+        pytest.param(SWEEP_GRID + ["--N-list", "16,64",
+                                   "--L-range", "1e306:1e307:1e306"],
+                     "outer nodes", id="sweep-scale-overflow"),
+        pytest.param(["apply", "--op", "fl", "--alpha", "1.5", "--func", "erf",
+                      "--N", "16", "--L", "1e300"],
+                     "L^alpha", id="apply-power-overflow"),
+        pytest.param(["matrix", "--op", "fl", "--alpha", "1.5", "--N", "16",
+                      "--L", "1e300"],
+                     "L^alpha", id="matrix-power-overflow"),
+        pytest.param(["sweep", "--op", "fl", "--alpha", "1.6", "--func", "erf",
+                      "--N-list", "16", "--L-range", "1e200:1e200:1"],
+                     "L^alpha", id="sweep-largest-power-overflow"),
+        pytest.param(["evolve", "--alpha", "1.5", "--gamma", "0", "--N", "16",
+                      "--L", "1e300", "--t-end", "1", "--fit-window", "0,1"],
+                     "L^alpha", id="evolve-power-overflow"),
+        pytest.param(["apply", "--op", "fl", "--alpha", "1.5", "--func", "erf",
+                      "--N", "16", "--L", "1e-300"],
+                     "L^alpha", id="apply-power-underflow"),
+        pytest.param(["oracle", "--op", "fl", "--alpha", "1.5", "--func", "erf",
+                      "--N", "16", "--L", "1e-300"],
+                     "L^alpha", id="oracle-power-underflow"),
+        pytest.param(["matrix", "--op", "fl", "--alpha", "1.5", "--N", "16",
+                      "--L", "1e-300"],
+                     "L^alpha", id="matrix-power-underflow"),
+        pytest.param(["sweep", "--op", "fl", "--alpha", "1.6", "--func", "erf",
+                      "--N-list", "16", "--L-range", "1e-300:1:0.5"],
+                     "L^alpha", id="sweep-smallest-power-underflow"),
+        pytest.param(["evolve", "--alpha", "1.5", "--gamma", "0", "--N", "16",
+                      "--L", "1e-300", "--t-end", "1", "--fit-window", "0,1"],
+                     "L^alpha", id="evolve-power-underflow"),
+        pytest.param(SWEEP + ["--L-range", "inf:5:1"],
+                     "--L-range needs a finite", id="range-start-inf"),
+        pytest.param(SWEEP + ["--L-range", "1:1e308:1e-308"],
+                     "no finite number of values", id="range-count-inf"),
+        pytest.param(SWEEP + ["--L-range", "1:5:inf"],
+                     "--L-range needs a finite", id="range-step-inf"),
+    ])
+    def test_exit_2_before_any_build(self, tmp_path, capsys, monkeypatch, argv,
+                                     fragment):
         def no_build(*args, **kwargs):
             raise AssertionError("matrix built before the inputs were checked")
 
@@ -297,7 +343,10 @@ class TestUsageErrors:
         if out_flag not in argv:
             argv = argv + [out_flag, tmp_path / "out"]
         assert run(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        # The fragment names the flag or rule, so a row cannot pass on
+        # another check's refusal.
+        assert err.startswith("error: ") and fragment in err
         assert list(tmp_path.iterdir()) == []
 
 

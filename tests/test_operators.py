@@ -9,15 +9,16 @@ from scipy.special import erf
 
 from rfspectral import operators
 from rfspectral.basis import lambda_k, make_grid
-from rfspectral.closedform import OperatorKind, frac_lap_lambda, reference_operator
-from rfspectral.errors import NumericError
-from rfspectral.operators import (
-    DEFAULT_AUX,
+from rfspectral.closedform import (
+    ARCTAN,
+    CLOSED_FORMS,
     AuxDecomposition,
-    apply_reference,
-    apply_with_aux,
-    sweep_errors,
+    OperatorKind,
+    frac_lap_lambda,
+    reference_operator,
 )
+from rfspectral.errors import NumericError
+from rfspectral.operators import apply_reference, apply_with_aux, sweep_errors
 from rfspectral.opmatrix import build_base_matrix, scale_to_operator
 
 
@@ -63,7 +64,7 @@ class TestApplyPeriodic:
                                    OperatorKind.FRAC_LAPLACIAN, 0.0, 1.0)
         with pytest.raises(TypeError):
             apply_with_aux(np.arctan(make_grid(16, 5.0).x_nodes),
-                           DEFAULT_AUX["arctan"], matrix, exact="arctan")
+                           ARCTAN.aux, matrix, exact=ARCTAN)
 
 
 class TestApplyWithAux:
@@ -93,7 +94,7 @@ class TestApplyWithAux:
 
     def test_arctan_self_aux_is_exact(self, base_62):
         matrix = scale_to_operator(base_62, OperatorKind.WEYL_RIGHT, 0.0, 1.3)
-        report = apply_with_aux(np.arctan, DEFAULT_AUX["arctan"], matrix, exact="arctan")
+        report = apply_with_aux(np.arctan, ARCTAN.aux, matrix, exact=ARCTAN)
         # w vanishes identically, so the numeric part contributes nothing.
         assert report.linf_error < 1e-14
 
@@ -157,7 +158,7 @@ class TestNonFiniteValues:
                             lambda *args: np.full(64, np.nan))
         matrix = scale_to_operator(base_62, OperatorKind.FRAC_LAPLACIAN, 0.0, 1.0)
         with pytest.raises(NumericError, match="non-finite exact log1psq values"):
-            apply_with_aux(np.ones_like, None, matrix, exact="log1psq")
+            apply_with_aux(np.ones_like, None, matrix, exact=CLOSED_FORMS["log1psq"])
 
     def test_sweep_raises_numeric_error(self):
         with pytest.raises(NumericError):
@@ -167,17 +168,28 @@ class TestNonFiniteValues:
 
 class TestAuxDecomposition:
     def test_limits_balance(self):
-        decomp = DEFAULT_AUX["erf"]
+        decomp = CLOSED_FORMS["erf"].aux
         for x in (1e8, -1e8):
             w = erf(x) - decomp.aux_values(x)
             assert abs(w) < 1e-6
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_each_entry_split_equalizes_the_limits(self, name):
+        # The remainder w = u - aux must take one value at both infinities;
+        # an entry without a split must already do so.
+        func = CLOSED_FORMS[name]
+        x = np.array([-1e8, 1e8])
+        w = func.value(x)
+        if func.aux is not None:
+            w = w - func.aux.aux_values(x)
+        assert abs(w[1] - w[0]) <= 1e-7 * max(1.0, abs(w[0]))
 
     def test_custom_aux_operator_scaling(self):
         decomp = AuxDecomposition(scale=-2.0, offset=5.0)
         x = np.array([0.3, -1.2])
         got = decomp.aux_operator(OperatorKind.FRAC_LAPLACIAN, 0.62, 0.0, x)
         expected = -2.0 * reference_operator(
-            "arctan", OperatorKind.FRAC_LAPLACIAN, 0.62, 0.0, x
+            ARCTAN, OperatorKind.FRAC_LAPLACIAN, 0.62, 0.0, x
         )
         assert np.allclose(got, expected, rtol=1e-15)
 

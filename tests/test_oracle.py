@@ -113,7 +113,7 @@ class TestClosedFormAgreement:
         # a wrong phase shows: each reference is checked against quadrature.
         ref = CLOSED_FORMS[func]
         got = quad_operator(kind, alpha, skew, ref.value, -0.6, du=ref.derivative)
-        expected = reference_operator(func, kind, alpha, skew, -0.6)
+        expected = reference_operator(ref, kind, alpha, skew, -0.6)
         assert abs(got - expected) < 1e-7
 
     def test_riesz_feller_gamma_zero(self):
@@ -123,7 +123,9 @@ class TestClosedFormAgreement:
 
     def test_riesz_feller_alpha_one(self):
         got = quad_operator(OperatorKind.RIESZ_FELLER, 1.0, 0.5, math.atan, 0.7, du=datan)
-        expected = reference_operator("arctan", OperatorKind.RIESZ_FELLER, 1.0, 0.5, 0.7)
+        expected = reference_operator(
+            CLOSED_FORMS["arctan"], OperatorKind.RIESZ_FELLER, 1.0, 0.5, 0.7
+        )
         assert abs(got - expected) < 1e-7
 
 

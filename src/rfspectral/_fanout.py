@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 
-def fan_out(fn, items, jobs: int = 1) -> list:
+def fan_out(fn, items, jobs: int) -> list:
     """[fn(item) for item in items], spread over `jobs` threads when
     jobs > 1.  Results keep the order of items either way."""
     if jobs <= 1:

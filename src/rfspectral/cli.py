@@ -19,20 +19,18 @@ import numpy as np
 
 from . import evolve as ev
 from ._fanout import fan_out
-from .basis import check_grid
-from .closedform import CLOSED_FORMS, OperatorKind, validate_kind
+from .closedform import CLOSED_FORMS, OperatorKind
 from .errors import NumericError
 from .operators import apply_reference, sweep_errors
 from .opmatrix import (
     DEFAULT_L_LIM,
     build_base_matrix,
-    check_scale_power,
+    check_operator,
     deserialize,
     scale_to_operator,
     serialize,
 )
 from .oracle import DEFAULT_TOL, check_tolerance, quad_operator
-from .specfun import check_order
 
 # Parsed arguments left out of a manifest's parameters: the subcommand and
 # its handler, where the outputs go and how many threads made them.  Every
@@ -151,14 +149,9 @@ def cmd_matrix(args) -> int:
 def cmd_sweep(args) -> int:
     t0 = time.monotonic()
     n_list = args.N_list
-    if not n_list or min(n_list) < 2:
-        raise ValueError(f"--N-list needs node counts >= 2, got {n_list}")
+    if not n_list:
+        raise ValueError("--N-list needs at least one value")
     l_list = _parse_range(args.L_range)
-    # The outer nodes grow with N and L, so the largest of each bound them;
-    # L^alpha is bounded by the smallest and the largest L.
-    check_grid(max(n_list), max(l_list))
-    check_scale_power(args.alpha, min(l_list))
-    check_scale_power(args.alpha, max(l_list))
     errors = sweep_errors(
         args.func, OperatorKind(args.op), args.alpha, args.gamma, n_list, l_list,
         args.llim, jobs=args.jobs,
@@ -294,18 +287,12 @@ def _add_common(p, op_default=None, with_func=True, with_grid=True):
 
 
 def _check_common(args) -> None:
-    """The order, operator kind against order and skewness, a finite
-    positive map scale with finite nodes and a finite positive L^alpha, at
-    least one aliasing shell, an existing directory for --out and at least
-    one job: checked before any subcommand builds a matrix."""
-    check_order(args.alpha)
-    if hasattr(args, "op"):
-        validate_kind(OperatorKind(args.op), args.alpha, args.gamma)
-    if hasattr(args, "L"):
-        check_grid(args.N, args.L)
-        check_scale_power(args.alpha, args.L)
-    if args.llim < 1:
-        raise ValueError(f"--llim must be >= 1, got {args.llim}")
+    """The operator of `apply`, `matrix` and `oracle` (the library checks
+    those of `sweep` and `evolve`), an existing directory for --out and at
+    least one job: checked before any file is read or matrix built."""
+    if args.command in ("apply", "matrix", "oracle"):
+        check_operator(OperatorKind(args.op), args.alpha, args.gamma, args.N,
+                       args.L, args.llim)
     if hasattr(args, "out") and not Path(args.out).parent.is_dir():
         raise ValueError(f"--out {args.out} is not inside an existing directory")
     if hasattr(args, "jobs") and args.jobs < 1:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SpectralGrid, analyze, check_grid, make_grid, synthesize
+from .basis import SpectralGrid, analyze, make_grid, synthesize
 from .closedform import AuxDecomposition, OperatorKind
 from .errors import BudgetError, DivergenceError, TrackingError
 from .opmatrix import (
@@ -24,12 +24,11 @@ from .opmatrix import (
     OperatorMatrix,
     apply as matrix_apply,
     build_base_matrix,
-    check_base,
     check_integer,
-    check_scale_power,
+    check_operator,
     scale_to_operator,
 )
-from .specfun import check_order, check_skewness
+from .specfun import check_order
 
 # 1/2 - arctan(x)/pi
 FISHER_AUX = AuxDecomposition(scale=-1.0 / math.pi, offset=0.5)
@@ -50,10 +49,9 @@ class EvolutionConfig:
     snapshot_stride: int = 10
 
     def __post_init__(self):
-        check_skewness(self.alpha, self.gamma)
-        check_base(self.alpha, self.n, self.l_lim)
-        check_grid(self.n, self.l_scale)
-        check_scale_power(self.alpha, self.l_scale)
+        check_operator(OperatorKind.RIESZ_FELLER, self.alpha, self.gamma,
+                       self.n, self.l_scale, self.l_lim)
+        _auxiliary(make_grid(self.n, self.l_scale))
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"need a finite dt > 0, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
@@ -67,6 +65,17 @@ class EvolutionConfig:
         check_integer("snapshot_stride", self.snapshot_stride)
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
+
+
+def _auxiliary(grid: SpectralGrid) -> tuple[np.ndarray, float]:
+    # FISHER_AUX at the nodes and its jump between the extreme nodes (-> 1 as
+    # L or N grows), which normalizes the state's; at a tiny L there is none.
+    v_nodes = FISHER_AUX.aux_values(grid.x_nodes)
+    v_jump = float(v_nodes[-1] - v_nodes[0])
+    if v_jump == 0.0:
+        raise ValueError(f"auxiliary profile has no jump between the extreme "
+                         f"nodes of N = {grid.n}, L = {grid.l_scale}")
+    return v_nodes, v_jump
 
 
 @dataclass(frozen=True)
@@ -113,12 +122,7 @@ class FisherSystem:
             raise ValueError("evolution expects a Riesz-Feller matrix")
         self.matrix = matrix
         self.grid = grid = make_grid(matrix.n, matrix.l_scale)
-        self.v_nodes = FISHER_AUX.aux_values(grid.x_nodes)
-        # Jump of the auxiliary itself between the extreme nodes, used to
-        # normalize the state jump (it tends to 1 as L or N grows).
-        self.v_jump = float(self.v_nodes[-1] - self.v_nodes[0])
-        if self.v_jump == 0.0:
-            raise ValueError("auxiliary profile has no jump between the extreme nodes")
+        self.v_nodes, self.v_jump = _auxiliary(grid)
         self.dv_nodes = np.asarray(
             FISHER_AUX.aux_operator(
                 matrix.kind, matrix.alpha, matrix.gamma, grid.x_nodes

@@ -20,7 +20,8 @@ from .closedform import (
     reference_operator,
 )
 from .errors import NumericError
-from .opmatrix import OperatorMatrix, apply as matrix_apply, build_base_matrix, scale_to_operator
+from .opmatrix import (OperatorMatrix, apply as matrix_apply, build_base_matrix,
+                       check_operator, scale_to_operator)
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,9 @@ def apply_reference(
     base: OperatorMatrix | None = None,
 ) -> ApplyReport:
     """Full pipeline for one of the registered reference functions, returning
-    nodal approximation, exact values and the max-norm error.  A given base
-    must match alpha, n and l_lim."""
+    nodal approximation, exact values and the max-norm error.  The labels
+    are checked before any build; a given base must match alpha, n and l_lim."""
+    check_operator(kind, alpha, gamma, n, l_scale, l_lim)
     func = CLOSED_FORMS[func_name]
     if base is None:
         base = build_base_matrix(alpha, n, l_lim)
@@ -104,10 +106,14 @@ def sweep_errors(
     jobs: int = 1,
 ):
     """Max-norm error for every (N, L) cell; returns an array of shape
-    (len(l_list), len(n_list)) with rows indexed by L.  One base per N, built
-    on `jobs` threads and released before the next build."""
+    (len(l_list), len(n_list)) with rows indexed by L.  Every cell is
+    checked (`check_operator`) before the first build; then one base per N is
+    built on `jobs` threads and released before the next build."""
     n_list = list(n_list)
     l_list = list(l_list)
+    for n in n_list:
+        for l_scale in l_list:
+            check_operator(kind, alpha, gamma, n, l_scale, l_lim)
     errors = np.empty((len(l_list), len(n_list)))
     for col, n in enumerate(n_list):
         base = build_base_matrix(alpha, n, l_lim, jobs=jobs)

@@ -117,20 +117,6 @@ class OperatorMatrix:
         return phase / self.l_scale ** self.alpha
 
 
-def check_scale_power(alpha: float, l_scale: float) -> None:
-    """Raise ValueError unless L^alpha, which divides the base in every
-    scaled matrix, is finite and > 0 in Python floats, as `factor` and
-    `serialize` compute it.  L must already be finite and > 0."""
-    try:
-        power = float(l_scale) ** float(alpha)
-    except OverflowError:
-        power = math.inf
-    if not (math.isfinite(power) and power > 0.0):
-        raise ValueError(
-            f"L^alpha must be finite and > 0, got {l_scale}^{alpha} = {power}"
-        )
-
-
 def check_integer(what: str, value) -> None:
     """Raise ValueError unless value is an integer; numpy integers pass."""
     try:
@@ -151,6 +137,24 @@ def check_base(alpha, n, l_lim) -> None:
         raise ValueError(f"matrix size must be >= 2, got {n}")
     if l_lim < 1:
         raise ValueError(f"need l_lim >= 1, got {l_lim}")
+
+
+def check_operator(kind: OperatorKind, alpha, gamma, n, l_scale, l_lim) -> None:
+    """Raise ValueError unless these label an operator matrix: base labels a
+    build accepts, a kind that fits alpha and gamma, finite outer nodes and
+    an L^alpha finite and > 0 in Python floats, as `factor` and `serialize`
+    compute it.  Every entry point runs it before it builds."""
+    check_base(alpha, n, l_lim)
+    validate_kind(kind, alpha, gamma)
+    check_grid(n, l_scale)
+    try:
+        power = float(l_scale) ** float(alpha)
+    except OverflowError:
+        power = math.inf
+    if not (math.isfinite(power) and power > 0.0):
+        raise ValueError(
+            f"L^alpha must be finite and > 0, got {l_scale}^{alpha} = {power}"
+        )
 
 
 def build_base_matrix(
@@ -294,9 +298,7 @@ def scale_to_operator(
     base entries under the new labels, whose `factor` is the kind's phase
     over L^alpha.  Nothing is copied, and rescaling a scaled matrix just
     relabels it."""
-    validate_kind(kind, base.alpha, gamma)
-    check_grid(base.n, l_scale)
-    check_scale_power(base.alpha, l_scale)
+    check_operator(kind, base.alpha, gamma, base.n, l_scale, base.l_lim)
     return replace(
         base,
         kind=kind,

@@ -212,7 +212,7 @@ class TestUsageErrors:
         pytest.param(SWEEP_GRID + ["--N-list", ",", "--L-range", "1:2:0.5"],
                      "--N-list", id="n-list-empty"),
         pytest.param(SWEEP_GRID + ["--N-list", "16,1", "--L-range", "1:2:0.5"],
-                     "--N-list", id="n-list-below-two"),
+                     "matrix size must be >= 2", id="n-list-below-two"),
         pytest.param(["matrix", "--alpha", "0.62", "--N", "16", "--jobs", "-3"],
                      "--jobs", id="matrix-jobs-negative"),
         pytest.param(SWEEP + ["--L-range", "1:2:0.5", "--jobs", "0"],
@@ -252,13 +252,13 @@ class TestUsageErrors:
         pytest.param(EVOLVE + ["--gamma", "0.30001,0.30002", "--t-end", "1"],
                      "one output directory", id="gammas-share-a-directory"),
         pytest.param(["matrix", "--alpha", "1", "--N", "8", "--llim", "-5"],
-                     "--llim", id="matrix-alpha-1-llim"),
+                     "l_lim >= 1", id="matrix-alpha-1-llim"),
         pytest.param(["apply", "--op", "fl", "--alpha", "1", "--func", "erf",
                       "--N", "16", "--L", "1", "--llim", "-5"],
-                     "--llim", id="apply-alpha-1-llim"),
+                     "l_lim >= 1", id="apply-alpha-1-llim"),
         pytest.param(["evolve", "--alpha", "1", "--gamma", "0", "--N", "16",
                       "--L", "10", "--llim", "-3", "--t-end", "1",
-                      "--fit-window", "0,1"], "--llim", id="evolve-alpha-1-llim"),
+                      "--fit-window", "0,1"], "l_lim >= 1", id="evolve-alpha-1-llim"),
         pytest.param(APPLY + ["--matrix-in", "missing.rfm"],
                      "missing.rfm", id="matrix-in-missing"),
         pytest.param(APPLY + ["--out", "missing/out"],
@@ -323,6 +323,9 @@ class TestUsageErrors:
         pytest.param(["evolve", "--alpha", "1.5", "--gamma", "0", "--N", "16",
                       "--L", "1e-300", "--t-end", "1", "--fit-window", "0,1"],
                      "L^alpha", id="evolve-power-underflow"),
+        pytest.param(["evolve", "--alpha", "1.37", "--gamma", "0", "--N", "16",
+                      "--L", "1e-20", "--t-end", "1", "--fit-window", "0,1"],
+                     "no jump", id="evolve-scale-no-aux-jump"),
         pytest.param(SWEEP + ["--L-range", "inf:5:1"],
                      "--L-range needs a finite", id="range-start-inf"),
         pytest.param(SWEEP + ["--L-range", "1:1e308:1e-308"],

@@ -293,8 +293,8 @@ class TestRk4:
             rk4_evolve(other, system=system)
 
     @pytest.mark.parametrize("n, l_scale", [
-        (1, 1.0), (0, 1.0), (8, 0.0), (8, -1.0), (8, math.nan),
-    ], ids=["n1", "n0", "L0", "L-neg", "L-nan"])
+        (1, 1.0), (0, 1.0), (8, 0.0), (8, -1.0), (8, math.nan), (16, 1e-20),
+    ], ids=["n1", "n0", "L0", "L-neg", "L-nan", "L-no-aux-jump"])
     def test_config_rejected_before_any_build(self, monkeypatch, n, l_scale):
         def no_build(*args, **kwargs):
             raise AssertionError("base matrix built for an invalid config")
@@ -346,6 +346,31 @@ class TestFrontPosition:
         grid = make_grid(32, 1.0)
         with pytest.raises(TrackingError):
             front_position(np.full(32, 0.7), grid)
+
+    # Relative error of the tracker on the paper's grid (N = 16384, L = 2100)
+    # with the front at fractional node p, i.e. at x_h = L cot(pi (2p+1)/(2N)),
+    # for a profile with an x^-alpha tail (alpha = 1.37) and one with a 1/x
+    # tail.  Each bound is twice the error measured when the table was made.
+    @pytest.mark.parametrize("p, alpha_tail_bound, arctan_tail_bound", [
+        (1.5, 3.40e-2, 2.08e-2),
+        (3.7, 4.98e-3, 1.748e-4),
+        (8.6, 8.60e-4, 9.30e-8),
+        (16.4, 1.922e-4, 3.08e-10),
+        (64.3, 6.50e-6, 1.004e-9),
+    ])
+    def test_error_by_node_band(self, p, alpha_tail_bound, arctan_tail_bound):
+        n, l_scale, alpha = 16384, 2100.0, 1.37
+        grid = make_grid(n, l_scale)
+        x = grid.x_nodes
+        x_h = l_scale / math.tan(math.pi * (2.0 * p + 1.0) / (2.0 * n))
+        # (sqrt(x^2 + 1) + x) / 2 grows like x on the right and decays like
+        # 1/(4|x|) on the left; X is its value at x_h.
+        big_x = (x_h + math.sqrt(x_h * x_h + 1.0)) / 2.0
+        alpha_tail = 1.0 / (1.0 + ((np.sqrt(x * x + 1.0) + x) / (2.0 * big_x)) ** alpha)
+        arctan_tail = 0.5 - np.arctan((x - x_h) / x_h) / math.pi
+        for u, bound in ((alpha_tail, alpha_tail_bound),
+                         (arctan_tail, arctan_tail_bound)):
+            assert abs(front_position(u, grid) - x_h) / x_h <= bound
 
 
 class TestFitExponential:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from rfspectral import operators
+from rfspectral import operators, opmatrix
 from rfspectral.basis import lambda_k, make_grid
 from rfspectral.closedform import (
     ARCTAN,
@@ -19,7 +19,8 @@ from rfspectral.closedform import (
 )
 from rfspectral.errors import NumericError
 from rfspectral.operators import apply_reference, apply_with_aux, sweep_errors
-from rfspectral.opmatrix import build_base_matrix, scale_to_operator
+from rfspectral.evolve import EvolutionConfig
+from rfspectral.opmatrix import OperatorMatrix, build_base_matrix, scale_to_operator
 
 
 @pytest.fixture(scope="module")
@@ -232,3 +233,69 @@ class TestSweep:
             [1.0, 2.0], 20, jobs=2,
         )
         assert calls == [(16, 2), (24, 2), (32, 2)]
+
+
+RF = OperatorKind.RIESZ_FELLER
+
+# One row per fault: (kind, alpha, gamma, n, l_scale, l_lim) with one bad
+# label, and a fragment of the rule that refuses it.
+FAULTS = [
+    pytest.param(OperatorKind.WEYL_RIGHT, 1.37, 0.0, 16, 1.0, 5,
+                 "requires alpha in (0,1)", id="kind-against-alpha"),
+    pytest.param(RF, 0.6, 0.9, 16, 1.0, 5,
+                 "exceeds min(alpha, 2-alpha)", id="skewness-too-large"),
+    pytest.param(RF, 1.37, math.nan, 16, 1.0, 5, "skewness |nan|", id="skewness-nan"),
+    pytest.param(OperatorKind.FRAC_LAPLACIAN, 0.62, 0.4, 16, 1.0, 5,
+                 "takes no skewness", id="fl-skewness"),
+    pytest.param(RF, 1.37, 0.3, 16, 0.0, 5, "map scale must be finite", id="scale-zero"),
+    pytest.param(RF, 1.37, 0.3, 16, math.inf, 5, "map scale must be finite",
+                 id="scale-inf"),
+    pytest.param(RF, 1.37, 0.3, 16, 1e308, 5, "outer nodes", id="outer-nodes"),
+    pytest.param(RF, 1.5, 0.3, 16, 1e300, 5, "L^alpha", id="power-overflow"),
+    pytest.param(RF, 1.5, 0.3, 16, 1e-300, 5, "L^alpha", id="power-underflow"),
+    pytest.param(RF, 1.37, 0.3, 16, 1.0, 0, "l_lim >= 1", id="l-lim-zero"),
+    pytest.param(RF, 1.37, 0.3, 1, 1.0, 5, "matrix size must be >= 2", id="n-one"),
+    pytest.param(RF, 1.37, 0.3, 16.5, 1.0, 5, "matrix size must be an integer",
+                 id="n-not-integer"),
+]
+
+
+def _labels_only(alpha, n, l_lim):
+    # A base with these labels and zero entries, made without a build (which
+    # would refuse the labels itself): scale_to_operator reads only labels.
+    rows = (int(n) + 1) // 2
+    return OperatorMatrix(OperatorKind.FRAC_LAPLACIAN, alpha, 0.0, 1.0, l_lim, n,
+                          np.zeros((2, rows, rows - 1)))
+
+
+class TestRefusals:
+    """Every entry point refuses a bad operator label with one text, before
+    any build."""
+
+    @pytest.mark.parametrize("kind, alpha, gamma, n, l_scale, l_lim, fragment", FAULTS)
+    def test_one_refusal_per_fault(self, monkeypatch, kind, alpha, gamma, n,
+                                   l_scale, l_lim, fragment):
+        def no_build(*args, **kwargs):
+            raise AssertionError("base matrix built before the labels were checked")
+
+        monkeypatch.setattr(operators, "build_base_matrix", no_build)
+        monkeypatch.setattr(opmatrix, "build_base_matrix", no_build)
+        entry_points = {
+            "apply_reference": lambda: apply_reference(
+                "erf", kind, alpha, gamma, n, l_scale, l_lim),
+            # The fault sits in the last cell, after a sound one at N = 16, L = 1.
+            "sweep_errors": lambda: sweep_errors(
+                "erf", kind, alpha, gamma, [16, n], [1.0, l_scale], l_lim),
+            "scale_to_operator": lambda: scale_to_operator(
+                _labels_only(alpha, n, l_lim), kind, gamma, l_scale),
+        }
+        if kind is RF:
+            entry_points["EvolutionConfig"] = lambda: EvolutionConfig(
+                alpha=alpha, gamma=gamma, n=n, l_scale=l_scale, l_lim=l_lim)
+        texts = {}
+        for name, call in entry_points.items():
+            with pytest.raises(ValueError) as info:
+                call()
+            texts[name] = str(info.value)
+        assert fragment in texts["apply_reference"]
+        assert len(set(texts.values())) == 1, texts

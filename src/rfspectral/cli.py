@@ -38,17 +38,7 @@ from .oracle import DEFAULT_TOL, check_tolerance, quad_operator
 _UNRECORDED = {"command", "run", "out", "out_dir", "jobs"}
 
 
-def _write_manifest(path: Path, args, outputs: list, wall_time: float,
-                    **extra) -> None:
-    payload = {
-        "command": args.command,
-        "parameters": {
-            k: v for k, v in vars(args).items() if k not in _UNRECORDED
-        },
-        "outputs": [str(p) for p in outputs],
-        "wall_time": wall_time,
-    }
-    payload.update(extra)
+def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -111,9 +101,9 @@ def _parse_range(text: str) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
-def cmd_apply(args) -> int:
-    t0 = time.monotonic()
+def cmd_apply(args) -> tuple[Path, list, dict]:
     kind = OperatorKind(args.op)
+    check_operator(kind, args.alpha, args.gamma, args.N, args.L, args.llim)
     out = Path(args.out)
     base = deserialize(args.matrix_in) if args.matrix_in else None
     report = apply_reference(
@@ -127,27 +117,23 @@ def cmd_apply(args) -> int:
         zip(report.grid.x_nodes, approx.real, approx.imag, exact.real,
             exact.imag, np.abs(approx - exact)),
     )
-    json_path = out.with_suffix(".json")
-    _write_manifest(json_path, args, [csv_path, json_path], time.monotonic() - t0,
-                    linf_error=report.linf_error)
     print(f"linf_error {report.linf_error:.6e}  ->  {csv_path}")
-    return 0
+    json_path = out.with_suffix(".json")
+    return json_path, [csv_path, json_path], {"linf_error": report.linf_error}
 
 
-def cmd_matrix(args) -> int:
-    t0 = time.monotonic()
+def cmd_matrix(args) -> tuple[Path, list, dict]:
+    kind = OperatorKind(args.op)
+    check_operator(kind, args.alpha, args.gamma, args.N, args.L, args.llim)
     base = build_base_matrix(args.alpha, args.N, args.llim, jobs=args.jobs)
-    matrix = scale_to_operator(base, OperatorKind(args.op), args.gamma, args.L)
+    matrix = scale_to_operator(base, kind, args.gamma, args.L)
     serialize(matrix, args.out)
     out = Path(args.out)
-    _write_manifest(out.with_suffix(out.suffix + ".json"), args, [out],
-                    time.monotonic() - t0)
     print(f"matrix ({matrix.n}x{matrix.n}, kind {matrix.kind.value}) -> {out}")
-    return 0
+    return out.with_suffix(out.suffix + ".json"), [out], {}
 
 
-def cmd_sweep(args) -> int:
-    t0 = time.monotonic()
+def cmd_sweep(args) -> tuple[Path, list, dict]:
     n_list = args.N_list
     if not n_list:
         raise ValueError("--N-list needs at least one value")
@@ -159,10 +145,9 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     _write_csv(out, "L," + ",".join(str(n) for n in n_list),
                ([l_scale, *errors[row]] for row, l_scale in enumerate(l_list)))
-    _write_manifest(out.with_suffix(out.suffix + ".json"), args, [out],
-                    time.monotonic() - t0, min_error=float(np.min(errors)))
     print(f"min error {np.min(errors):.6e} -> {out}")
-    return 0
+    return (out.with_suffix(out.suffix + ".json"), [out],
+            {"min_error": float(np.min(errors))})
 
 
 def _run_evolution(args, base, config, out_dir: Path) -> dict:
@@ -186,13 +171,12 @@ def _run_evolution(args, base, config, out_dir: Path) -> dict:
         ],
     }
     summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(summary_path, summary)
     outputs.append(summary_path)
     return {"summary": summary, "outputs": outputs}
 
 
-def cmd_evolve(args) -> int:
-    t0 = time.monotonic()
+def cmd_evolve(args) -> tuple[Path, list, dict]:
     if len(args.fit_window) != 2 or args.fit_window[0] >= args.fit_window[1]:
         raise ValueError("--fit-window expects t0,t1 with t0 < t1")
     ev.check_wall_budget(args.budget)
@@ -224,19 +208,16 @@ def cmd_evolve(args) -> int:
     runs = fan_out(
         lambda target: _run_evolution(args, base, *target), targets, args.jobs
     )
-    outputs = [p for r in runs for p in r["outputs"]]
-    _write_manifest(out_dir / "manifest.json", args, outputs, time.monotonic() - t0)
     for run in runs:
         s = run["summary"]
         print(
             f"gamma {s['gamma']:+.4f}: slope {s['slope']:.6f} "
             f"(1/alpha = {1.0 / args.alpha:.6f}), 1-rho {1.0 - s['pearson_rho']:.3e}"
         )
-    return 0
+    return out_dir / "manifest.json", [p for r in runs for p in r["outputs"]], {}
 
 
-def cmd_oracle(args) -> int:
-    t0 = time.monotonic()
+def cmd_oracle(args) -> tuple[Path, list, dict]:
     check_tolerance(args.quad_tol)
     if args.num_points < 1:
         raise ValueError(f"--num-points must be >= 1, got {args.num_points}")
@@ -265,38 +246,9 @@ def cmd_oracle(args) -> int:
     out = Path(args.out)
     _write_csv(out, "x,spectral,quadrature,closed_form", rows)
     max_diff = max(abs(r[1] - r[2]) for r in rows)
-    _write_manifest(out.with_suffix(out.suffix + ".json"), args, [out],
-                    time.monotonic() - t0, max_spectral_vs_quadrature=max_diff)
     print(f"max |spectral - quadrature| = {max_diff:.6e} -> {out}")
-    return 0
-
-
-def _add_common(p, op_default=None, with_func=True, with_grid=True):
-    """--op/--alpha/--gamma/--llim, plus --func and the required --N/--L.
-    --op is required unless op_default is given."""
-    p.add_argument("--op", required=op_default is None, default=op_default,
-                   choices=[k.value for k in OperatorKind])
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--gamma", type=float, default=0.0)
-    if with_func:
-        p.add_argument("--func", required=True, choices=sorted(CLOSED_FORMS))
-    if with_grid:
-        p.add_argument("--N", type=int, required=True)
-        p.add_argument("--L", type=float, required=True)
-    p.add_argument("--llim", type=int, default=DEFAULT_L_LIM)
-
-
-def _check_common(args) -> None:
-    """The operator of `apply`, `matrix` and `oracle` (the library checks
-    those of `sweep` and `evolve`), an existing directory for --out and at
-    least one job: checked before any file is read or matrix built."""
-    if args.command in ("apply", "matrix", "oracle"):
-        check_operator(OperatorKind(args.op), args.alpha, args.gamma, args.N,
-                       args.L, args.llim)
-    if hasattr(args, "out") and not Path(args.out).parent.is_dir():
-        raise ValueError(f"--out {args.out} is not inside an existing directory")
-    if hasattr(args, "jobs") and args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    return (out.with_suffix(out.suffix + ".json"), [out],
+            {"max_spectral_vs_quadrature": max_diff})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,38 +257,47 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pseudospectral fractional operators on the real line",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    kinds = [k.value for k in OperatorKind]
+    # Flags that several commands share, each declared once.
+    order, operator, grid, jobs, out = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5)
+    )
+    order.add_argument("--alpha", type=float, required=True)
+    order.add_argument("--llim", type=int, default=DEFAULT_L_LIM)
+    operator.add_argument("--op", required=True, choices=kinds)
+    operator.add_argument("--gamma", type=float, default=0.0)
+    operator.add_argument("--func", required=True, choices=sorted(CLOSED_FORMS))
+    grid.add_argument("--N", type=int, required=True)
+    grid.add_argument("--L", type=float, required=True)
+    jobs.add_argument("--jobs", type=int, default=1)
+    out.add_argument("--out", required=True)
 
-    p = sub.add_parser("apply", help="apply an operator to a reference function")
-    _add_common(p)
+    p = sub.add_parser("apply", parents=[order, operator, grid],
+                       help="apply an operator to a reference function")
     p.add_argument("--out", required=True, help="output prefix (.csv/.json)")
     p.add_argument("--matrix-in", help="reuse a serialized base matrix")
     p.set_defaults(run=cmd_apply)
 
-    p = sub.add_parser("matrix", help="build and serialize an operator matrix")
-    _add_common(p, op_default="fl", with_func=False, with_grid=False)
+    p = sub.add_parser("matrix", parents=[order, jobs, out],
+                       help="build and serialize an operator matrix")
+    p.add_argument("--op", default="fl", choices=kinds)
+    p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--L", type=float, default=1.0)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", required=True)
     p.set_defaults(run=cmd_matrix)
 
-    p = sub.add_parser("sweep", help="L x N error sweep against a closed form")
-    _add_common(p, with_grid=False)
+    p = sub.add_parser("sweep", parents=[order, operator, jobs, out],
+                       help="L x N error sweep against a closed form")
     p.add_argument("--N-list", type=_parse_int_list, required=True, dest="N_list",
                    help="comma-separated node counts, e.g. 8,16,32")
     p.add_argument("--L-range", required=True, dest="L_range",
                    help="start:stop:step map scales, e.g. 0.5:5:0.5")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", required=True)
     p.set_defaults(run=cmd_sweep)
 
-    p = sub.add_parser("evolve", help="run the Fisher front experiment")
-    p.add_argument("--alpha", type=float, required=True)
+    p = sub.add_parser("evolve", parents=[order, grid, jobs],
+                       help="run the Fisher front experiment")
     p.add_argument("--gamma", type=_parse_float_list, required=True,
                    help="skewness, or comma-separated list for a fan-out")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--L", type=float, required=True)
-    p.add_argument("--llim", type=int, default=DEFAULT_L_LIM)
     p.add_argument("--dt", type=float, default=ev.EvolutionConfig.dt)
     p.add_argument("--t-end", type=float, required=True, dest="t_end")
     p.add_argument("--stride", type=int, default=ev.EvolutionConfig.snapshot_stride)
@@ -344,26 +305,42 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="fit_window", help="t0,t1 for the slope fit")
     p.add_argument("--budget", type=float, default=None,
                    help="wall-time budget in seconds")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.set_defaults(run=cmd_evolve)
 
-    p = sub.add_parser("oracle", help="spectral vs quadrature vs closed form")
-    _add_common(p)
+    p = sub.add_parser("oracle", parents=[order, operator, grid, out],
+                       help="spectral vs quadrature vs closed form")
     p.add_argument("--num-points", type=int, default=5, dest="num_points")
     p.add_argument("--quad-tol", type=float, default=DEFAULT_TOL, dest="quad_tol")
-    p.add_argument("--out", required=True)
     p.set_defaults(run=cmd_oracle)
     return parser
 
 
 def main(argv=None) -> int:
+    """Parse the flags, check the shared ones, run the command and write the
+    manifest at the path it returns: the parsed flags, the outputs and extra
+    fields it returns and its wall time after those checks."""
     try:
         if argv is None:
             argv = sys.argv[1:]
         args = build_parser().parse_args(_bind_negative_lists(argv))
-        _check_common(args)
-        return args.run(args)
+        # Checked before any file is read or matrix built.
+        if hasattr(args, "out") and not Path(args.out).parent.is_dir():
+            raise ValueError(f"--out {args.out} is not inside an existing directory")
+        if hasattr(args, "jobs") and args.jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+        t0 = time.monotonic()
+        path, outputs, extra = args.run(args)
+        _write_json(path, {
+            "command": args.command,
+            "parameters": {
+                k: v for k, v in vars(args).items() if k not in _UNRECORDED
+            },
+            "outputs": [str(p) for p in outputs],
+            "wall_time": time.monotonic() - t0,
+            **extra,
+        })
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -51,7 +51,14 @@ class EvolutionConfig:
     def __post_init__(self):
         check_operator(OperatorKind.RIESZ_FELLER, self.alpha, self.gamma,
                        self.n, self.l_scale, self.l_lim)
-        _auxiliary(make_grid(self.n, self.l_scale))
+        grid = make_grid(self.n, self.l_scale)
+        _auxiliary(grid)
+        # Step 0 tracks the front, so the initial profile must meet 1/2
+        # between the outer nodes.
+        ends = initial_condition(grid.x_nodes[[0, -1]], self.alpha) - 0.5
+        if np.sign(ends[0]) == np.sign(ends[1]) != 0.0:
+            raise ValueError(f"initial profile does not cross 1/2 between the "
+                             f"outer nodes of N = {self.n}, L = {self.l_scale}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"need a finite dt > 0, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):

@@ -326,6 +326,12 @@ class TestUsageErrors:
         pytest.param(["evolve", "--alpha", "1.37", "--gamma", "0", "--N", "16",
                       "--L", "1e-20", "--t-end", "1", "--fit-window", "0,1"],
                      "no jump", id="evolve-scale-no-aux-jump"),
+        pytest.param(["evolve", "--alpha", "1.37", "--gamma", "0", "--N", "16",
+                      "--L", "1e-15", "--t-end", "1", "--fit-window", "0,1"],
+                     "does not cross 1/2", id="evolve-front-outside-nodes"),
+        pytest.param(["evolve", "--alpha", "1.37", "--gamma", "0", "--N", "16",
+                      "--L", "1e-17", "--t-end", "1", "--fit-window", "0,1"],
+                     "does not cross 1/2", id="evolve-front-outside-nodes-smaller"),
         pytest.param(SWEEP + ["--L-range", "inf:5:1"],
                      "--L-range needs a finite", id="range-start-inf"),
         pytest.param(SWEEP + ["--L-range", "1:1e308:1e-308"],

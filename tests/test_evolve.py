@@ -294,7 +294,9 @@ class TestRk4:
 
     @pytest.mark.parametrize("n, l_scale", [
         (1, 1.0), (0, 1.0), (8, 0.0), (8, -1.0), (8, math.nan), (16, 1e-20),
-    ], ids=["n1", "n0", "L0", "L-neg", "L-nan", "L-no-aux-jump"])
+        (16, 1e-15),
+    ], ids=["n1", "n0", "L0", "L-neg", "L-nan", "L-no-aux-jump",
+            "L-front-outside-nodes"])
     def test_config_rejected_before_any_build(self, monkeypatch, n, l_scale):
         def no_build(*args, **kwargs):
             raise AssertionError("base matrix built for an invalid config")
@@ -318,6 +320,28 @@ class TestFrontPosition:
         got = front_position(initial_condition(grid.x_nodes, alpha), grid)
         assert got == pytest.approx(root, abs=5e-4)
         assert root == pytest.approx(0.2837124499494512, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.95])
+    def test_config_accepts_exactly_the_grids_that_track_step_0(self, alpha):
+        # EvolutionConfig's initial-front rule reads only the two outer
+        # nodes; the tracker searches every adjacent pair.
+        refused = 0
+        for n in (16, 17, 64):
+            for l_scale in np.logspace(-16, 2, 37):
+                grid = make_grid(n, l_scale)
+                try:
+                    front_position(initial_condition(grid.x_nodes, alpha), grid)
+                    tracked = True
+                except TrackingError:
+                    tracked = False
+                try:
+                    EvolutionConfig(alpha=alpha, gamma=0.0, n=n, l_scale=l_scale)
+                except ValueError as exc:
+                    assert not tracked and "does not cross 1/2" in str(exc)
+                    refused += 1
+                else:
+                    assert tracked, (n, l_scale)
+        assert refused > 0
 
     def test_single_mode_analytic_crossing(self):
         # u = v + 0.4 Re lambda_1(x/L), v the Fisher auxiliary: u - v is a

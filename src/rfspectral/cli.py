@@ -154,7 +154,7 @@ def _run_evolution(args, base, config, out_dir: Path) -> dict:
     matrix = scale_to_operator(base, OperatorKind.RIESZ_FELLER, config.gamma,
                                config.l_scale)
     system = ev.FisherSystem(matrix)
-    result = ev.rk4_evolve(config, system=system, wall_budget=args.budget)
+    result = ev.rk4_evolve(config, system=system)
     outputs = []
     for i, snap in enumerate(result.snapshots):
         path = out_dir / f"snapshot_{i:04d}.csv"
@@ -179,7 +179,6 @@ def _run_evolution(args, base, config, out_dir: Path) -> dict:
 def cmd_evolve(args) -> tuple[Path, list, dict]:
     if len(args.fit_window) != 2 or args.fit_window[0] >= args.fit_window[1]:
         raise ValueError("--fit-window expects t0,t1 with t0 < t1")
-    ev.check_wall_budget(args.budget)
     gammas = args.gamma
     if not gammas:
         raise ValueError("--gamma needs at least one value")
@@ -190,7 +189,7 @@ def cmd_evolve(args) -> tuple[Path, list, dict]:
             ev.EvolutionConfig(
                 alpha=args.alpha, gamma=g, n=args.N, l_scale=args.L,
                 l_lim=args.llim, dt=args.dt, t_end=args.t_end,
-                snapshot_stride=args.stride,
+                snapshot_stride=args.stride, wall_budget=args.budget,
             ),
             out_dir if len(gammas) == 1
             else out_dir / f"gamma_{g:+.4f}".replace("+", "p").replace("-", "m"),

@@ -23,7 +23,7 @@ class ConvergenceError(NumericError):
 
 
 class BudgetError(NumericError):
-    """Declared resource budget (work units or wall time) exceeded."""
+    """A march ran past its declared wall-time budget."""
 
 
 class DivergenceError(NumericError):

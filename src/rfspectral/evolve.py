@@ -47,6 +47,7 @@ class EvolutionConfig:
     dt: float = 0.05
     t_end: float = 22.0
     snapshot_stride: int = 10
+    wall_budget: float | None = None  # seconds; None runs to t_end
 
     def __post_init__(self):
         check_operator(OperatorKind.RIESZ_FELLER, self.alpha, self.gamma,
@@ -72,6 +73,9 @@ class EvolutionConfig:
         check_integer("snapshot_stride", self.snapshot_stride)
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
+        if self.wall_budget is not None and not 0.0 < self.wall_budget < math.inf:
+            raise ValueError(f"wall budget must be finite and > 0 s, "
+                             f"got {self.wall_budget}")
 
 
 def _auxiliary(grid: SpectralGrid) -> tuple[np.ndarray, float]:
@@ -108,7 +112,8 @@ def initial_condition(x, alpha: float):
     """Slowly decaying front profile (1/2 - x / (2 sqrt(1 + x^2)))^(alpha/2),
     tending to 1 on the left and 0 on the right."""
     check_order(alpha)
-    x = np.asarray(x, dtype=np.float64)
+    # The fraction is exactly +-1/2 past |x| = 2^27; the clip only keeps x*x finite.
+    x = np.clip(np.asarray(x, dtype=np.float64), -2.0**64, 2.0**64)
     return (0.5 - x / (2.0 * np.sqrt(1.0 + x * x))) ** (alpha / 2.0)
 
 
@@ -130,11 +135,8 @@ class FisherSystem:
         self.matrix = matrix
         self.grid = grid = make_grid(matrix.n, matrix.l_scale)
         self.v_nodes, self.v_jump = _auxiliary(grid)
-        self.dv_nodes = np.asarray(
-            FISHER_AUX.aux_operator(
-                matrix.kind, matrix.alpha, matrix.gamma, grid.x_nodes
-            ),
-            dtype=np.float64,
+        self.dv_nodes = FISHER_AUX.aux_operator(
+            matrix.kind, matrix.alpha, matrix.gamma, grid.x_nodes
         )
 
     @classmethod
@@ -149,14 +151,7 @@ class FisherSystem:
         jump = (u[-1] - u[0]) / self.v_jump
         w = u - jump * self.v_nodes
         diffusion = matrix_apply(self.matrix, analyze(w))
-        out = diffusion + jump * self.dv_nodes + u * (1.0 - u)
-        if not np.all(np.isfinite(out)):
-            bad = int(np.flatnonzero(~np.isfinite(out))[0])
-            raise DivergenceError(
-                f"non-finite right-hand side at node {bad} "
-                f"(x = {self.grid.x_nodes[bad]:.6g})"
-            )
-        return out
+        return diffusion + jump * self.dv_nodes + u * (1.0 - u)
 
 
 def rk4_step(system: FisherSystem, u: np.ndarray, dt: float) -> np.ndarray:
@@ -212,23 +207,14 @@ def sampled_steps(config: EvolutionConfig) -> np.ndarray:
     return np.append(np.arange(0, steps, config.snapshot_stride), steps)
 
 
-def check_wall_budget(wall_budget: float | None) -> None:
-    """Raise ValueError unless wall_budget is None (no budget) or finite and > 0."""
-    if wall_budget is not None and not 0.0 < wall_budget < math.inf:
-        raise ValueError(f"wall budget must be finite and > 0 s, got {wall_budget}")
-
-
 def rk4_evolve(
-    config: EvolutionConfig,
-    system: FisherSystem | None = None,
-    wall_budget: float | None = None,
+    config: EvolutionConfig, system: FisherSystem | None = None
 ) -> EvolutionResult:
     """Classical fourth-order Runge-Kutta march of the Fisher problem,
     recording a snapshot and the front position after sampled_steps(config).
     A given system must have been built for the config's alpha, gamma, N, L
-    and l_lim.  wall_budget, if set, aborts with BudgetError past that many
-    seconds."""
-    check_wall_budget(wall_budget)
+    and l_lim.  Raises DivergenceError at the first step whose state is not
+    all finite, and BudgetError past config.wall_budget seconds."""
     if system is None:
         system = FisherSystem.from_config(config)
     else:
@@ -242,17 +228,27 @@ def rk4_evolve(
     grid = system.grid
     u = initial_condition(grid.x_nodes, config.alpha)
     sampled = sampled_steps(config)
+    wall_budget = config.wall_budget
     start = time.monotonic()
     snapshots = [u.copy()]
     fronts = [front_position(u, grid)]
-    for i in range(1, sampled[-1] + 1):
-        u = rk4_step(system, u, config.dt)
-        if i == sampled[len(fronts)]:  # the next sampled step
-            snapshots.append(u.copy())
-            fronts.append(front_position(u, grid))
-        if wall_budget is not None and time.monotonic() - start > wall_budget:
-            raise BudgetError(f"evolution exceeded wall budget of {wall_budget} s "
-                              f"at t = {i * config.dt:.3f}")
+    # A non-finite stage value reaches the new state (inf and nan survive the
+    # RK4 sums), so the per-step check below is the report, not numpy's.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, sampled[-1] + 1):
+            u = rk4_step(system, u, config.dt)
+            if not np.all(np.isfinite(u)):
+                bad = int(np.flatnonzero(~np.isfinite(u))[0])
+                raise DivergenceError(
+                    f"non-finite state at t = {i * config.dt:.6g}, node {bad} "
+                    f"(x = {grid.x_nodes[bad]:.6g})"
+                )
+            if i == sampled[len(fronts)]:  # the next sampled step
+                snapshots.append(u.copy())
+                fronts.append(front_position(u, grid))
+            if wall_budget is not None and time.monotonic() - start > wall_budget:
+                raise BudgetError(f"evolution exceeded wall budget of "
+                                  f"{wall_budget} s at t = {i * config.dt:.3f}")
     trace = FrontTrace(times=sampled * config.dt, x_half=np.asarray(fronts))
     return EvolutionResult(snapshots=snapshots, trace=trace)
 

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -458,6 +462,24 @@ class TestEvolve:
             "--out-dir", tmp_path / "b",
         ])
         assert code == 3
+
+    def test_divergence_exits_3_with_warnings_as_errors(self, tmp_path):
+        # This grid diverges in the march.  In process, pytest would turn a
+        # numpy warning into an exception before main reports, so run a fresh
+        # interpreter under -W error: one stderr line and exit 3, where a
+        # warning escaping the march used to exit 1 with a traceback.
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "rfspectral.cli", "evolve",
+             "--alpha", "1.37", "--gamma", "0", "--N", "16", "--L", "0.03",
+             "--t-end", "1", "--fit-window", "0,1", "--out-dir", tmp_path / "d"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+            timeout=300,
+        )
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure:")
 
 
 class TestCsv:

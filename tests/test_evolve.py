@@ -1,6 +1,7 @@
 """Fisher evolution: right-hand side structure, RK4, front tracking and the
 slope regression."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -46,6 +47,33 @@ class TestInitialCondition:
         assert initial_condition(-1e12, 0.7) == pytest.approx(1.0, abs=1e-10)
         assert initial_condition(1e12, 0.7) == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("x", [1e200, 1e308])
+    def test_exact_limits_where_x_squared_overflows(self, x):
+        # x * x overflows past |x| = 1.34e154; it used to give 0.622 at both
+        # ends for alpha = 1.37.
+        assert initial_condition(np.array([-x, x]), 1.37).tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("n, l_scale", [
+        (256, 1.1), (128, 1.5), (2048, 300.0), (8, 0.5), (64, 2.5), (128, 5.0),
+        (1024, 0.5), (1024, 4.0), (1024, 60.0),
+    ])
+    @pytest.mark.parametrize("alpha", [0.62, 1.37])
+    def test_unchanged_where_x_squared_is_finite(self, n, l_scale, alpha):
+        # The README and benchmark grids: the clip leaves every node's value
+        # bit for bit as the plain formula gives it.
+        x = make_grid(n, l_scale).x_nodes
+        plain = (0.5 - x / (2.0 * np.sqrt(1.0 + x * x))) ** (alpha / 2.0)
+        assert initial_condition(x, alpha).tobytes() == plain.tobytes()
+
+    def test_huge_map_scale_config_accepted_without_a_build(self, monkeypatch):
+        # The outer nodes, about +-1e201, straddle the front at x = 0.284.
+        # The config used to warn and refuse: "does not cross 1/2".
+        def no_build(*args, **kwargs):
+            raise AssertionError("a config check built a base matrix")
+
+        monkeypatch.setattr(evolve, "build_base_matrix", no_build)
+        EvolutionConfig(alpha=1.37, gamma=0.0, n=16, l_scale=1e200)
+
 
 class TestRhs:
     def test_equilibria_are_fixed_points(self, small_system):
@@ -59,14 +87,6 @@ class TestRhs:
         rhs = system.rhs(u0)
         j0 = int(np.argmin(np.abs(system.grid.x_nodes)))
         assert np.isfinite(rhs[j0]) and rhs[j0] > 0.0
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_detection(self, small_system):
-        _, system = small_system
-        u = np.zeros(64)
-        u[10] = np.inf
-        with pytest.raises(DivergenceError, match="node"):
-            system.rhs(u)
 
     def test_requires_riesz_feller_matrix(self):
         with pytest.raises(ValueError):
@@ -212,7 +232,7 @@ class TestRk4:
     def test_wall_budget(self, small_system):
         config, system = small_system
         with pytest.raises(BudgetError, match="at t = 0.050"):
-            rk4_evolve(config, system=system, wall_budget=1e-9)
+            rk4_evolve(dataclasses.replace(config, wall_budget=1e-9), system=system)
 
     @pytest.mark.parametrize("budget", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_wall_budget_rejected_before_any_step(self, small_system,
@@ -224,9 +244,36 @@ class TestRk4:
 
         monkeypatch.setattr(evolve, "rk4_step", no_step)
         with pytest.raises(ValueError, match="wall budget"):
-            rk4_evolve(config, system=system, wall_budget=budget)
+            rk4_evolve(dataclasses.replace(config, wall_budget=budget), system=system)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_reported_at_the_step(self, small_system, monkeypatch):
+        # Step 2 puts inf at node 10; the march names t, the node and its x
+        # before that step is sampled (stride 1 samples every step).
+        config, system = small_system
+        config = dataclasses.replace(config, snapshot_stride=1)
+        steps, tracked = [], []
+
+        def poisoned(*args):
+            u = rk4_step(*args)
+            steps.append(u)
+            if len(steps) == 2:
+                u[10] = np.inf
+            return u
+
+        def counted(u, grid):
+            tracked.append(u)
+            return front_position(u, grid)
+
+        monkeypatch.setattr(evolve, "rk4_step", poisoned)
+        monkeypatch.setattr(evolve, "front_position", counted)
+        x = system.grid.x_nodes[10]
+        with pytest.raises(DivergenceError) as info:
+            rk4_evolve(config, system=system)
+        assert str(info.value) == (
+            f"non-finite state at t = {2 * config.dt:.6g}, node 10 (x = {x:.6g})"
+        )
+        assert len(steps) == 2 and len(tracked) == 2  # steps 0 and 1 only
+
     def test_divergence_on_absurd_dt(self):
         # Three steps, sampled at steps 0 and 3 only: the state after step 1
         # has no front to track, and step 2 diverges.

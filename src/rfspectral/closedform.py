@@ -104,13 +104,23 @@ def op_lambda(
 # symmetric operator is Re A and the other five kinds are rotations of it.
 
 
+# Past |x| = 2^511, 1 + x^2 rounds to x^2, and from |x| ~ 1.34e154 on x^2
+# overflows to inf.
+_POWER_TAIL = 2.0 ** 511
+
+
 def _power_amplitude(alpha, x):
-    # Gamma(alpha) (1 + x^2)^(-alpha/2) exp(-i alpha atan x)
-    return (
-        math.gamma(alpha)
-        * (1.0 + x * x) ** (-alpha / 2.0)
-        * np.exp(-1j * alpha * np.arctan(x))
-    )
+    # Gamma(alpha) (1 + x^2)^(-alpha/2) exp(-i alpha atan x), with the power
+    # taken as |x|^(-alpha) past _POWER_TAIL.  Each form sees only its own
+    # nodes: x^(-alpha) at x = 0 would divide by zero.
+    x = np.asarray(x, dtype=np.float64)
+    size = np.abs(x)
+    tail = size > _POWER_TAIL
+    near = x[~tail]
+    power = np.empty(x.shape)
+    power[~tail] = (1.0 + near * near) ** (-alpha / 2.0)
+    power[tail] = size[tail] ** (-alpha)
+    return math.gamma(alpha) * power * np.exp(-1j * alpha * np.arctan(x))
 
 
 def _arctan_amplitude(alpha, x):
@@ -123,10 +133,10 @@ def _log1psq_amplitude(alpha, x):
 
 def _erf_terms(alpha, x):
     x = np.asarray(x, dtype=np.float64)
-    f1 = np.array([kummer_1f1(alpha / 2.0, 0.5, -t * t) for t in x.ravel()])
-    f2 = np.array(
-        [kummer_1f1((1.0 + alpha) / 2.0, 1.5, -t * t) for t in x.ravel()]
-    )
+    # Python floats, not numpy scalars, into kummer_1f1 (see its docstring).
+    y = [-t * t for t in x.ravel().tolist()]
+    f1 = np.array([kummer_1f1(alpha / 2.0, 0.5, v) for v in y])
+    f2 = np.array([kummer_1f1((1.0 + alpha) / 2.0, 1.5, v) for v in y])
     a_term = 2.0 ** alpha / math.pi * math.gamma(alpha / 2.0) * f1.reshape(x.shape)
     b_term = (
         2.0 ** (1.0 + alpha)

@@ -106,6 +106,21 @@ class TestApply:
         assert "only base matrices" in capsys.readouterr().err
         assert not (tmp_path / "y.json").exists()
 
+    def test_erf_at_huge_map_scale_runs_clean(self, tmp_path):
+        # Nodes past |x| ~ 1.34e154 overflow x * x.  Under -W error any
+        # warning from the closed forms would exit 1 with a traceback.
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "rfspectral.cli", "apply",
+             "--op", "fl", "--alpha", "0.62", "--func", "erf", "--N", "64",
+             "--L", "1e300", "--out", tmp_path / "huge"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
 
 @pytest.mark.filterwarnings(
     "ignore:overflow encountered:RuntimeWarning",

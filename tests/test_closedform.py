@@ -16,8 +16,8 @@ from reference_formulas import (
     phi_k,
     weyl_phi_at_zero,
 )
-from rfspectral import oracle
-from rfspectral.basis import lambda_k
+from rfspectral import closedform, oracle
+from rfspectral.basis import lambda_k, make_grid
 from rfspectral.closedform import (
     ARCTAN,
     ERF,
@@ -29,6 +29,7 @@ from rfspectral.closedform import (
     reference_operator,
     validate_kind,
 )
+from rfspectral.specfun import kummer_1f1
 
 ALL_KINDS_ALPHAS = [
     (OperatorKind.WEYL_RIGHT, 0.62),
@@ -287,6 +288,35 @@ class TestReferenceOperator:
             )
             assert dx_right == right
             assert dx_left == -left
+
+    def test_erf_kummer_arguments_are_python_floats(self, monkeypatch):
+        # kummer_1f1 is a scalar Python loop: numpy scalar arguments would
+        # make every step of it numpy scalar arithmetic.  type, not
+        # isinstance: numpy.float64 subclasses float.
+        calls = []
+
+        def spy(a, b, x):
+            calls.append((a, b, x))
+            return kummer_1f1(a, b, x)
+
+        monkeypatch.setattr(closedform, "kummer_1f1", spy)
+        n = 64
+        x = make_grid(n, 1.5).x_nodes
+        reference_operator(ERF, OperatorKind.FRAC_LAPLACIAN, 0.62, 0.0, x)
+        assert len(calls) == 2 * n
+        assert all(type(v) is float for call in calls for v in call)
+
+    @pytest.mark.parametrize("alpha", [0.62, 1.37])
+    def test_arctan_amplitude_past_square_overflow(self, alpha):
+        # x * x overflows here; the amplitude is Gamma(alpha) |x|^(-alpha)
+        # exp(-i alpha atan x), not 0.
+        for x in (1e200, -1e200):
+            got = ARCTAN.amplitude(alpha, np.array([x]))[0]
+            expected = (
+                1j * math.gamma(alpha) * 1e-200 ** alpha
+                * cmath.exp(-1j * alpha * math.atan(x))
+            )
+            assert abs(got - expected) <= 1e-15 * abs(expected)
 
     def test_symmetric_case_consistency(self):
         # gamma = 0 reduces the skewed operator to minus the symmetric one.

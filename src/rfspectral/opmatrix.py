@@ -382,9 +382,9 @@ def serialize(matrix: OperatorMatrix, sink) -> None:
         # A bound on every entry written: numpy divides by L^alpha as a
         # product with its reciprocal, and the phase moves at most
         # |Re| + |Im| of its unit modulus into either part.  Base entries
-        # were checked finite when built or read.
+        # were checked finite when built or read; N = 2 stores none.
         entries = matrix.entries
-        largest = (float(max(entries.max(), -entries.min()))
+        largest = (float(max(entries.max(initial=0.0), -entries.min(initial=0.0)))
                    * (1.0 / matrix.l_scale ** matrix.alpha)
                    * (abs(phase.real) + abs(phase.imag)))
         if not math.isfinite(largest):

@@ -9,11 +9,14 @@ parameters each is within about 3e-15 relative of 40-digit values, away
 from the zeros of 1F1.
 
 Everything here is pure and deterministic: sums run in fixed ascending index
-order and tables are plain immutable arrays.
+order, and tables are immutable: the gamma-ratio tables are read-only
+arrays, and the Kummer sums' term-ratio tables, cached per (a, b), are
+tuples of Python floats.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 
@@ -25,6 +28,17 @@ _KUMMER_MAX_TERMS = 20000
 # -x above which kummer_1f1 takes the large-argument expansion instead of the
 # transformed series (see its docstring for why 50).
 _TRANSFORM_CUT = 50.0
+# Term ratios per cached series table.  For the erf reference's parameters
+# the transformed series stops within 122 terms for -x <= _TRANSFORM_CUT
+# over alpha in (0, 2); longer sums go on past the table with the same
+# recurrence.
+_TABLE_TERMS = 128
+_ASYMPTOTIC_TERMS = 60
+# (a, b) pairs kept per table kind: the erf reference uses two of each kind
+# per alpha, so eight hold four alphas.  A caller may draw a fresh alpha for
+# every operator (the benchmark's matrix-build gate does); the caches then
+# evict the least recently used pair, and hold about 0.1 MB at most.
+_TABLE_PAIRS = 8
 
 
 class RatioKind(Enum):
@@ -86,60 +100,81 @@ def hyp2f1_terminating(m: int, alpha: float, z: complex, c: float = 2.0) -> comp
     return total
 
 
+@functools.lru_cache(maxsize=_TABLE_PAIRS)
+def _series_ratios(a: float, b: float) -> tuple[float, ...]:
+    # Term ratios (a + n) / ((b + n)(n + 1)) of the 1F1 series,
+    # n = 0.._TABLE_TERMS-1, each the double the per-term recurrence computes.
+    a, b = float(a), float(b)
+    return tuple(
+        (a + n) / ((b + n) * (n + 1.0)) for n in map(float, range(_TABLE_TERMS))
+    )
+
+
+@functools.lru_cache(maxsize=_TABLE_PAIRS)
+def _asymptotic_table(
+    a: float, b: float
+) -> tuple[float, tuple[tuple[float, float], ...]]:
+    # Gamma(b) / Gamma(b - a), and the numerator and denominator factors
+    # ((a + s)(a - b + 1 + s), s + 1) of the large-argument expansion's term
+    # ratios, s = 0.._ASYMPTOTIC_TERMS-1.
+    a, b = float(a), float(b)
+    factors = tuple(
+        ((a + s) * (a - b + 1.0 + s), s + 1.0)
+        for s in map(float, range(_ASYMPTOTIC_TERMS))
+    )
+    return math.gamma(b) / math.gamma(b - a), factors
+
+
 def _kummer_series(a: float, b: float, x: float, max_terms: int) -> float:
-    total = 1.0
-    term = 1.0
-    small = 0
-    # A float index: an int one would be converted to float in every term.
-    n = 0.0
-    for _ in range(max_terms):
+    # Sum until two terms in a row are below 1e-17 of the partial sum; the
+    # first _TABLE_TERMS ratios come from the cached table, the rest from
+    # the same recurrence, so every term is the same double either way.
+    ratios = _series_ratios(a, b)[:max_terms]
+    total = term = 1.0
+    small = False
+    for r in ratios:
+        term *= r * x
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            if small:
+                return total
+            small = True
+        else:
+            small = False
+    n = float(len(ratios))
+    for _ in range(max_terms - len(ratios)):
         term *= (a + n) / ((b + n) * (n + 1.0)) * x
         n += 1.0
         total += term
         if abs(term) <= 1e-17 * abs(total):
-            small += 1
-            if small >= 2:
+            if small:
                 return total
+            small = True
         else:
-            small = 0
+            small = False
     raise NumericError(
         f"Kummer series did not converge within {max_terms} terms "
         f"(a={a}, b={b}, x={x})"
     )
 
 
-def _kummer_transformed(a: float, b: float, x: float) -> float:
-    # 1F1(a,b,x) = exp(x) 1F1(b-a, b, -x); for x < 0 the transformed series
-    # has positive argument and no cancellation, and below the cut its
-    # partial sums stay under about exp(_TRANSFORM_CUT), far inside range.
-    try:
-        return math.exp(x) * _kummer_series(b - a, b, -x, _KUMMER_MAX_TERMS)
-    except NumericError:
-        raise NumericError(
-            f"Kummer transformed series did not converge within "
-            f"{_KUMMER_MAX_TERMS} terms (a={a}, b={b}, x={x})"
-        ) from None
-
-
 def _kummer_asymptotic(a: float, b: float, x: float) -> float:
     # Large negative argument: 1F1(a,b,-y) ~ Gamma(b)/Gamma(b-a) * y^(-a)
     # * sum_s (a)_s (a-b+1)_s / (s! y^s); the exp(-y) branch is negligible.
+    gamma_ratio, factors = _asymptotic_table(a, b)
     y = -x
-    total = 1.0
-    term = 1.0
+    total = term = 1.0
     prev = math.inf
-    s = 0.0  # a float index, as in _kummer_series
-    for _ in range(60):
-        term *= (a + s) * (a - b + 1.0 + s) / ((s + 1.0) * y)
-        s += 1.0
-        if abs(term) >= prev:
+    for num, den in factors:
+        term *= num / (den * y)
+        size = abs(term)
+        if size >= prev:
             break
         total += term
-        prev = abs(term)
-        if abs(term) <= 1e-17 * abs(total):
+        prev = size
+        if size <= 1e-17 * abs(total):
             break
-    prefac = math.gamma(b) / math.gamma(b - a) * y ** (-a)
-    return prefac * total
+    return gamma_ratio * y ** (-a) * total
 
 
 def kummer_1f1(a: float, b: float, x: float) -> float:
@@ -160,9 +195,14 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
     as its terms grow.
 
     This is a Python-float scalar kernel: each call sums its series in a
-    Python loop.  Pass a, b and x as Python floats (`ndarray.tolist()`, not
-    iteration over an array); numpy scalar arguments make every step of the
-    loop numpy scalar arithmetic, about twice as slow, for the same values.
+    Python loop.  The loops read their term ratios, which depend on (a, b)
+    only, from tuples of Python floats cached per (a, b) (the 8 pairs last
+    used by each of the two sums), so a caller evaluating many x at a few
+    (a, b) builds them once; each term is the double the per-term recurrence
+    gives.  Pass x as a Python float (`ndarray.tolist()`, not iteration over
+    an array): a numpy scalar x makes every step of the loop numpy scalar
+    arithmetic, about three times as slow, for the same value.  Numpy scalar
+    a and b cost only their few scalar steps.
     """
     if b <= 0.0 and b == math.floor(b):
         raise ValueError(f"b must not be a nonpositive integer, got {b}")
@@ -174,9 +214,18 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
         return math.exp(x) * _kummer_series(ap, b, -x, max_terms=int(-ap) + 2)
     if x > 0.0:
         return _kummer_series(a, b, x, _KUMMER_MAX_TERMS)
-    if -x <= _TRANSFORM_CUT:
-        return _kummer_transformed(a, b, x)
-    return _kummer_asymptotic(a, b, x)
+    if -x > _TRANSFORM_CUT:
+        return _kummer_asymptotic(a, b, x)
+    # 1F1(a,b,x) = exp(x) 1F1(b-a, b, -x); for x < 0 the transformed series
+    # has positive argument and no cancellation, and below the cut its
+    # partial sums stay under about exp(_TRANSFORM_CUT), far inside range.
+    try:
+        return math.exp(x) * _kummer_series(ap, b, -x, _KUMMER_MAX_TERMS)
+    except NumericError:
+        raise NumericError(
+            f"Kummer transformed series did not converge within "
+            f"{_KUMMER_MAX_TERMS} terms (a={a}, b={b}, x={x})"
+        ) from None
 
 
 def ratio_table(alpha: float, kind: RatioKind, p_max: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Reference formulas that only the tests check the package against: the
 Christov-type basis functions and their operator values, the order-1
 odd-index formulas, the x = 0 anchors for odd indices, the full-spectrum
-analysis, fast nodal synthesis and the full matrix as RFM1 writes it.
+analysis, fast nodal synthesis, the full matrix as RFM1 writes it and
+Kummer 1F1 by its per-term recurrences.
 
 Imported by the test modules; pytest does not collect it.
 """
@@ -179,3 +180,61 @@ def weyl_phi_at_zero(alpha: float, k: int) -> tuple[complex, complex, complex]:
         * sum_sym
     )
     return d_right, d_left_neg, lap
+
+
+# --- Kummer 1F1 -----------------------------------------------------------
+
+
+def _kummer_series_by_recurrence(a: float, b: float, x: float, max_terms: int) -> float:
+    total = 1.0
+    term = 1.0
+    small = 0
+    n = 0.0
+    for _ in range(max_terms):
+        term *= (a + n) / ((b + n) * (n + 1.0)) * x
+        n += 1.0
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            small += 1
+            if small >= 2:
+                return total
+        else:
+            small = 0
+    raise RuntimeError(f"no convergence within {max_terms} terms")
+
+
+def _kummer_asymptotic_by_recurrence(a: float, b: float, x: float) -> float:
+    y = -x
+    total = 1.0
+    term = 1.0
+    prev = math.inf
+    s = 0.0
+    for _ in range(60):
+        term *= (a + s) * (a - b + 1.0 + s) / ((s + 1.0) * y)
+        s += 1.0
+        if abs(term) >= prev:
+            break
+        total += term
+        prev = abs(term)
+        if abs(term) <= 1e-17 * abs(total):
+            break
+    prefac = math.gamma(b) / math.gamma(b - a) * y ** (-a)
+    return prefac * total
+
+
+def kummer_1f1_by_recurrence(a: float, b: float, x: float) -> float:
+    """`specfun.kummer_1f1`'s branches with every term ratio computed in the
+    loop: the series for x > 0, the Kummer-transformed series
+    exp(x) 1F1(b-a, b, -x) for -50 <= x < 0 (terminating when b - a is a
+    nonpositive integer) and the large-argument expansion for x < -50.  Each
+    term is the same double as the kernel's table-driven loops compute."""
+    if x == 0.0:
+        return 1.0
+    ap = b - a
+    if ap <= 0.0 and ap == math.floor(ap):
+        return math.exp(x) * _kummer_series_by_recurrence(ap, b, -x, int(-ap) + 2)
+    if x > 0.0:
+        return _kummer_series_by_recurrence(a, b, x, 20000)
+    if -x <= 50.0:
+        return math.exp(x) * _kummer_series_by_recurrence(ap, b, -x, 20000)
+    return _kummer_asymptotic_by_recurrence(a, b, x)

@@ -156,6 +156,16 @@ class TestMatrix:
         serialize(build_base_matrix(1.37, n, 10), buf)
         assert out.read_bytes() == buf.getvalue()
 
+    def test_scaled_two_node_matrix(self, tmp_path):
+        # N = 2 stores no columns (modes 0 and -1 are both implied zero), so
+        # the scaled matrix's entry bound reduces over empty planes.
+        out = tmp_path / "m.rfm"
+        assert run(["matrix", "--alpha", "1.37", "--N", "2", "--L", "3",
+                    "--op", "rf", "--gamma", "0.1", "--out", out]) == 0
+        data = out.read_bytes()
+        assert len(data) == 4 + 36 + 16 * 2 * 2
+        assert not np.frombuffer(data[40:], dtype=np.float64).any()
+
     def test_unwritable_header_leaves_no_file(self, tmp_path, capsys):
         # The alpha = 1 build ignores l_lim, which the u32 header field
         # cannot hold.

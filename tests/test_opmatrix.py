@@ -439,11 +439,11 @@ class TestSerialization:
         (OperatorKind.RIESZ_FELLER, 0.3, 1.5),
     ], ids=["fl", "rf0", "rf"])
     @pytest.mark.parametrize("alpha", [0.62, 1.37])
-    @pytest.mark.parametrize("n", [16, 17])
+    @pytest.mark.parametrize("n", [2, 16, 17])
     def test_scaled_payload_is_the_scaled_full_matrix(self, n, alpha, kind, gamma, l_scale):
         # Byte for byte what scaling the full base matrix column by column
         # gives, signs of zero included: at odd N the middle row has entries
-        # with zero imaginary parts.
+        # with zero imaginary parts, and N = 2 stores no entries at all.
         base = build_base_matrix(alpha, n, 10)
         if n % 2:
             assert np.any(base.entries[1] == 0.0)

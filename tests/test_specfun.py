@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from scipy.special import hyp1f1 as scipy_hyp1f1
 
-from rfspectral import basis, oracle
+from reference_formulas import kummer_1f1_by_recurrence
+from rfspectral import basis, oracle, specfun
 from rfspectral.closedform import OperatorKind, frac_lap_lambda, validate_kind
 from rfspectral.errors import NumericError
 from rfspectral.evolve import initial_condition
@@ -237,16 +238,44 @@ class TestKummer:
         with pytest.raises(ValueError):
             kummer_1f1(0.3, 0.0, -1.0)
 
-    def test_nonconvergence_reports_terms(self, monkeypatch):
-        from rfspectral import specfun
+    @pytest.mark.parametrize("alpha", [0.05, 0.62, 0.999, 1.0, 1.37, 1.95])
+    def test_tables_give_the_recurrence_bit_for_bit(self, alpha):
+        # The erf reference's arguments -x^2 at the battery's N = 1024 nodes
+        # (-x up to about 6.8e6 at L = 4), both sides of the cut at 50, and
+        # positive arguments whose series runs past the cached table.
+        ys = [-t * t for L in (1.0, 1.75, 2.5, 3.25, 4.0)
+              for t in basis.make_grid(1024, L).x_nodes.tolist()]
+        ys += [-49.9, -50.0, -50.1, 0.5, 10.0, 49.9, 80.0, 300.0]
+        for a, b in ((alpha / 2.0, 0.5), ((1.0 + alpha) / 2.0, 1.5)):
+            for y in ys:
+                got = kummer_1f1(a, b, y).hex()
+                assert got == kummer_1f1_by_recurrence(a, b, y).hex(), (a, b, y)
 
+    def test_numpy_scalar_arguments(self):
+        alpha = 0.4321  # a pair no other test caches
+        for a, b in ((alpha / 2.0, 0.5), ((1.0 + alpha) / 2.0, 1.5)):
+            for y in (-80.0, -20.0, 3.0):
+                got = kummer_1f1(np.float64(a), np.float64(b), np.float64(y))
+                assert float(got).hex() == kummer_1f1(a, b, y).hex()
+            # Cached from numpy-scalar (a, b) first, yet Python floats only.
+            gamma_ratio, factors = specfun._asymptotic_table(a, b)
+            values = [gamma_ratio, *(v for pair in factors for v in pair)]
+            values += specfun._series_ratios(b - a, b)
+            assert {type(v) for v in values} == {float}
+
+    def test_table_caches_stay_bounded(self):
+        for alpha in np.linspace(0.01, 1.99, 200).tolist():
+            kummer_1f1(alpha / 2.0, 0.5, -20.0)
+            kummer_1f1(alpha / 2.0, 0.5, -80.0)
+        for table in (specfun._series_ratios, specfun._asymptotic_table):
+            assert table.cache_info().currsize == specfun._TABLE_PAIRS
+
+    def test_nonconvergence_reports_terms(self, monkeypatch):
         monkeypatch.setattr(specfun, "_KUMMER_MAX_TERMS", 3)
         with pytest.raises(NumericError, match="3 terms"):
             kummer_1f1(0.31, 0.5, 80.0)
 
     def test_transformed_nonconvergence_names_caller_arguments(self, monkeypatch):
-        from rfspectral import specfun
-
         monkeypatch.setattr(specfun, "_KUMMER_MAX_TERMS", 3)
         with pytest.raises(NumericError, match="transformed series") as info:
             kummer_1f1(0.31, 0.5, -30.0)

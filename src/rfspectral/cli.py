@@ -36,6 +36,10 @@ from .oracle import DEFAULT_TOL, check_tolerance, quad_operator
 # its handler, where the outputs go and how many threads made them.  Every
 # other flag, defaults included, is recorded.
 _UNRECORDED = {"command", "run", "out", "out_dir", "jobs"}
+# Most map scales one --L-range may hold.  Each is a row of the sweep, one
+# erf reference per N, so a typo such as 1:1000000:1 is refused before the
+# list is built rather than run for hours.
+L_RANGE_CAP = 1000
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -98,6 +102,11 @@ def _parse_range(text: str) -> list[float]:
     count = int(math.floor(span)) + 1
     if count < 1:
         raise ValueError(f"--L-range {text!r} is empty: start exceeds stop")
+    if count > L_RANGE_CAP:
+        raise ValueError(
+            f"--L-range {text!r} holds {count} values, more than the "
+            f"{L_RANGE_CAP} a sweep takes"
+        )
     return [start + i * step for i in range(count)]
 
 
@@ -112,11 +121,8 @@ def cmd_apply(args) -> tuple[Path, list, dict]:
     )
     csv_path = out.with_suffix(".csv")
     approx, exact = report.approx, report.exact
-    _write_csv(
-        csv_path, "x,approx_re,approx_im,exact_re,exact_im,abs_err",
-        zip(report.grid.x_nodes, approx.real, approx.imag, exact.real,
-            exact.imag, np.abs(approx - exact)),
-    )
+    _write_csv(csv_path, "x,approx,exact,abs_err",
+               zip(report.grid.x_nodes, approx, exact, np.abs(approx - exact)))
     print(f"linf_error {report.linf_error:.6e}  ->  {csv_path}")
     json_path = out.with_suffix(".json")
     return json_path, [csv_path, json_path], {"linf_error": report.linf_error}

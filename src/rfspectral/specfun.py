@@ -6,7 +6,11 @@ Kummer 1F1 is evaluated on the nonpositive axis (the erf reference's -x^2
 kernels) by one of two scalar sums: the Kummer-transformed series up to
 -x = 50 and the large-argument expansion beyond.  For the erf reference's
 parameters each is within about 3e-15 relative of 40-digit values, away
-from the zeros of 1F1.
+from the zeros of 1F1.  Each sum picks one of two loops per call.  Where
+every term is >= 0 (series: a >= 0, b > 0, x > 0; expansion: a >= 0,
+a - b + 1 >= 0), its stop tests compare terms and partial sums as they
+are; otherwise, and in the series past its cached table, they compare
+their abs().  The two loops return the same double wherever both apply.
 
 Everything here is pure and deterministic: sums run in fixed ascending index
 order, and tables are immutable: the gamma-ratio tables are read-only
@@ -132,15 +136,28 @@ def _kummer_series(a: float, b: float, x: float, max_terms: int) -> float:
     ratios = _series_ratios(a, b)[:max_terms]
     total = term = 1.0
     small = False
-    for r in ratios:
-        term *= r * x
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            if small:
-                return total
-            small = True
-        else:
-            small = False
+    if a >= 0.0 and b > 0.0 and x > 0.0:
+        # Every ratio, term and partial sum is >= 0 (or nan), so abs() is
+        # the identity in the stop test and is left out.
+        for r in ratios:
+            term *= r * x
+            total += term
+            if term <= 1e-17 * total:
+                if small:
+                    return total
+                small = True
+            else:
+                small = False
+    else:
+        for r in ratios:
+            term *= r * x
+            total += term
+            if abs(term) <= 1e-17 * abs(total):
+                if small:
+                    return total
+                small = True
+            else:
+                small = False
     n = float(len(ratios))
     for _ in range(max_terms - len(ratios)):
         term *= (a + n) / ((b + n) * (n + 1.0)) * x
@@ -165,15 +182,27 @@ def _kummer_asymptotic(a: float, b: float, x: float) -> float:
     y = -x
     total = term = 1.0
     prev = math.inf
-    for num, den in factors:
-        term *= num / (den * y)
-        size = abs(term)
-        if size >= prev:
-            break
-        total += term
-        prev = size
-        if size <= 1e-17 * abs(total):
-            break
+    if a >= 0.0 and a - b + 1.0 >= 0.0:
+        # (a)_s and (a-b+1)_s are >= 0 and y > 0, so every term and partial
+        # sum is >= 0 (or nan), and the stop tests need no abs().
+        for num, den in factors:
+            term *= num / (den * y)
+            if term >= prev:
+                break
+            total += term
+            prev = term
+            if term <= 1e-17 * total:
+                break
+    else:
+        for num, den in factors:
+            term *= num / (den * y)
+            size = abs(term)
+            if size >= prev:
+                break
+            total += term
+            prev = size
+            if size <= 1e-17 * abs(total):
+                break
     return gamma_ratio * y ** (-a) * total
 
 
@@ -199,8 +228,20 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
     only, from tuples of Python floats cached per (a, b) (the 8 pairs last
     used by each of the two sums), so a caller evaluating many x at a few
     (a, b) builds them once; each term is the double the per-term recurrence
-    gives.  Pass x as a Python float (`ndarray.tolist()`, not iteration over
-    an array): a numpy scalar x makes every step of the loop numpy scalar
+    gives.
+
+    The series stops after two terms in a row at most 1e-17 of the partial
+    sum; the expansion stops before a term no smaller than the one before
+    it, or after one at most 1e-17 of the partial sum.  Where every term is
+    >= 0 these tests compare the terms and sums as they are: the series at
+    a >= 0, b > 0, x > 0 (for the erf pairs, the transformed series of the
+    first at alpha <= 1 and of the second at every alpha) and the expansion
+    at a >= 0, a - b + 1 >= 0 (both erf pairs, every alpha).  Every other
+    (a, b, x), and the series past its cached table, compares their abs().
+    Both loops give the same double wherever both apply.
+
+    Pass x as a Python float (`ndarray.tolist()`, not iteration over an
+    array): a numpy scalar x makes every step of the loop numpy scalar
     arithmetic, about three times as slow, for the same value.  Numpy scalar
     a and b cost only their few scalar steps.
     """

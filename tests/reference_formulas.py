@@ -17,6 +17,7 @@ import numpy as np
 
 from rfspectral.basis import KRASNY_EPS, CoeffVector, lambda_k, mode_numbers
 from rfspectral.closedform import OperatorKind, phase_factor, validate_kind
+from rfspectral.errors import NumericError
 from rfspectral.opmatrix import serialize
 from rfspectral.specfun import hyp2f1_terminating
 
@@ -200,7 +201,7 @@ def _kummer_series_by_recurrence(a: float, b: float, x: float, max_terms: int) -
                 return total
         else:
             small = 0
-    raise RuntimeError(f"no convergence within {max_terms} terms")
+    raise NumericError(f"no convergence within {max_terms} terms")
 
 
 def _kummer_asymptotic_by_recurrence(a: float, b: float, x: float) -> float:
@@ -227,7 +228,9 @@ def kummer_1f1_by_recurrence(a: float, b: float, x: float) -> float:
     loop: the series for x > 0, the Kummer-transformed series
     exp(x) 1F1(b-a, b, -x) for -50 <= x < 0 (terminating when b - a is a
     nonpositive integer) and the large-argument expansion for x < -50.  Each
-    term is the same double as the kernel's table-driven loops compute."""
+    term is the same double as the kernel's table-driven loops compute, and
+    the stop tests compare abs() of terms and sums, whatever their signs.
+    Raises NumericError where a series does not converge."""
     if x == 0.0:
         return 1.0
     ap = b - a
@@ -235,6 +238,6 @@ def kummer_1f1_by_recurrence(a: float, b: float, x: float) -> float:
         return math.exp(x) * _kummer_series_by_recurrence(ap, b, -x, int(-ap) + 2)
     if x > 0.0:
         return _kummer_series_by_recurrence(a, b, x, 20000)
-    if -x <= 50.0:
-        return math.exp(x) * _kummer_series_by_recurrence(ap, b, -x, 20000)
-    return _kummer_asymptotic_by_recurrence(a, b, x)
+    if -x > 50.0:
+        return _kummer_asymptotic_by_recurrence(a, b, x)
+    return math.exp(x) * _kummer_series_by_recurrence(ap, b, -x, 20000)

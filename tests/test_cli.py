@@ -39,7 +39,7 @@ class TestApply:
         for produced in summary["outputs"]:
             assert (tmp_path / produced).exists() or out.with_suffix(".csv").exists()
         header = out.with_suffix(".csv").read_text().splitlines()[0]
-        assert header == "x,approx_re,approx_im,exact_re,exact_im,abs_err"
+        assert header == "x,approx,exact,abs_err"
 
     def test_deterministic_csv(self, tmp_path):
         args = [
@@ -367,6 +367,10 @@ class TestUsageErrors:
                      "no finite number of values", id="range-count-inf"),
         pytest.param(SWEEP + ["--L-range", "1:5:inf"],
                      "--L-range needs a finite", id="range-step-inf"),
+        pytest.param(SWEEP + ["--L-range", "1:1001:1"],
+                     "holds 1001 values, more than the 1000", id="range-past-cap"),
+        pytest.param(SWEEP + ["--L-range", "1:1000000:1"],
+                     "holds 1000000 values", id="range-far-past-cap"),
     ])
     def test_exit_2_before_any_build(self, tmp_path, capsys, monkeypatch, argv,
                                      fragment):
@@ -389,6 +393,12 @@ class TestUsageErrors:
 
 
 class TestSweep:
+    def test_range_at_the_cap(self):
+        assert cli.L_RANGE_CAP == 1000
+        scales = cli._parse_range("0.5:500:0.5")
+        assert len(scales) == cli.L_RANGE_CAP
+        assert (scales[0], scales[-1]) == (0.5, 500.0)
+
     def test_grid_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = run([
@@ -513,17 +523,16 @@ class TestCsv:
                     "--N", "16", "--L", "1", "--llim", "10",
                     "--out", tmp_path / "a"]) == 0
         lines = (tmp_path / "a.csv").read_text().splitlines()
-        assert lines[0] == "x,approx_re,approx_im,exact_re,exact_im,abs_err"
+        assert lines[0] == "x,approx,exact,abs_err"
         rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         report = operators.apply_reference(
             "erf", OperatorKind.FRAC_LAPLACIAN, 0.62, 0.0, 16, 1.0, 10
         )
-        assert rows.shape == (16, 6)
+        assert rows.shape == (16, 4)
         assert np.array_equal(rows[:, 0], report.grid.x_nodes)
         assert np.array_equal(rows[:, 1], report.approx)
-        assert np.array_equal(rows[:, 3], report.exact)
-        assert not np.any(rows[:, [2, 4]])
-        assert np.array_equal(rows[:, 5], np.abs(rows[:, 1] - rows[:, 3]))
+        assert np.array_equal(rows[:, 2], report.exact)
+        assert np.array_equal(rows[:, 3], np.abs(rows[:, 1] - rows[:, 2]))
 
     def test_rows_keep_every_bit(self, tmp_path):
         path = tmp_path / "rows.csv"

@@ -214,6 +214,17 @@ class TestHyp2F1:
             hyp2f1_terminating(-1, 0.5, 1.0)
 
 
+_NONFINITE = (math.inf, -math.inf, math.nan)
+
+
+def _outcome(kernel, a, b, x):
+    # The value's float.hex, or the type of the error the sum raised.
+    try:
+        return kernel(a, b, x).hex()
+    except NumericError as exc:
+        return type(exc)
+
+
 class TestKummer:
     def test_at_zero(self):
         assert kummer_1f1(0.31, 0.5, 0.0) == 1.0
@@ -242,14 +253,27 @@ class TestKummer:
     def test_tables_give_the_recurrence_bit_for_bit(self, alpha):
         # The erf reference's arguments -x^2 at the battery's N = 1024 nodes
         # (-x up to about 6.8e6 at L = 4), both sides of the cut at 50, and
-        # positive arguments whose series runs past the cached table.
+        # positive arguments whose series runs past the cached table.  Both
+        # pairs take the series and expansion loops without abs(), except
+        # the first pair's transformed series at alpha > 1 (b - a < 0).
         ys = [-t * t for L in (1.0, 1.75, 2.5, 3.25, 4.0)
               for t in basis.make_grid(1024, L).x_nodes.tolist()]
-        ys += [-49.9, -50.0, -50.1, 0.5, 10.0, 49.9, 80.0, 300.0]
+        ys += [-49.9, -50.0, -50.1, 0.5, 10.0, 49.9, 80.0, 300.0, *_NONFINITE]
         for a, b in ((alpha / 2.0, 0.5), ((1.0 + alpha) / 2.0, 1.5)):
             for y in ys:
-                got = kummer_1f1(a, b, y).hex()
-                assert got == kummer_1f1_by_recurrence(a, b, y).hex(), (a, b, y)
+                assert _outcome(kummer_1f1, a, b, y) == _outcome(
+                    kummer_1f1_by_recurrence, a, b, y), (a, b, y)
+
+    @pytest.mark.parametrize("a,b", [(-0.4, 0.5), (0.31, 1.5)])
+    def test_signed_terms_give_the_recurrence_bit_for_bit(self, a, b):
+        # Pairs whose terms change sign, so the sums keep abs() in their stop
+        # tests: a < 0 for the series at x > 0 and the expansion, and
+        # a - b + 1 < 0 for the expansion.
+        ys = [-1e300, -2500.0, -701.0, -80.0, -50.1, -50.0, -49.9, -10.0,
+              -0.5, -1e-300, 1e-300, 0.5, 10.0, 49.9, 80.0, 300.0, *_NONFINITE]
+        for y in ys:
+            assert _outcome(kummer_1f1, a, b, y) == _outcome(
+                kummer_1f1_by_recurrence, a, b, y), (a, b, y)
 
     def test_numpy_scalar_arguments(self):
         alpha = 0.4321  # a pair no other test caches

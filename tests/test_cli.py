@@ -369,8 +369,6 @@ class TestUsageErrors:
                      "--L-range needs a finite", id="range-step-inf"),
         pytest.param(SWEEP + ["--L-range", "1:1001:1"],
                      "holds 1001 values, more than the 1000", id="range-past-cap"),
-        pytest.param(SWEEP + ["--L-range", "1:1000000:1"],
-                     "holds 1000000 values", id="range-far-past-cap"),
     ])
     def test_exit_2_before_any_build(self, tmp_path, capsys, monkeypatch, argv,
                                      fragment):

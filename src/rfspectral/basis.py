@@ -107,9 +107,7 @@ def analyze(samples) -> CoeffVector:
         raise ValueError("expected real samples, got complex ones")
     n = len(samples)
     k = np.arange(n // 2 + 1)
-    # A slice of the full transform, not rfft: it keeps apply's output
-    # bitwise equal to that of the full analysis.
-    coeffs = np.fft.fft(samples)[: n // 2 + 1] * np.exp(-1j * math.pi * k / n) / n
+    coeffs = np.fft.rfft(samples) * np.exp(-1j * math.pi * k / n) / n
     magnitude = np.abs(coeffs)
     coeffs[magnitude <= KRASNY_EPS * magnitude.max()] = 0.0
     return CoeffVector(coeffs, n)

@@ -131,6 +131,19 @@ def _log1psq_amplitude(alpha, x):
     return -2.0 * _power_amplitude(alpha, x)
 
 
+def _log1psq_values(x):
+    # ln(1 + x^2), taken as 2 ln|x| past _POWER_TAIL, as _power_amplitude
+    # takes its power.
+    x = np.asarray(x, dtype=np.float64)
+    size = np.abs(x)
+    tail = size > _POWER_TAIL
+    near = x[~tail]
+    values = np.empty(x.shape)
+    values[~tail] = np.log1p(near * near)
+    values[tail] = 2.0 * np.log(size[tail])
+    return values
+
+
 def _erf_terms(alpha, x):
     x = np.asarray(x, dtype=np.float64)
     # Python floats, not numpy scalars, into kummer_1f1 (see its docstring).
@@ -213,7 +226,7 @@ ERF = ClosedFormFunction(
 
 LOG1PSQ = ClosedFormFunction(
     name="log1psq",
-    value=lambda x: np.log1p(np.asarray(x) ** 2),
+    value=_log1psq_values,
     derivative=lambda x: 2.0 * x / (1.0 + x * x),
     sup=30.0,
     amplitude=_log1psq_amplitude,

@@ -2,15 +2,12 @@
 2F1 sums, Kummer 1F1, skewed-operator coefficients and the gamma-ratio
 tables feeding the series path.
 
-Kummer 1F1 is evaluated on the nonpositive axis (the erf reference's -x^2
-kernels) by one of two scalar sums: the Kummer-transformed series up to
--x = 50 and the large-argument expansion beyond.  For the erf reference's
-parameters each is within about 3e-15 relative of 40-digit values, away
-from the zeros of 1F1.  Each sum picks one of two loops per call.  Where
-every term is >= 0 (series: a >= 0, b > 0, x > 0; expansion: a >= 0,
-a - b + 1 >= 0), its stop tests compare terms and partial sums as they
-are; otherwise, and in the series past its cached table, they compare
-their abs().  The two loops return the same double wherever both apply.
+Kummer 1F1 takes what the erf reference passes, the arguments x <= 0 of its
+-x^2 kernels: down to x = -50 it sums the Kummer-transformed series over at
+most a cached table's terms, and beyond it the large-argument expansion,
+for a >= 0 and a - b + 1 >= 0 only.  For the erf reference's parameters
+each is within about 3e-15 relative of 40-digit values, away from the
+zeros of 1F1.
 
 Everything here is pure and deterministic: sums run in fixed ascending index
 order, and tables are immutable: the gamma-ratio tables are read-only
@@ -28,14 +25,12 @@ import numpy as np
 
 from .errors import NumericError
 
-_KUMMER_MAX_TERMS = 20000
 # -x above which kummer_1f1 takes the large-argument expansion instead of the
 # transformed series (see its docstring for why 50).
 _TRANSFORM_CUT = 50.0
-# Term ratios per cached series table.  For the erf reference's parameters
-# the transformed series stops within 122 terms for -x <= _TRANSFORM_CUT
-# over alpha in (0, 2); longer sums go on past the table with the same
-# recurrence.
+# Term ratios per cached series table, and the most terms a series sums.
+# For the erf reference's parameters the transformed series stops within
+# 122 terms for -x <= _TRANSFORM_CUT over alpha in (0, 2).
 _TABLE_TERMS = 128
 _ASYMPTOTIC_TERMS = 60
 # (a, b) pairs kept per table kind: the erf reference uses two of each kind
@@ -130,13 +125,12 @@ def _asymptotic_table(
 
 
 def _kummer_series(a: float, b: float, x: float, max_terms: int) -> float:
-    # Sum until two terms in a row are below 1e-17 of the partial sum; the
-    # first _TABLE_TERMS ratios come from the cached table, the rest from
-    # the same recurrence, so every term is the same double either way.
+    # Sum at x >= 0 until two terms in a row are below 1e-17 of the partial
+    # sum, over at most max_terms ratios of the cached table.
     ratios = _series_ratios(a, b)[:max_terms]
     total = term = 1.0
     small = False
-    if a >= 0.0 and b > 0.0 and x > 0.0:
+    if a >= 0.0 and b > 0.0:
         # Every ratio, term and partial sum is >= 0 (or nan), so abs() is
         # the identity in the stop test and is left out.
         for r in ratios:
@@ -158,19 +152,8 @@ def _kummer_series(a: float, b: float, x: float, max_terms: int) -> float:
                 small = True
             else:
                 small = False
-    n = float(len(ratios))
-    for _ in range(max_terms - len(ratios)):
-        term *= (a + n) / ((b + n) * (n + 1.0)) * x
-        n += 1.0
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            if small:
-                return total
-            small = True
-        else:
-            small = False
     raise NumericError(
-        f"Kummer series did not converge within {max_terms} terms "
+        f"Kummer series did not converge within {len(ratios)} terms "
         f"(a={a}, b={b}, x={x})"
     )
 
@@ -178,94 +161,78 @@ def _kummer_series(a: float, b: float, x: float, max_terms: int) -> float:
 def _kummer_asymptotic(a: float, b: float, x: float) -> float:
     # Large negative argument: 1F1(a,b,-y) ~ Gamma(b)/Gamma(b-a) * y^(-a)
     # * sum_s (a)_s (a-b+1)_s / (s! y^s); the exp(-y) branch is negligible.
+    # With a >= 0 and a - b + 1 >= 0, every term and partial sum is >= 0 (or
+    # nan), and the stop tests need no abs().
+    if not (a >= 0.0 and a - b + 1.0 >= 0.0):
+        raise ValueError(
+            f"the large-argument expansion takes a >= 0 and a - b + 1 >= 0, "
+            f"got a={a}, b={b}"
+        )
     gamma_ratio, factors = _asymptotic_table(a, b)
     y = -x
     total = term = 1.0
     prev = math.inf
-    if a >= 0.0 and a - b + 1.0 >= 0.0:
-        # (a)_s and (a-b+1)_s are >= 0 and y > 0, so every term and partial
-        # sum is >= 0 (or nan), and the stop tests need no abs().
-        for num, den in factors:
-            term *= num / (den * y)
-            if term >= prev:
-                break
-            total += term
-            prev = term
-            if term <= 1e-17 * total:
-                break
-    else:
-        for num, den in factors:
-            term *= num / (den * y)
-            size = abs(term)
-            if size >= prev:
-                break
-            total += term
-            prev = size
-            if size <= 1e-17 * abs(total):
-                break
+    for num, den in factors:
+        term *= num / (den * y)
+        if term >= prev:
+            break
+        total += term
+        prev = term
+        if term <= 1e-17 * total:
+            break
     return gamma_ratio * y ** (-a) * total
 
 
 def kummer_1f1(a: float, b: float, x: float) -> float:
-    """Confluent hypergeometric 1F1(a; b; x) for real parameters, tuned for
-    the nonpositive arguments arising from -x^2 kernels.
+    """Confluent hypergeometric 1F1(a; b; x) for real parameters at x <= 0,
+    the erf reference's -x^2 arguments; x > 0, +inf and nan raise ValueError.
 
-    Positive arguments sum the series directly.  For -50 <= x < 0 the sum
-    goes through the Kummer transformation 1F1(a,b,x) = exp(x)
-    1F1(b-a,b,-x): the transformed series has a single sign change at most,
-    so the cancellation that ruins the direct alternating series (error
-    ~ eps * exp(|x|)) never appears, and its partial sums stay below about
-    e^50.  For x < -50 the large-argument expansion (DLMF 13.7(i)) takes
-    over in about 30 terms.  The cut at 50 lies past the crossover: for the
-    erf parameter pairs (alpha/2, 1/2) and ((1+alpha)/2, 3/2), alpha in
-    [0.05, 1.95], the expansion is within about 2e-12 of 40-digit values
-    on -x in [36, 42], 5e-15 on [42, 46] and 1.2e-15 from 46 on, while the
-    transformed series drifts to 9e-15 on [50, 80] and 7e-14 on [80, 700]
-    as its terms grow.
-
-    This is a Python-float scalar kernel: each call sums its series in a
-    Python loop.  The loops read their term ratios, which depend on (a, b)
-    only, from tuples of Python floats cached per (a, b) (the 8 pairs last
-    used by each of the two sums), so a caller evaluating many x at a few
-    (a, b) builds them once; each term is the double the per-term recurrence
-    gives.
+    Down to x = -50 it sums the Kummer transformation exp(x) 1F1(b-a, b, -x),
+    whose terms change sign once at most, so the direct series' cancellation
+    (error ~ eps * exp(|x|)) never appears.  It reads at most _TABLE_TERMS
+    term ratios, cached per (a, b), and raises NumericError past them (both
+    erf pairs stop within 122 terms).  Where b - a is a nonpositive integer
+    it terminates, and 1F1(a; b; -inf) = 0.  Beyond x = -50 the
+    large-argument expansion (DLMF 13.7(i)) takes about 30 terms, for
+    a >= 0 and a - b + 1 >= 0 only (ValueError otherwise).  The cut lies
+    past the crossover: for the erf pairs (alpha/2, 1/2) and
+    ((1+alpha)/2, 3/2), alpha in [0.05, 1.95], the expansion is within
+    1.2e-15 of 40-digit values from -x = 46 on, and the series drifts to
+    9e-15 on [50, 80].
 
     The series stops after two terms in a row at most 1e-17 of the partial
-    sum; the expansion stops before a term no smaller than the one before
-    it, or after one at most 1e-17 of the partial sum.  Where every term is
-    >= 0 these tests compare the terms and sums as they are: the series at
-    a >= 0, b > 0, x > 0 (for the erf pairs, the transformed series of the
-    first at alpha <= 1 and of the second at every alpha) and the expansion
-    at a >= 0, a - b + 1 >= 0 (both erf pairs, every alpha).  Every other
-    (a, b, x), and the series past its cached table, compares their abs().
-    Both loops give the same double wherever both apply.
+    sum, the expansion before a term no smaller than the last or after one
+    at most 1e-17 of the sum.  Only a series whose terms can be negative
+    (b - a < 0 or b < 0; for the erf pairs, the first at alpha > 1)
+    compares their abs().
 
-    Pass x as a Python float (`ndarray.tolist()`, not iteration over an
-    array): a numpy scalar x makes every step of the loop numpy scalar
-    arithmetic, about three times as slow, for the same value.  Numpy scalar
-    a and b cost only their few scalar steps.
+    Pass x as a Python float (`ndarray.tolist()`): a numpy scalar x makes
+    every step of the loop numpy scalar arithmetic, about three times as
+    slow, for the same value.
     """
     if b <= 0.0 and b == math.floor(b):
         raise ValueError(f"b must not be a nonpositive integer, got {b}")
+    if not x <= 0.0:
+        raise ValueError(f"x must be <= 0, got {x}")
     if x == 0.0:
         return 1.0
     ap = b - a
     if ap <= 0.0 and ap == math.floor(ap):
-        # (b-a)_n vanishes for n > -(b-a): the transformed series terminates.
-        return math.exp(x) * _kummer_series(ap, b, -x, max_terms=int(-ap) + 2)
-    if x > 0.0:
-        return _kummer_series(a, b, x, _KUMMER_MAX_TERMS)
+        # (b-a)_n vanishes for n > -(b-a): the transformed series terminates,
+        # so 1F1 is exp(x) times a polynomial, which is 0 at x = -inf.
+        if x == -math.inf:
+            return 0.0
+        return math.exp(x) * _kummer_series(ap, b, -x, int(-ap) + 2)
     if -x > _TRANSFORM_CUT:
         return _kummer_asymptotic(a, b, x)
-    # 1F1(a,b,x) = exp(x) 1F1(b-a, b, -x); for x < 0 the transformed series
-    # has positive argument and no cancellation, and below the cut its
-    # partial sums stay under about exp(_TRANSFORM_CUT), far inside range.
+    # Below the cut the transformed series' partial sums stay under about
+    # exp(_TRANSFORM_CUT), far inside range.
     try:
-        return math.exp(x) * _kummer_series(ap, b, -x, _KUMMER_MAX_TERMS)
+        return math.exp(x) * _kummer_series(ap, b, -x, _TABLE_TERMS)
     except NumericError:
         raise NumericError(
             f"Kummer transformed series did not converge within "
-            f"{_KUMMER_MAX_TERMS} terms (a={a}, b={b}, x={x})"
+            f"{_TABLE_TERMS} terms (a={a}, b={b}, x={x})"
         ) from None
 
 

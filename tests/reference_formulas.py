@@ -224,20 +224,22 @@ def _kummer_asymptotic_by_recurrence(a: float, b: float, x: float) -> float:
 
 
 def kummer_1f1_by_recurrence(a: float, b: float, x: float) -> float:
-    """`specfun.kummer_1f1`'s branches with every term ratio computed in the
-    loop: the series for x > 0, the Kummer-transformed series
-    exp(x) 1F1(b-a, b, -x) for -50 <= x < 0 (terminating when b - a is a
-    nonpositive integer) and the large-argument expansion for x < -50.  Each
-    term is the same double as the kernel's table-driven loops compute, and
-    the stop tests compare abs() of terms and sums, whatever their signs.
-    Raises NumericError where a series does not converge."""
+    """`specfun.kummer_1f1`'s branches at x <= 0 with every term ratio
+    computed in the loop: the Kummer-transformed series exp(x)
+    1F1(b-a, b, -x) for -50 <= x < 0 (terminating when b - a is a
+    nonpositive integer, and then 0 at x = -inf) and the large-argument
+    expansion for x < -50.  Each term is the same double as the kernel's
+    table-driven loops compute, and the stop tests compare abs() of terms
+    and sums, whatever their signs.  The series is not bounded by the
+    kernel's table; it raises NumericError where it does not converge within
+    20000 terms."""
     if x == 0.0:
         return 1.0
     ap = b - a
     if ap <= 0.0 and ap == math.floor(ap):
+        if x == -math.inf:
+            return 0.0
         return math.exp(x) * _kummer_series_by_recurrence(ap, b, -x, int(-ap) + 2)
-    if x > 0.0:
-        return _kummer_series_by_recurrence(a, b, x, 20000)
     if -x > 50.0:
         return _kummer_asymptotic_by_recurrence(a, b, x)
     return math.exp(x) * _kummer_series_by_recurrence(ap, b, -x, 20000)

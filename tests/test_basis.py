@@ -169,8 +169,10 @@ class TestAnalyzeSynthesize:
             CoeffVector(np.zeros(5, dtype=np.complex128), 7)
 
     def test_is_the_half_of_the_full_analysis(self):
-        # Modes 0..N//2 of the full transform, bit for bit; the even-N mode
-        # N/2 is the conjugate of the full analysis's -N/2.
+        # Modes 0..N//2 of the full transform; the even-N mode N/2 is the
+        # conjugate of the full analysis's -N/2.  The real transform rounds
+        # otherwise: at most 2.5 eps of max|u_k| over 50 seeds of these N
+        # and 1024, 1025 and 4096.
         rng = np.random.default_rng(5)
         for n in (8, 15, 16, 33, 2048):
             samples = rng.normal(size=n)
@@ -180,7 +182,8 @@ class TestAnalyzeSynthesize:
                 half[-1] = np.conj(full[n // 2])
             coeffs = analyze(samples)
             assert coeffs.n == n
-            assert np.array_equal(coeffs.coeffs, half)
+            bound = 4.0 * np.finfo(np.float64).eps * np.max(np.abs(half))
+            assert np.max(np.abs(coeffs.coeffs - half)) <= bound
 
     def test_synthesize_constant(self):
         coeffs = CoeffVector(np.array([1.0 + 0.0j] + [0.0j] * 4), 8)

@@ -20,6 +20,18 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def run_warnings_as_errors(args):
+    # A fresh interpreter under -W error: in process, pytest would turn a
+    # numpy warning into an exception before main reports it.
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "rfspectral.cli", *map(str, args)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        timeout=300,
+    )
+
+
 class TestApply:
     def test_erf_battery_cell(self, tmp_path, capsys):
         out = tmp_path / "rf_erf"
@@ -109,29 +121,35 @@ class TestApply:
     def test_erf_at_huge_map_scale_runs_clean(self, tmp_path):
         # Nodes past |x| ~ 1.34e154 overflow x * x.  Under -W error any
         # warning from the closed forms would exit 1 with a traceback.
-        src = str(Path(cli.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "rfspectral.cli", "apply",
-             "--op", "fl", "--alpha", "0.62", "--func", "erf", "--N", "64",
-             "--L", "1e300", "--out", tmp_path / "huge"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-            timeout=300,
-        )
+        proc = run_warnings_as_errors([
+            "apply", "--op", "fl", "--alpha", "0.62", "--func", "erf",
+            "--N", "64", "--L", "1e300", "--out", tmp_path / "huge"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
 
+    @pytest.mark.parametrize("l_scale", ["1e160", "1e300"])
+    def test_erf_at_order_one_and_huge_map_scale(self, tmp_path, l_scale):
+        # At alpha = 1 the first Kummer pair terminates, and at the nodes
+        # where x * x overflows it is 0; it used to multiply 0 by inf and
+        # exit 3.
+        out = tmp_path / "one"
+        proc = run_warnings_as_errors([
+            "apply", "--op", "fl", "--alpha", "1", "--func", "erf",
+            "--N", "64", "--L", l_scale, "--out", out])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        manifest = json.loads(out.with_suffix(".json").read_text())
+        assert np.isfinite(manifest["linf_error"])
 
-@pytest.mark.filterwarnings(
-    "ignore:overflow encountered:RuntimeWarning",
-    "ignore:invalid value encountered:RuntimeWarning",
-)
+
 class TestNonFiniteResults:
+    # The log1psq commands run with a nan planted at one node; the matrix
+    # commands do not evaluate it.
     @pytest.mark.parametrize("argv", [
         ["apply", "--op", "fl", "--alpha", "0.62", "--func", "log1psq",
-         "--N", "64", "--L", "1e200", "--out", "a"],
+         "--N", "64", "--L", "30", "--out", "a"],
         ["sweep", "--op", "fl", "--alpha", "0.62", "--func", "log1psq",
-         "--N-list", "16", "--L-range", "1e200:1e200:1", "--out", "s.csv"],
+         "--N-list", "16", "--L-range", "30:30:1", "--out", "s.csv"],
         # L^alpha = 7.9e-309 passes the map-scale rule, but the base over it
         # overflows: the file used to hold 156 non-finite entries of 256.
         ["matrix", "--op", "fl", "--alpha", "1.95", "--N", "16",
@@ -139,11 +157,30 @@ class TestNonFiniteResults:
         ["matrix", "--op", "rf", "--alpha", "1.95", "--gamma", "0.05",
          "--N", "16", "--L", "1e-158", "--out", "m.rfm"],
     ], ids=["apply-nodal", "sweep", "matrix-scaled-fl", "matrix-scaled-rf"])
-    def test_exit_3_and_no_output(self, tmp_path, capsys, monkeypatch, argv):
+    def test_exit_3_and_no_output(self, tmp_path, capsys, monkeypatch,
+                                  log1psq_with_a_nan, argv):
         monkeypatch.chdir(tmp_path)
         assert run(argv) == 3
         assert "non-finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["apply", "--N", "64", "--L", "1e200", "--out", "lg"], "lg.csv"),
+    (["sweep", "--N-list", "16", "--L-range", "1e200:1e200:1", "--out", "s.csv"],
+     "s.csv"),
+    (["oracle", "--N", "64", "--L", "1e200", "--out", "o.csv"], "o.csv"),
+], ids=["apply", "sweep", "oracle"])
+def test_log1psq_at_huge_map_scale_runs_clean(tmp_path, argv, out):
+    # Nodes past |x| ~ 1.34e154 used to overflow x^2 in the log1psq values:
+    # exit 1 under -W error, and exit 3 without it.
+    argv = [argv[0], "--op", "fl", "--alpha", "0.62", "--func", "log1psq",
+            *argv[1:-1], tmp_path / argv[-1]]
+    proc = run_warnings_as_errors(argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    values = np.loadtxt(tmp_path / out, delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(values))
 
 
 class TestMatrix:
@@ -497,19 +534,13 @@ class TestEvolve:
         assert code == 3
 
     def test_divergence_exits_3_with_warnings_as_errors(self, tmp_path):
-        # This grid diverges in the march.  In process, pytest would turn a
-        # numpy warning into an exception before main reports, so run a fresh
-        # interpreter under -W error: one stderr line and exit 3, where a
-        # warning escaping the march used to exit 1 with a traceback.
-        src = str(Path(cli.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "rfspectral.cli", "evolve",
-             "--alpha", "1.37", "--gamma", "0", "--N", "16", "--L", "0.03",
-             "--t-end", "1", "--fit-window", "0,1", "--out-dir", tmp_path / "d"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-            timeout=300,
-        )
+        # This grid diverges in the march.  Under -W error, a warning
+        # escaping the march used to exit 1 with a traceback; now it is one
+        # stderr line and exit 3.
+        proc = run_warnings_as_errors([
+            "evolve", "--alpha", "1.37", "--gamma", "0", "--N", "16",
+            "--L", "0.03", "--t-end", "1", "--fit-window", "0,1",
+            "--out-dir", tmp_path / "d"])
         assert proc.returncode == 3
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numeric failure:")

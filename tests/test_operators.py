@@ -105,6 +105,18 @@ class TestApplyWithAux:
         )
         assert report.linf_error < 1.2e-3
 
+    @pytest.mark.parametrize("kind, gamma, l_scale", [
+        (OperatorKind.RIESZ_FELLER, -0.5727865566121254, 1.0069538016729547),
+        (OperatorKind.DX_WEYL_LEFT_NEG, 0.0, 1.0348263492095013),
+    ], ids=["rf", "dxl"])
+    def test_erf_battery_ops_at_1024_nodes(self, kind, gamma, l_scale):
+        # Two erf ops the benchmark's battery draws (seeds 11 and 40).  The
+        # full complex FFT's rounding, times the operator's k^alpha, put
+        # them at 1.03e-12 and 1.08e-12; the real FFT at 1.0e-13 and
+        # 1.3e-13, under criterion 1's 1e-12.
+        report = apply_reference("erf", kind, 1.37, gamma, 1024, l_scale, 100)
+        assert report.linf_error <= 1e-12
+
     def test_linearity(self, base_62):
         l_scale = 1.4
         matrix = scale_to_operator(base_62, OperatorKind.WEYL_LEFT_NEG, 0.0, l_scale)
@@ -138,16 +150,11 @@ class TestApplyWithAux:
             assert abs(report.approx[j].real - quad_val) < 1e-6
 
 
-# Samples or closed forms that overflow at a huge map scale.
-@pytest.mark.filterwarnings(
-    "ignore:overflow encountered:RuntimeWarning",
-    "ignore:invalid value encountered:RuntimeWarning",
-)
 class TestNonFiniteValues:
     @pytest.mark.parametrize("func, l_scale, what", [
-        ("log1psq", 1e200, "operator"),
+        ("log1psq", 30.0, "operator"),
     ])
-    def test_apply_raises_numeric_error(self, func, l_scale, what):
+    def test_apply_raises_numeric_error(self, log1psq_with_a_nan, func, l_scale, what):
         with pytest.raises(NumericError, match=f"non-finite {what} values"):
             apply_reference(func, OperatorKind.FRAC_LAPLACIAN, 0.62, 0.0, 64,
                             l_scale, 10)
@@ -161,10 +168,10 @@ class TestNonFiniteValues:
         with pytest.raises(NumericError, match="non-finite exact log1psq values"):
             apply_with_aux(np.ones_like, None, matrix, exact=CLOSED_FORMS["log1psq"])
 
-    def test_sweep_raises_numeric_error(self):
+    def test_sweep_raises_numeric_error(self, log1psq_with_a_nan):
         with pytest.raises(NumericError):
             sweep_errors("log1psq", OperatorKind.FRAC_LAPLACIAN, 0.62, 0.0,
-                         [16], [1.0, 1e200], 10)
+                         [16], [1.0, 30.0], 10)
 
 
 class TestAuxDecomposition:

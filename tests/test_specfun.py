@@ -214,7 +214,8 @@ class TestHyp2F1:
             hyp2f1_terminating(-1, 0.5, 1.0)
 
 
-_NONFINITE = (math.inf, -math.inf, math.nan)
+# Arguments outside kummer_1f1's contract, x <= 0.
+_REFUSED_X = (1e-300, 0.5, 10.0, 49.9, 80.0, 300.0, math.inf, math.nan)
 
 
 def _outcome(kernel, a, b, x):
@@ -225,13 +226,25 @@ def _outcome(kernel, a, b, x):
         return type(exc)
 
 
+@pytest.fixture
+def short_tables(monkeypatch):
+    # Series tables of three ratios; the caches are cleared on both sides,
+    # so no short table outlives the test.
+    monkeypatch.setattr(specfun, "_TABLE_TERMS", 3)
+    specfun._series_ratios.cache_clear()
+    yield
+    specfun._series_ratios.cache_clear()
+
+
 class TestKummer:
     def test_at_zero(self):
         assert kummer_1f1(0.31, 0.5, 0.0) == 1.0
 
     def test_equal_parameters_collapse(self):
-        for x in (-40.0, -3.0, 0.7):
+        # b - a = 0: the transformed series terminates at exp(x).
+        for x in (-40.0, -3.0, -0.7):
             assert kummer_1f1(0.5, 0.5, x) == pytest.approx(math.exp(x), rel=1e-13)
+        assert kummer_1f1(0.5, 0.5, -math.inf) == 0.0
 
     def test_frozen_high_precision_value(self):
         # 1F1(0.31; 0.5; -4), 50-digit series summation
@@ -240,7 +253,10 @@ class TestKummer:
 
     @pytest.mark.parametrize("a,b", [(0.31, 0.5), (0.685, 0.5), (1.185, 1.5), (0.31, 1.5)])
     def test_negative_axis_against_scipy(self, a, b):
-        for x in np.linspace(-2500.0, -0.5, 41):
+        # (0.31, 1.5) has a - b + 1 < 0, outside the expansion's contract,
+        # so it is checked on the transformed series' range only.
+        lo = -2500.0 if a - b + 1.0 >= 0.0 else -50.0
+        for x in np.linspace(lo, -0.5, 41):
             got = kummer_1f1(a, b, float(x))
             ref = float(scipy_hyp1f1(a, b, float(x)))
             assert got == pytest.approx(ref, rel=1e-11)
@@ -253,12 +269,12 @@ class TestKummer:
     def test_tables_give_the_recurrence_bit_for_bit(self, alpha):
         # The erf reference's arguments -x^2 at the battery's N = 1024 nodes
         # (-x up to about 6.8e6 at L = 4), both sides of the cut at 50, and
-        # positive arguments whose series runs past the cached table.  Both
+        # -inf (0 where the first pair terminates, at alpha = 1).  Both
         # pairs take the series and expansion loops without abs(), except
         # the first pair's transformed series at alpha > 1 (b - a < 0).
         ys = [-t * t for L in (1.0, 1.75, 2.5, 3.25, 4.0)
               for t in basis.make_grid(1024, L).x_nodes.tolist()]
-        ys += [-49.9, -50.0, -50.1, 0.5, 10.0, 49.9, 80.0, 300.0, *_NONFINITE]
+        ys += [-0.0, -1e-300, -49.9, -50.0, -50.1, -1e300, -math.inf]
         for a, b in ((alpha / 2.0, 0.5), ((1.0 + alpha) / 2.0, 1.5)):
             for y in ys:
                 assert _outcome(kummer_1f1, a, b, y) == _outcome(
@@ -266,19 +282,35 @@ class TestKummer:
 
     @pytest.mark.parametrize("a,b", [(-0.4, 0.5), (0.31, 1.5)])
     def test_signed_terms_give_the_recurrence_bit_for_bit(self, a, b):
-        # Pairs whose terms change sign, so the sums keep abs() in their stop
-        # tests: a < 0 for the series at x > 0 and the expansion, and
-        # a - b + 1 < 0 for the expansion.
-        ys = [-1e300, -2500.0, -701.0, -80.0, -50.1, -50.0, -49.9, -10.0,
-              -0.5, -1e-300, 1e-300, 0.5, 10.0, 49.9, 80.0, 300.0, *_NONFINITE]
+        # Pairs whose expansion terms change sign (a < 0, and a - b + 1 < 0):
+        # the transformed series covers them down to x = -50, and the
+        # expansion refuses them beyond.
+        ys = [-50.0, -49.9, -10.0, -0.5, -1e-300, -0.0]
         for y in ys:
             assert _outcome(kummer_1f1, a, b, y) == _outcome(
                 kummer_1f1_by_recurrence, a, b, y), (a, b, y)
+        for y in (-50.1, -80.0, -1e300, -math.inf):
+            with pytest.raises(ValueError, match="large-argument expansion"):
+                kummer_1f1(a, b, y)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.62, 0.999, 1.0, 1.37, 1.95])
+    def test_refused_arguments_raise_at_once(self, alpha):
+        # x > 0, +inf and nan raise before any table is built, so the nan
+        # argument no longer sums a series to its term bound.
+        pairs = [(alpha / 2.0, 0.5), ((1.0 + alpha) / 2.0, 1.5)]
+        specfun._series_ratios.cache_clear()
+        specfun._asymptotic_table.cache_clear()
+        for a, b in pairs:
+            for x in _REFUSED_X:
+                with pytest.raises(ValueError, match="x must be <= 0"):
+                    kummer_1f1(a, b, x)
+        assert specfun._series_ratios.cache_info().currsize == 0
+        assert specfun._asymptotic_table.cache_info().currsize == 0
 
     def test_numpy_scalar_arguments(self):
         alpha = 0.4321  # a pair no other test caches
         for a, b in ((alpha / 2.0, 0.5), ((1.0 + alpha) / 2.0, 1.5)):
-            for y in (-80.0, -20.0, 3.0):
+            for y in (-80.0, -20.0, -3.0):
                 got = kummer_1f1(np.float64(a), np.float64(b), np.float64(y))
                 assert float(got).hex() == kummer_1f1(a, b, y).hex()
             # Cached from numpy-scalar (a, b) first, yet Python floats only.
@@ -294,16 +326,22 @@ class TestKummer:
         for table in (specfun._series_ratios, specfun._asymptotic_table):
             assert table.cache_info().currsize == specfun._TABLE_PAIRS
 
-    def test_nonconvergence_reports_terms(self, monkeypatch):
-        monkeypatch.setattr(specfun, "_KUMMER_MAX_TERMS", 3)
-        with pytest.raises(NumericError, match="3 terms"):
-            kummer_1f1(0.31, 0.5, 80.0)
+    def test_nonconvergence_reports_terms(self, short_tables):
+        # b - a = -5 terminates after 6 terms, past a table of 3.
+        with pytest.raises(NumericError, match="within 3 terms") as info:
+            kummer_1f1(5.5, 0.5, -30.0)
+        assert "a=-5.0, b=0.5, x=30.0" in str(info.value)
 
-    def test_transformed_nonconvergence_names_caller_arguments(self, monkeypatch):
-        monkeypatch.setattr(specfun, "_KUMMER_MAX_TERMS", 3)
+    def test_transformed_nonconvergence_names_caller_arguments(self, short_tables):
         with pytest.raises(NumericError, match="transformed series") as info:
             kummer_1f1(0.31, 0.5, -30.0)
-        assert "a=0.31, b=0.5, x=-30.0" in str(info.value)
+        assert "within 3 terms (a=0.31, b=0.5, x=-30.0)" in str(info.value)
+
+    def test_series_stops_at_the_table(self):
+        # b - a = 200 at -x = 50: the terms still grow at the table's end,
+        # and the series raises instead of running on.
+        with pytest.raises(NumericError, match=f"within {specfun._TABLE_TERMS} terms"):
+            kummer_1f1(-199.5, 0.5, -50.0)
 
     @pytest.mark.parametrize("alpha", sorted(_ERF_KUMMER_REF))
     def test_erf_parameters_across_branch_switch(self, alpha):

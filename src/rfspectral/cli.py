@@ -30,7 +30,7 @@ from .opmatrix import (
     scale_to_operator,
     serialize,
 )
-from .oracle import DEFAULT_TOL, check_tolerance, quad_operator
+from .oracle import BUDGET_RULE, DEFAULT_TOL, check_tolerance, quad_operator
 
 # Parsed arguments left out of a manifest's parameters: the subcommand and
 # its handler, where the outputs go and how many threads made them.  Every
@@ -253,7 +253,8 @@ def cmd_oracle(args) -> tuple[Path, list, dict]:
     max_diff = max(abs(r[1] - r[2]) for r in rows)
     print(f"max |spectral - quadrature| = {max_diff:.6e} -> {out}")
     return (out.with_suffix(out.suffix + ".json"), [out],
-            {"max_spectral_vs_quadrature": max_diff})
+            {"max_spectral_vs_quadrature": max_diff,
+             "quadrature_budget": BUDGET_RULE})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -144,12 +144,23 @@ def _log1psq_values(x):
     return values
 
 
+def _mirror_order(n):
+    idx = np.arange(n)
+    pairs = np.column_stack((idx[: n // 2], idx[::-1][: n // 2])).ravel()
+    return np.concatenate((pairs, idx[n // 2 : n - n // 2]))
+
+
 def _erf_terms(alpha, x):
     x = np.asarray(x, dtype=np.float64)
-    # Python floats, not numpy scalars, into kummer_1f1 (see its docstring).
-    y = [-t * t for t in x.ravel().tolist()]
-    f1 = np.array([kummer_1f1(alpha / 2.0, 0.5, v) for v in y])
-    f2 = np.array([kummer_1f1((1.0 + alpha) / 2.0, 1.5, v) for v in y])
+    # Nodes j, N-1-j, ... and the odd-N middle one: on an antisymmetric grid
+    # each second call repeats the first's argument, which kummer_1f1's memo
+    # holds.  Python floats, not numpy scalars, go in (see its docstring).
+    order = _mirror_order(x.size)
+    y = [-t * t for t in x.ravel()[order].tolist()]
+    f1 = np.empty(x.size)
+    f1[order] = [kummer_1f1(alpha / 2.0, 0.5, v) for v in y]
+    f2 = np.empty(x.size)
+    f2[order] = [kummer_1f1((1.0 + alpha) / 2.0, 1.5, v) for v in y]
     a_term = 2.0 ** alpha / math.pi * math.gamma(alpha / 2.0) * f1.reshape(x.shape)
     b_term = (
         2.0 ** (1.0 + alpha)

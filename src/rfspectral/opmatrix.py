@@ -340,14 +340,17 @@ def _full_rows(entries: np.ndarray, start: int, block: np.ndarray) -> None:
     re, im = entries
     top, half = re.shape
     n = block.shape[1]
-    r = np.arange(start, start + len(block))
-    mirrored = r >= top
-    src = np.where(mirrored, n - 1 - r, r)
+    stop = start + len(block)
+    # The first t rows are stored; the rest mirror rows n-1-r, which run
+    # backwards down the planes.
+    t = max(0, min(top, stop) - start)
+    mirror = slice(n - stop, n - start - t)
     pos = block[:, 1 : half + 1]
-    pos.real = re[src]
-    pos.imag = im[src]
-    pos.imag[mirrored] *= -1.0
-    block[:, n - half :] = np.conj(pos[:, ::-1])
+    pos.real[:t] = re[start : start + t]
+    pos.imag[:t] = im[start : start + t]
+    pos.real[t:] = re[mirror][::-1]
+    np.negative(im[mirror][::-1], out=pos.imag[t:])
+    np.conjugate(pos[:, ::-1], out=block[:, n - half :])
     block[:, 0] = 0.0
     block[:, half + 1 : n - half] = 0.0
 

@@ -29,6 +29,10 @@ _MAX_SUBDIVISIONS = 200
 
 # Absolute and relative tolerance of `quad_operator` and `oracle --quad-tol`.
 DEFAULT_TOL = 1e-9
+# The error estimate each integral must meet, as `oracle` reports it: the
+# tolerance is absolute below |value| = 1, so a far smaller operator value
+# may come back as 0.
+BUDGET_RULE = "quad_tol * max(1, |value|)"
 
 
 def check_tolerance(tol: float) -> None:
@@ -99,6 +103,7 @@ class _Accumulator:
         self.err += abs(weight) * err
 
     def result(self, label):
+        # The rule BUDGET_RULE states.
         budget = self.tol * max(1.0, abs(self.value))
         if self.err > budget:
             raise ConvergenceError(

@@ -183,6 +183,7 @@ def _kummer_asymptotic(a: float, b: float, x: float) -> float:
     return gamma_ratio * y ** (-a) * total
 
 
+@functools.lru_cache(maxsize=1)
 def kummer_1f1(a: float, b: float, x: float) -> float:
     """Confluent hypergeometric 1F1(a; b; x) for real parameters at x <= 0,
     the erf reference's -x^2 arguments; x > 0, +inf and nan raise ValueError.
@@ -209,6 +210,10 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
     Pass x as a Python float (`ndarray.tolist()`): a numpy scalar x makes
     every step of the loop numpy scalar arithmetic, about three times as
     slow, for the same value.
+
+    It keeps its last (a, b, x) and result, and no exception: the erf
+    reference passes the mirrored nodes of its antisymmetric grid in turn,
+    so the second call of each pair returns the double just computed.
     """
     if b <= 0.0 and b == math.floor(b):
         raise ValueError(f"b must not be a nonpositive integer, got {b}")

@@ -590,6 +590,24 @@ class TestOracle:
             _, spectral, quadrature, closed = (float(v) for v in line.split(","))
             assert abs(quadrature - closed) < 1e-6
 
+    def test_huge_map_scale_compares_within_the_absolute_budget(self, tmp_path):
+        # Operator values of about 1e-124 lie far below the absolute floor
+        # quad_tol of the budget, so the quadrature returns 0; the summary
+        # states the rule that lets it.
+        out = tmp_path / "oracle.csv"
+        assert run([
+            "oracle", "--op", "fl", "--alpha", "0.62", "--func", "log1psq",
+            "--N", "64", "--L", "1e200", "--out", out,
+        ]) == 0
+        summary = json.loads(Path(f"{out}.json").read_text())
+        assert summary["quadrature_budget"] == "quad_tol * max(1, |value|)"
+        tol = summary["parameters"]["quad_tol"]
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        _, spectral, quadrature, closed = rows.T
+        assert np.all(np.abs(quadrature) <= tol)
+        assert np.all((0.0 < np.abs(closed)) & (np.abs(closed) < 1e-120))
+        assert summary["max_spectral_vs_quadrature"] == np.max(np.abs(spectral - quadrature))
+
     def test_repeated_nodes_are_computed_once(self, tmp_path, monkeypatch):
         # 100 points over the middle half of N = 16 nodes round onto 9
         # distinct nodes; each gets one row and one quadrature.

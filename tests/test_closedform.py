@@ -289,10 +289,12 @@ class TestReferenceOperator:
             assert dx_right == right
             assert dx_left == -left
 
-    def test_erf_kummer_arguments_are_python_floats(self, monkeypatch):
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_erf_kummer_arguments_are_python_floats(self, monkeypatch, n):
         # kummer_1f1 is a scalar Python loop: numpy scalar arguments would
         # make every step of it numpy scalar arithmetic.  type, not
-        # isinstance: numpy.float64 subclasses float.
+        # isinstance: numpy.float64 subclasses float.  Mirrored nodes still
+        # make one call each, half of them answered by the memo.
         calls = []
 
         def spy(a, b, x):
@@ -300,7 +302,6 @@ class TestReferenceOperator:
             return kummer_1f1(a, b, x)
 
         monkeypatch.setattr(closedform, "kummer_1f1", spy)
-        n = 64
         x = make_grid(n, 1.5).x_nodes
         reference_operator(ERF, OperatorKind.FRAC_LAPLACIAN, 0.62, 0.0, x)
         assert len(calls) == 2 * n
@@ -325,3 +326,48 @@ class TestReferenceOperator:
             rf = reference_operator(func, OperatorKind.RIESZ_FELLER, 1.12, 0.0, x)
             lap = reference_operator(func, OperatorKind.FRAC_LAPLACIAN, 1.12, 0.0, x)
             assert np.max(np.abs(rf + lap)) < 1e-13
+
+
+def _erf_terms_in_node_order(alpha, x, monkeypatch):
+    # The erf terms with kummer_1f1 called in natural node order and without
+    # its memo, so that no value is taken from an earlier call.
+    with monkeypatch.context() as patch:
+        patch.setattr(closedform, "_mirror_order", np.arange)
+        patch.setattr(closedform, "kummer_1f1", kummer_1f1.__wrapped__)
+        return closedform._erf_terms(alpha, x)
+
+
+class TestErfMirrorOrder:
+    ALPHAS = [0.05, 0.62, 1.0, 1.37, 1.95]
+
+    @pytest.mark.parametrize("n", [7, 64, 1025])
+    def test_grid_values_are_those_of_node_order(self, monkeypatch, n):
+        for alpha in self.ALPHAS:
+            for scale in (0.3, 2.7, 1e5):
+                x = make_grid(n, scale).x_nodes
+                kummer_1f1.cache_clear()
+                got = closedform._erf_terms(alpha, x)
+                # The second node of each mirrored pair, in both pairs.
+                assert kummer_1f1.cache_info().hits == 2 * (n // 2)
+                expected = _erf_terms_in_node_order(alpha, x, monkeypatch)
+                for g, e in zip(got, expected):
+                    assert g.tobytes() == e.tobytes(), (n, alpha, scale)
+
+    def test_values_off_the_grid_are_those_of_node_order(self, monkeypatch):
+        # No antisymmetry to reuse: every call misses the memo.
+        x = np.random.default_rng(36).normal(scale=5.0, size=(13, 17))
+        for alpha in self.ALPHAS:
+            got = closedform._erf_terms(alpha, x)
+            expected = _erf_terms_in_node_order(alpha, x, monkeypatch)
+            for g, e in zip(got, expected):
+                assert g.shape == x.shape
+                assert g.tobytes() == e.tobytes(), alpha
+
+    def test_refused_arguments_raise_on_every_call(self):
+        # The memo holds results, never exceptions.
+        for _ in range(2):
+            with pytest.raises(ValueError, match="x must be <= 0"):
+                kummer_1f1(0.31, 0.5, 1.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="x must be <= 0"):
+                closedform._erf_terms(0.62, np.array([1.0, math.nan, -1.0]))

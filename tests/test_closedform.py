@@ -289,12 +289,19 @@ class TestReferenceOperator:
             assert dx_right == right
             assert dx_left == -left
 
-    @pytest.mark.parametrize("n", [64, 65])
-    def test_erf_kummer_arguments_are_python_floats(self, monkeypatch, n):
+    def test_erf_kummer_arguments_are_python_floats(self, monkeypatch):
         # kummer_1f1 is a scalar Python loop: numpy scalar arguments would
         # make every step of it numpy scalar arithmetic.  type, not
         # isinstance: numpy.float64 subclasses float.  Mirrored nodes still
         # make one call each, half of them answered by the memo.
+        self._check_erf_kummer_calls(monkeypatch, 64)
+
+    def test_erf_kummer_arguments_at_odd_n(self, monkeypatch):
+        # An odd grid has an unpaired node at zero.
+        self._check_erf_kummer_calls(monkeypatch, 65)
+
+    @staticmethod
+    def _check_erf_kummer_calls(monkeypatch, n):
         calls = []
 
         def spy(a, b, x):

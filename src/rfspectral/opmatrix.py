@@ -5,9 +5,11 @@ of the six operator kinds at map scale L is the base with its k > 0 columns
 times one complex number, the kind's phase over L^alpha (its k < 0 columns
 times the conjugate).  Every OperatorMatrix stores the base entries.  The
 series entries come from the gamma-ratio sum folded onto the grid through
-the aliasing identity, truncated at |l1| <= l_lim.  The fold sums run as
-matrix products over a two-sided table of the V2 ratios, one chunk of
-columns at a time, and each chunk of columns is one IFFT over all N rows.
+the aliasing identity, truncated at |l1| <= l_lim.  The near shells
+|l1| <= 1 are summed as matrix products over a two-sided table of the V2
+ratios; the far shells, analytic over the grid, are interpolated from their
+exact sums at a few integer nodes per axis.  Both run one chunk of columns
+at a time, and each chunk of columns is one IFFT over all N rows.
 
 Only the top ceil(N/2) rows of the positive-mode columns k = 1..ceil(N/2)-1
 are kept.  The rest of the full N x N matrix is implied, as `_full_rows`
@@ -57,8 +59,11 @@ DEFAULT_L_LIM = 100
 _FOLD_CHUNK = 256
 _FOLD_TILE = 64
 
+# Interpolation nodes per axis, l2 and k, of the far shells 2 <= |l1| <= l_lim.
+_FAR_NODES = 20
+
 # Size of one row block of the full matrix streamed to or from a file.
-_BLOCK_BYTES = 1 << 22
+_BLOCK_BYTES = 1 << 19
 
 
 def stored_columns(n: int) -> int:
@@ -207,11 +212,17 @@ def _series_columns(alpha, n, l_lim, s):
     # of k.  Entry (l2, k) of the folded coefficients is the sum over
     # |l1| <= l_lim of S ((1 - alpha) k^2 - 2 k m) V2(|k - m|), with
     # m = l1 n + l2 and S = (-1)^l1 V1(|m|), so it is (1 - alpha) k^2 A - 2 k B
-    # with A = sum S V2(|k - m|) and B = sum S m V2(|k - m|).  For a tile of
-    # l2 and a chunk of k both sums are matrix products against one strided
-    # view of the two-sided V2 table (see `_fold_band`).
+    # with A = sum S V2(|k - m|) and B = sum S m V2(|k - m|).  The near
+    # shells |l1| <= 1 are summed for a tile of l2 and a chunk of k as matrix
+    # products against one strided view of the two-sided V2 table (see
+    # `_fold_band`).  For |l1| >= 2, |k - m| >= n and |m| >= n, so the far
+    # sums are analytic in (l2, k) over the whole grid: they are sampled at
+    # a few integer nodes per axis and carried to every (l2, k) by the
+    # barycentric Lagrange matrices of those nodes.
     assert alpha != 1.0, "series path is undefined at alpha = 1"
-    w, s_rows, m_rows = _fold_tables(alpha, n, l_lim)
+    l2_nodes, u_l = _interpolant(np.arange(-(n // 2), (n + 1) // 2))
+    k_nodes, u_k = _interpolant(np.arange(1, stored_columns(n) + 1))
+    w, s_rows, m_rows, far_a, far_b = _fold_tables(alpha, n, l_lim, l2_nodes, k_nodes)
     scale = n * (
         c_alpha(alpha)
         * np.sin(s) ** (alpha - 1.0)
@@ -230,13 +241,17 @@ def _series_columns(alpha, n, l_lim, s):
     def fold_chunk(k):
         k0, c = int(k[0]), len(k)
         a_weight, b_weight = (1.0 - alpha) * k * k, 2.0 * k
+        # The far sums of the chunk's columns at the l2 nodes, weighted.
+        u = u_k[k0 - 1 : k0 - 1 + c].T
+        far = (far_a @ u) * a_weight - (far_b @ u) * b_weight
         # Row l2 in DFT order, column k: each tile's coefficients are
         # weighted, combined and phased where they are folded.
         col = np.empty((n, c), dtype=np.complex128)
         for a, b in tiles:
-            band = _fold_band(w, n, s_rows.shape[0], a, b, k0, c)
+            band = _fold_band(w, n, a, b, k0, c)
             coef = (_skew_diagonal(s_rows[:, a:b].T @ band, c) * a_weight
                     - _skew_diagonal(m_rows[:, a:b].T @ band, c) * b_weight)
+            coef += u_l[a:b] @ far
             rows = slice((a - h) % n, (a - h) % n + b - a)
             np.multiply(coef, phase.real[rows], out=col.real[rows])
             np.multiply(coef, phase.imag[rows], out=col.imag[rows])
@@ -250,33 +265,64 @@ def _series_columns(alpha, n, l_lim, s):
     return fold_chunk
 
 
-def _fold_tables(alpha, n, l_lim):
-    # The two-sided V2 table w, w[p_max + d] = V2(|d|), and the rows S and
-    # S m of the fold: row r is l1 = r - l_lim, column q is l2 = q - n//2,
+def _fold_tables(alpha, n, l_lim, l2_nodes, k_nodes):
+    # The near shells' two-sided V2 table w, w[2 n - 1 + d] = V2(|d|), and
+    # their rows S and S m: row r is l1 = r - 1, column q is l2 = q - n//2,
     # so that m = l1 n + l2 runs over one integer range in row-major order
-    # and S is that run of V1(|m|) with the rows of odd l1 negated.  V1 and
-    # V2 are dropped on return.
+    # and S is that run of V1(|m|) with the rows of odd l1 negated.  Then the
+    # far sums A and B at the nodes, row l2 and column k.  V1 and V2 are
+    # dropped on return.
     p_max = l_lim * n + n - 1
     v2 = ratio_table(alpha, RatioKind.V2, p_max)
-    w = np.concatenate((v2[:0:-1], v2))
-    del v2
+    w = np.concatenate((v2[2 * n - 1 : 0 : -1], v2[: 2 * n]))
     v1 = ratio_table(alpha, RatioKind.V1, p_max)
-    lo, hi = l_lim * n + n // 2, l_lim * n + (n + 1) // 2
+    lo, hi = n + n // 2, n + (n + 1) // 2
     s_rows = np.concatenate((v1[lo:0:-1], v1[:hi])).reshape(-1, n)
-    s_rows[(l_lim + 1) % 2 :: 2] *= -1.0
+    s_rows[::2] *= -1.0
     m_rows = np.arange(-lo, hi, dtype=np.float64).reshape(-1, n)
     m_rows *= s_rows
-    return w, s_rows, m_rows
+    l1 = np.concatenate((np.arange(-l_lim, -1), np.arange(2, l_lim + 1)))[:, None]
+    m = l1 * n + l2_nodes
+    s_far = np.where(l1 % 2 == 0, 1.0, -1.0) * v1[np.abs(m)]
+    v2_far = v2[np.abs(k_nodes - m[:, :, None])]
+    far_a = np.einsum("lq,lqk->qk", s_far, v2_far)
+    far_b = np.einsum("lq,lqk->qk", s_far * m, v2_far)
+    return w, s_rows, m_rows, far_a, far_b
 
 
-def _fold_band(w, n, rows, a, b, k0, c):
+def _interpolant(points):
+    # Interpolation over a range of consecutive integers: the nodes, the
+    # distinct integers nearest _FAR_NODES Chebyshev extrema of the range
+    # (all of them if it holds no more), and the matrix whose row i is the
+    # Lagrange basis of the nodes at points[i] in the second (barycentric)
+    # form, with a unit row where the point is a node.  The weights
+    # 1 / prod (x_j - x_i) take the gaps over the points' count, a common
+    # factor that cancels, so that they stay in range.
+    nodes = points
+    if len(points) > _FAR_NODES:
+        lo, hi = points[0], points[-1]
+        x = np.cos(math.pi * np.arange(_FAR_NODES) / (_FAR_NODES - 1))
+        nodes = np.unique(np.rint(0.5 * (lo + hi) + 0.5 * (hi - lo) * x)).astype(np.int64)
+    gaps = (nodes[:, None] - nodes[None, :]) / max(1, len(points))
+    np.fill_diagonal(gaps, 1.0)
+    weights = 1.0 / np.prod(gaps, axis=1)
+    d = points[:, None] - nodes[None, :]
+    hit = d == 0
+    u = hit.astype(np.float64)
+    off = ~hit.any(axis=1)
+    terms = weights / d[off]
+    u[off] = terms / terms.sum(axis=1, keepdims=True)
+    return nodes, u
+
+
+def _fold_band(w, n, a, b, k0, c):
     # The V2 values that fold columns q = a..b-1 meet in the modes
-    # k = k0..k0+c-1: band[r, e] = w[p_max + m - k] = V2(|k - m|), with m the
-    # fold index of row r and column q and e = (q - a) - (k - k0) + c - 1.
-    # m moves by n per row and q - k by 1 per column, so this is a view of w
-    # with row stride n.
+    # k = k0..k0+c-1 on the three near shells: band[r, e] =
+    # w[2 n - 1 + m - k] = V2(|k - m|), with m the fold index of row r and
+    # column q and e = (q - a) - (k - k0) + c - 1.  m moves by n per row and
+    # q - k by 1 per column, so this is a view of w with row stride n.
     start = (n + 1) // 2 + a - k0 - c
-    return sliding_window_view(w, b - a + c - 1)[start :: n][:rows]
+    return sliding_window_view(w, b - a + c - 1)[start :: n][:3]
 
 
 def _skew_diagonal(band_product, c):
@@ -362,8 +408,8 @@ def serialize(matrix: OperatorMatrix, sink) -> None:
     columns included.  A scaled matrix is written as the full base matrix
     divided by L^alpha, then, except for the fractional Laplacian, with its
     columns of modes k > 0 (k < 0, including -N/2) multiplied by the kind's
-    phase (its conjugate).  The payload is written in row blocks of a few
-    MiB.  A field the header cannot hold raises ValueError, and a scaled
+    phase (its conjugate).  The payload is written in row blocks of 512
+    KiB.  A field the header cannot hold raises ValueError, and a scaled
     matrix with an entry that would not be finite raises NumericError,
     before anything is opened or written."""
     try:

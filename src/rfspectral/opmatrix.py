@@ -5,11 +5,13 @@ of the six operator kinds at map scale L is the base with its k > 0 columns
 times one complex number, the kind's phase over L^alpha (its k < 0 columns
 times the conjugate).  Every OperatorMatrix stores the base entries.  The
 series entries come from the gamma-ratio sum folded onto the grid through
-the aliasing identity, truncated at |l1| <= l_lim.  The near shells
-|l1| <= 1 are summed as matrix products over a two-sided table of the V2
-ratios; the far shells, analytic over the grid, are interpolated from their
-exact sums at a few integer nodes per axis.  Both run one chunk of columns
-at a time, and each chunk of columns is one IFFT over all N rows.
+the aliasing identity, truncated at |l1| <= l_lim.  One rule gives every
+shell's weights S = (-1)^l1 V1(|m|) and S m.  The three near shells
+|l1| <= 1 are summed for each fold column as one small product of a stack,
+its weights against a view of a two-sided table of the V2 ratios; the far
+shells, analytic over the grid, are interpolated from their exact sums at a
+few integer nodes per axis.  Both run one chunk of columns at a time, and
+each chunk of columns is one IFFT over all N rows.
 
 Only the top ceil(N/2) rows of the positive-mode columns k = 1..ceil(N/2)-1
 are kept.  The rest of the full N x N matrix is implied, as `_full_rows`
@@ -54,8 +56,11 @@ _TAG_KINDS = {tag: kind for kind, tag in _KIND_TAGS.items()}
 DEFAULT_L_LIM = 100
 
 # Columns k per chunk of the build, and fold columns l2 per tile of a
-# chunk's matrix products.  Both are fixed, so that how each entry is summed,
-# and so the result, does not depend on the number of jobs.
+# chunk's matrix products.  Each entry's near and far sums are dot products
+# that no tile or chunk bound splits, so the result depends on neither
+# (except that numpy gives a one-column chunk or a one-row tile to BLAS's
+# matrix-vector kernel, which may round differently); they bound only memory
+# and each thread's work.
 _FOLD_CHUNK = 256
 _FOLD_TILE = 64
 
@@ -213,23 +218,24 @@ def _series_columns(alpha, n, l_lim, s):
     # |l1| <= l_lim of S ((1 - alpha) k^2 - 2 k m) V2(|k - m|), with
     # m = l1 n + l2 and S = (-1)^l1 V1(|m|), so it is (1 - alpha) k^2 A - 2 k B
     # with A = sum S V2(|k - m|) and B = sum S m V2(|k - m|).  The near
-    # shells |l1| <= 1 are summed for a tile of l2 and a chunk of k as matrix
-    # products against one strided view of the two-sided V2 table (see
-    # `_fold_band`).  For |l1| >= 2, |k - m| >= n and |m| >= n, so the far
+    # shells |l1| <= 1 give A and B of each fold column l2 as one (2, 3) by
+    # (3, c) product in a stack: the weights S and S m of its three shells
+    # against a view of the two-sided V2 table whose entry (q, r, kk) is
+    # V2(|k - m|).  For |l1| >= 2, |k - m| >= n and |m| >= n, so the far
     # sums are analytic in (l2, k) over the whole grid: they are sampled at
     # a few integer nodes per axis and carried to every (l2, k) by the
     # barycentric Lagrange matrices of those nodes.
     assert alpha != 1.0, "series path is undefined at alpha = 1"
     l2_nodes, u_l = _interpolant(np.arange(-(n // 2), (n + 1) // 2))
     k_nodes, u_k = _interpolant(np.arange(1, stored_columns(n) + 1))
-    w, s_rows, m_rows, far_a, far_b = _fold_tables(alpha, n, l_lim, l2_nodes, k_nodes)
+    w, weights, far_a, far_b = _fold_tables(alpha, n, l_lim, l2_nodes, k_nodes)
     scale = n * (
         c_alpha(alpha)
         * np.sin(s) ** (alpha - 1.0)
         / (2.0 * math.tan(alpha * math.pi / 2.0))
     )
     phase = np.exp(1j * math.pi * mode_numbers(n) / n)[:, None]
-    # Tiles of the columns q of s_rows (l2 = q - n//2, ascending), split at
+    # Tiles of the fold columns q (l2 = q - n//2, ascending), split at
     # l2 = 0 so that each is one slice in DFT order too.
     h = n // 2
     tiles = [
@@ -241,6 +247,13 @@ def _series_columns(alpha, n, l_lim, s):
     def fold_chunk(k):
         k0, c = int(k[0]), len(k)
         a_weight, b_weight = (1.0 - alpha) * k * k, 2.0 * k
+        # near[q, r, j] = w[2 n - 1 + m - k] = V2(|k - m|), with m the fold
+        # index of shell r and column q, and k = k0 + c - 1 - j: m moves by n
+        # per shell and q - k by 1 per column and per mode.  Its rows run
+        # forwards through w, so each (3, c) matrix is one BLAS operand.
+        start = (n + 1) // 2 - k0 - c
+        near = sliding_window_view(sliding_window_view(w, c), 2 * n + 1, axis=0)
+        near = near[start : start + n, :, ::n].swapaxes(1, 2)
         # The far sums of the chunk's columns at the l2 nodes, weighted.
         u = u_k[k0 - 1 : k0 - 1 + c].T
         far = (far_a @ u) * a_weight - (far_b @ u) * b_weight
@@ -248,9 +261,8 @@ def _series_columns(alpha, n, l_lim, s):
         # weighted, combined and phased where they are folded.
         col = np.empty((n, c), dtype=np.complex128)
         for a, b in tiles:
-            band = _fold_band(w, n, a, b, k0, c)
-            coef = (_skew_diagonal(s_rows[:, a:b].T @ band, c) * a_weight
-                    - _skew_diagonal(m_rows[:, a:b].T @ band, c) * b_weight)
+            ab = (weights[a:b] @ near[a:b])[:, :, ::-1]
+            coef = ab[:, 0] * a_weight - ab[:, 1] * b_weight
             coef += u_l[a:b] @ far
             rows = slice((a - h) % n, (a - h) % n + b - a)
             np.multiply(coef, phase.real[rows], out=col.real[rows])
@@ -267,27 +279,32 @@ def _series_columns(alpha, n, l_lim, s):
 
 def _fold_tables(alpha, n, l_lim, l2_nodes, k_nodes):
     # The near shells' two-sided V2 table w, w[2 n - 1 + d] = V2(|d|), and
-    # their rows S and S m: row r is l1 = r - 1, column q is l2 = q - n//2,
-    # so that m = l1 n + l2 runs over one integer range in row-major order
-    # and S is that run of V1(|m|) with the rows of odd l1 negated.  Then the
-    # far sums A and B at the nodes, row l2 and column k.  V1 and V2 are
-    # dropped on return.
+    # their weights: weights[q, 0, r] = S and weights[q, 1, r] = S m at
+    # shell l1 = r - 1 and fold column l2 = q - n//2.  Then the far sums A
+    # and B at the nodes, row l2 and column k.  V1 and V2 are dropped on
+    # return.
     p_max = l_lim * n + n - 1
     v2 = ratio_table(alpha, RatioKind.V2, p_max)
     w = np.concatenate((v2[2 * n - 1 : 0 : -1], v2[: 2 * n]))
     v1 = ratio_table(alpha, RatioKind.V1, p_max)
-    lo, hi = n + n // 2, n + (n + 1) // 2
-    s_rows = np.concatenate((v1[lo:0:-1], v1[:hi])).reshape(-1, n)
-    s_rows[::2] *= -1.0
-    m_rows = np.arange(-lo, hi, dtype=np.float64).reshape(-1, n)
-    m_rows *= s_rows
-    l1 = np.concatenate((np.arange(-l_lim, -1), np.arange(2, l_lim + 1)))[:, None]
-    m = l1 * n + l2_nodes
-    s_far = np.where(l1 % 2 == 0, 1.0, -1.0) * v1[np.abs(m)]
+
+    def shells(l1, l2):
+        # m = l1 n + l2 and S = (-1)^l1 V1(|m|), row l1 and column l2.
+        m = l1[:, None] * n + l2
+        return m, np.where(l1 % 2 == 0, 1.0, -1.0)[:, None] * v1[np.abs(m)]
+
+    # Each (2, 3) matrix is held column-major, which sets how BLAS rounds a
+    # one-column chunk (N = 3 and 4 files keep their bytes with it).  It is
+    # allocated before the arrays it is filled from, so that their heap is
+    # left free at the top (N = 16384: the build peaks 0.7 MiB lower).
+    weights = np.empty((3, n, 2)).transpose(1, 2, 0)
+    m, s = shells(np.arange(-1, 2), np.arange(-(n // 2), (n + 1) // 2))
+    weights[:, 0], weights[:, 1] = s.T, (s * m).T
+    m, s = shells(np.r_[-l_lim:-1, 2 : l_lim + 1], l2_nodes)
     v2_far = v2[np.abs(k_nodes - m[:, :, None])]
-    far_a = np.einsum("lq,lqk->qk", s_far, v2_far)
-    far_b = np.einsum("lq,lqk->qk", s_far * m, v2_far)
-    return w, s_rows, m_rows, far_a, far_b
+    far_a = np.einsum("lq,lqk->qk", s, v2_far)
+    far_b = np.einsum("lq,lqk->qk", s * m, v2_far)
+    return w, weights, far_a, far_b
 
 
 def _interpolant(points):
@@ -313,25 +330,6 @@ def _interpolant(points):
     terms = weights / d[off]
     u[off] = terms / terms.sum(axis=1, keepdims=True)
     return nodes, u
-
-
-def _fold_band(w, n, a, b, k0, c):
-    # The V2 values that fold columns q = a..b-1 meet in the modes
-    # k = k0..k0+c-1 on the three near shells: band[r, e] =
-    # w[2 n - 1 + m - k] = V2(|k - m|), with m the fold index of row r and
-    # column q and e = (q - a) - (k - k0) + c - 1.  m moves by n per row and
-    # q - k by 1 per column, so this is a view of w with row stride n.
-    start = (n + 1) // 2 + a - k0 - c
-    return sliding_window_view(w, b - a + c - 1)[start :: n][:3]
-
-
-def _skew_diagonal(band_product, c):
-    # out[i, kk] = band_product[i, i - kk + c - 1], the (t, c) entries of a
-    # (t, t + c - 1) product that belong to the chunk's columns: flat index
-    # i (t + c) + c - 1 - kk.
-    d = band_product.shape[1]
-    windows = sliding_window_view(band_product.reshape(-1), c)
-    return windows[:: d + 1, ::-1]
 
 
 def scale_to_operator(

@@ -265,6 +265,20 @@ class TestBuild:
             near = full_payload(build_base_matrix(alpha, 16, 100))
             assert np.max(np.abs(near - exact)) < 1e-2
 
+    @pytest.mark.parametrize("tile, chunk", [(16, 100), (16, _FOLD_CHUNK), (128, 100)])
+    @pytest.mark.parametrize("alpha", [0.05, 1.37])
+    @pytest.mark.parametrize("n", [64, 65, 257])
+    def test_entries_do_not_depend_on_tiles_or_chunks(
+        self, monkeypatch, n, alpha, tile, chunk
+    ):
+        # Each near and far sum is one dot product of a stacked product,
+        # whatever tile or chunk holds it.  None of these sizes makes a
+        # one-column chunk, which BLAS's matrix-vector kernel would sum.
+        default = build_base_matrix(alpha, n, 100).entries
+        monkeypatch.setattr(opmatrix, "_FOLD_TILE", tile)
+        monkeypatch.setattr(opmatrix, "_FOLD_CHUNK", chunk)
+        assert np.array_equal(build_base_matrix(alpha, n, 100).entries, default)
+
     def test_threaded_build_is_identical(self):
         serial = build_base_matrix(1.37, 64, 20)
         threaded = build_base_matrix(1.37, 64, 20, jobs=4)
@@ -441,6 +455,20 @@ def random_matrix(n, rng):
         n=n,
         entries=entries,
     )
+
+
+def deserialize_peak(n):
+    """Peak tracemalloc bytes of reading back a serialized random matrix."""
+    buf = io.BytesIO()
+    serialize(random_matrix(n, np.random.default_rng(9)), buf)
+    buf.seek(0)
+    tracemalloc.start()
+    try:
+        deserialize(buf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 class TestSerialization:
@@ -652,17 +680,12 @@ class TestSerialization:
         # and one block of implied rows (512 KiB each) peak at 5.3 MiB.  A
         # new bytes object per block keeps two payload blocks alive during
         # each read: 5.5 MiB.
-        n = 1024
-        buf = io.BytesIO()
-        serialize(random_matrix(n, np.random.default_rng(9)), buf)
-        buf.seek(0)
-        tracemalloc.start()
-        try:
-            deserialize(buf)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 15 * 2 ** 20
+        assert deserialize_peak(1024) < 15 * 2 ** 20
+
+    def test_deserialize_reads_its_payload_in_place(self):
+        # At N = 256 the planes are 254 KiB, so the blocks set the peak:
+        # 1.53 MiB read in place, 1.78 MiB with a bytes object per block.
+        assert deserialize_peak(256) < 1.65 * 2 ** 20
 
     def test_byte_accounting_256(self):
         rng = np.random.default_rng(4)

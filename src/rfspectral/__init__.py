@@ -42,7 +42,6 @@ from .oracle import quad_operator
 from .specfun import (
     RatioKind,
     c_alpha,
-    hyp2f1_terminating,
     kummer_1f1,
     ratio_table,
     rf_coeffs,

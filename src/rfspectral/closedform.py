@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import lambda_k
-from .specfun import check_order, check_skewness, hyp2f1_terminating, kummer_1f1
+from .specfun import check_order, check_skewness, kummer_1f1
 
 
 class OperatorKind(Enum):
@@ -65,13 +65,16 @@ def phase_factor(kind: OperatorKind, alpha: float, gamma: float) -> complex:
 
 def frac_lap_lambda(alpha: float, k: int, x: float) -> complex:
     """Symmetric fractional operator applied to the k-th rational basis
-    function at x, via the terminating hypergeometric form.
+    function at x, -2|k| Gamma(b) (1 + i sgn(k) x)^(-b) F_{|k|-1} with
+    b = 1 + alpha and F_m = 2F1(-m, b; 2; 2/(1 + i sgn(k) x)).
 
-    The finite sum cancels as |k| grows.  Against the matrix columns
-    (N = 1024, L = 1, alpha = 0.62) it departs, relative to the column's
-    largest entry, by about 3e-13 at k = 8, 1e-9 at k = 16 and 4e-2 at
-    k = 32, so past |k| of about 8 use the s-domain series of the operator
-    matrix (`opmatrix.build_base_matrix`) instead.
+    F_m comes from Gauss's contiguous relation in the first parameter
+    (DLMF 15.5.11), (j + 2) F_{j+1} = (2j + 2 - (b + j) z) F_j
+    + j (z - 1) F_{j-1}, stepped up from F_0 = 1 in complex double; the
+    term-by-term sum cancels as |k| grows.  Against 40-digit values over
+    |k| <= 511 and |x| <= 300 it is within about 2e-12 (alpha = 0.05 to
+    1.37) and 3e-11 (alpha = 1.95) of 2|k| Gamma(b) (1 + x^2)^(-b/2).  At
+    alpha = 1, where F_m = (1 - z)^m, it takes that closed form.
     """
     check_order(alpha)
     if k == 0:
@@ -81,8 +84,13 @@ def frac_lap_lambda(alpha: float, k: int, x: float) -> complex:
     sgn = 1 if k > 0 else -1
     base = 1.0 + 1j * sgn * x
     z = 2.0 / base
-    front = -2.0 * abs(k) * math.gamma(1.0 + alpha) / base ** (1.0 + alpha)
-    return front * hyp2f1_terminating(abs(k) - 1, alpha, z)
+    b = 1.0 + alpha
+    # F_{-1} is multiplied by j = 0 in the first step, so any value starts it.
+    f_prev, f = 0.0, 1.0 + 0.0j
+    for j in range(abs(k) - 1):
+        step = (2 * j + 2 - (b + j) * z) * f + j * (z - 1.0) * f_prev
+        f_prev, f = f, step / (j + 2)
+    return -2.0 * abs(k) * math.gamma(b) / base ** b * f
 
 
 def op_lambda(
@@ -109,17 +117,25 @@ def op_lambda(
 _POWER_TAIL = 2.0 ** 511
 
 
-def _power_amplitude(alpha, x):
-    # Gamma(alpha) (1 + x^2)^(-alpha/2) exp(-i alpha atan x), with the power
-    # taken as |x|^(-alpha) past _POWER_TAIL.  Each form sees only its own
-    # nodes: x^(-alpha) at x = 0 would divide by zero.
+def _tail_rule(x, near, far):
+    # near(x) for |x| <= _POWER_TAIL and far(|x|) past it.  Each form sees
+    # only its own nodes: x^(-alpha) at x = 0 would divide by zero.
     x = np.asarray(x, dtype=np.float64)
     size = np.abs(x)
     tail = size > _POWER_TAIL
-    near = x[~tail]
-    power = np.empty(x.shape)
-    power[~tail] = (1.0 + near * near) ** (-alpha / 2.0)
-    power[tail] = size[tail] ** (-alpha)
+    values = np.empty(x.shape)
+    values[~tail] = near(x[~tail])
+    values[tail] = far(size[tail])
+    return values
+
+
+def _power_amplitude(alpha, x):
+    # Gamma(alpha) (1 + x^2)^(-alpha/2) exp(-i alpha atan x), with the power
+    # taken as |x|^(-alpha) past _POWER_TAIL.
+    x = np.asarray(x, dtype=np.float64)
+    power = _tail_rule(
+        x, lambda t: (1.0 + t * t) ** (-alpha / 2.0), lambda t: t ** (-alpha)
+    )
     return math.gamma(alpha) * power * np.exp(-1j * alpha * np.arctan(x))
 
 
@@ -134,14 +150,7 @@ def _log1psq_amplitude(alpha, x):
 def _log1psq_values(x):
     # ln(1 + x^2), taken as 2 ln|x| past _POWER_TAIL, as _power_amplitude
     # takes its power.
-    x = np.asarray(x, dtype=np.float64)
-    size = np.abs(x)
-    tail = size > _POWER_TAIL
-    near = x[~tail]
-    values = np.empty(x.shape)
-    values[~tail] = np.log1p(near * near)
-    values[tail] = 2.0 * np.log(size[tail])
-    return values
+    return _tail_rule(x, lambda t: np.log1p(t * t), lambda t: 2.0 * np.log(t))
 
 
 def _mirror_order(n):

@@ -1,6 +1,6 @@
-"""Special-function kernel: the operator normalization constant, terminating
-2F1 sums, Kummer 1F1, skewed-operator coefficients and the gamma-ratio
-tables feeding the series path.
+"""Special-function kernel: the operator normalization constant, Kummer 1F1,
+skewed-operator coefficients and the gamma-ratio tables feeding the series
+path.
 
 Kummer 1F1 takes what the erf reference passes, the arguments x <= 0 of its
 -x^2 kernels: down to x = -50 it sums the Kummer-transformed series over at
@@ -81,22 +81,6 @@ def rf_coeffs(alpha: float, gamma_skew: float) -> tuple[float, float]:
     c1 = g1a * math.sin((alpha - gamma_skew) * math.pi / 2.0)
     c2 = g1a * math.sin((alpha + gamma_skew) * math.pi / 2.0)
     return c1, c2
-
-
-def hyp2f1_terminating(m: int, alpha: float, z: complex, c: float = 2.0) -> complex:
-    """Terminating Gauss sum 2F1(-m, 1 + alpha; c; z), m >= 0.
-
-    Summed in ascending n with the term recurrence, so results are exactly
-    reproducible and conjugate-symmetric in z.
-    """
-    if m < 0:
-        raise ValueError(f"m must be a nonnegative integer, got {m}")
-    total = complex(1.0, 0.0)
-    term = complex(1.0, 0.0)
-    for n in range(m):
-        term *= (-m + n) * (1.0 + alpha + n) / ((c + n) * (n + 1.0)) * z
-        total += term
-    return total
 
 
 @functools.lru_cache(maxsize=_TABLE_PAIRS)

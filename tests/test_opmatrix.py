@@ -164,11 +164,27 @@ class TestBuild:
         expected = 2.0 * np.sin(grid.s_nodes) ** 2 * np.exp(2j * grid.s_nodes)
         assert np.max(np.abs(full_payload(base)[:, 1] - expected)) < 1e-13
 
-    def test_column_matches_hypergeometric_form(self):
-        base = build_base_matrix(0.62, 32, 100)
-        grid = make_grid(32, 1.0)
-        exact = np.array([frac_lap_lambda(0.62, 2, x) for x in grid.x_nodes])
-        assert np.max(np.abs(full_payload(base)[:, 2] - exact)) < 1e-10
+    # Twice the worst column-relative gap measured at N = 64 and 65 with
+    # l_lim = 100; below alpha = 1 the fold's shell truncation sets it.
+    COLUMN_BOUNDS = {
+        0.05: 6.3e-10, 0.3: 1.3e-10, 0.62: 7.4e-12,
+        1.0: 4.4e-14, 1.37: 6.5e-14, 1.95: 2.3e-14,
+    }
+
+    @pytest.mark.parametrize("alpha", sorted(COLUMN_BOUNDS))
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_column_matches_hypergeometric_form(self, n, alpha):
+        # Every stored column k = 1..ceil(N/2) - 1 and its mode -k, column
+        # N - k of the full matrix, against the paper's formula at the nodes.
+        full = full_payload(build_base_matrix(alpha, n, 100))
+        grid = make_grid(n, 1.0)
+        bound = self.COLUMN_BOUNDS[alpha]
+        modes = np.arange(1, (n + 1) // 2)
+        for k in (modes, -modes):
+            exact = np.array(
+                [[frac_lap_lambda(alpha, int(j), x) for j in k] for x in grid.x_nodes]
+            )
+            assert column_relative_error(full[:, k % n], exact) < bound
 
     def test_x_domain_consistency_random(self):
         # Seeded columns of both signs against the hypergeometric form at

@@ -14,7 +14,7 @@ from scipy.special import hyp1f1 as scipy_hyp1f1
 
 from reference_formulas import kummer_1f1_by_recurrence
 from rfspectral import basis, oracle, specfun
-from rfspectral.closedform import OperatorKind, frac_lap_lambda, validate_kind
+from rfspectral.closedform import OperatorKind, frac_lap_lambda, op_lambda, validate_kind
 from rfspectral.errors import NumericError
 from rfspectral.evolve import initial_condition
 from rfspectral.opmatrix import check_base
@@ -22,7 +22,6 @@ from rfspectral.specfun import (
     RatioKind,
     c_alpha,
     check_skewness,
-    hyp2f1_terminating,
     kummer_1f1,
     ratio_table,
     rf_coeffs,
@@ -183,35 +182,51 @@ class TestRieszFellerCoeffs:
 
 
 class TestHyp2F1:
+    # The paper's 2F1(1 - |k|, 1 + alpha; 2; z) through frac_lap_lambda,
+    # which multiplies it by the front factor.
+
+    @staticmethod
+    def front(alpha, k, x):
+        # -2|k| Gamma(1 + alpha) (1 + i sgn(k) x)^-(1 + alpha), and z.
+        base = 1.0 + 1j * (1 if k > 0 else -1) * x
+        return -2.0 * abs(k) * math.gamma(1.0 + alpha) / base ** (1.0 + alpha), 2.0 / base
+
     def test_m_zero(self):
-        for z in (0.3 + 0.1j, -2.0 + 0.0j, 5.0j):
-            assert hyp2f1_terminating(0, 0.77, z) == 1.0
+        for k in (1, -1):
+            for x in (-2.0, 0.0, 0.3, 5.0):
+                assert frac_lap_lambda(0.77, k, x) == self.front(0.77, k, x)[0]
 
     def test_m_one(self):
-        alpha, z = 0.62, 0.4 - 0.9j
-        assert hyp2f1_terminating(1, alpha, z) == pytest.approx(
-            1.0 - (1.0 + alpha) * z / 2.0, rel=1e-15
-        )
+        alpha = 0.62
+        for k in (2, -2):
+            for x in (-1.7, 0.45):
+                front, z = self.front(alpha, k, x)
+                assert frac_lap_lambda(alpha, k, x) == pytest.approx(
+                    front * (1.0 - (1.0 + alpha) * z / 2.0), rel=1e-15
+                )
 
     def test_frozen_high_precision_value(self):
         # 2F1(-5, 1.62; 2; 2/(0.3i + 1)), 50-digit series summation
-        got = hyp2f1_terminating(5, 0.62, 2.0 / (0.3j + 1.0))
+        got = frac_lap_lambda(0.62, 6, 0.3) / self.front(0.62, 6, 0.3)[0]
         ref = 0.4455311159091846529783936 + 0.0576851161568936521696683j
         assert abs(got - ref) < 1e-13 * abs(ref)
 
     def test_conjugate_symmetry_exact(self):
+        # Mode -k is the bitwise conjugate of mode k, for every kind.
         rng = np.random.default_rng(99)
-        for _ in range(100):
-            m = int(rng.integers(0, 12))
-            alpha = rng.uniform(0.05, 1.95)
-            z = complex(rng.normal(), rng.normal())
-            assert hyp2f1_terminating(m, alpha, z.conjugate()) == complex(
-                hyp2f1_terminating(m, alpha, z)
-            ).conjugate()
-
-    def test_negative_m(self):
-        with pytest.raises(ValueError):
-            hyp2f1_terminating(-1, 0.5, 1.0)
+        ranges = {"dr": (0.05, 0.95), "dl": (0.05, 0.95),
+                  "dxr": (1.05, 1.95), "dxl": (1.05, 1.95)}
+        for kind in OperatorKind:
+            for _ in range(100):
+                alpha = float(rng.uniform(*ranges.get(kind.value, (0.05, 1.95))))
+                skew = 0.0
+                if kind is OperatorKind.RIESZ_FELLER:
+                    skew = float(rng.uniform(-1.0, 1.0)) * min(alpha, 2.0 - alpha)
+                k = int(rng.integers(1, 64))
+                x = float(rng.normal(scale=3.0))
+                assert op_lambda(kind, alpha, -k, x, skew) == op_lambda(
+                    kind, alpha, k, x, skew
+                ).conjugate()
 
 
 # Arguments outside kummer_1f1's contract, x <= 0.

@@ -40,7 +40,6 @@ from .opmatrix import (
 )
 from .oracle import quad_operator
 from .specfun import (
-    RatioKind,
     c_alpha,
     kummer_1f1,
     ratio_table,

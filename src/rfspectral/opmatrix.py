@@ -37,7 +37,7 @@ from ._fanout import fan_out
 from .basis import CoeffVector, check_grid, make_grid, mode_numbers
 from .closedform import OperatorKind, phase_factor, validate_kind
 from .errors import FormatError, NumericError
-from .specfun import RatioKind, c_alpha, check_order, ratio_table
+from .specfun import c_alpha, check_order, ratio_table
 
 _MAGIC = b"RFM1"
 _HEADER = struct.Struct("<IIdddI")
@@ -284,22 +284,17 @@ def _fold_tables(alpha, n, l_lim, l2_nodes, k_nodes):
     # and B at the nodes, row l2 and column k.  V1 and V2 are dropped on
     # return.
     p_max = l_lim * n + n - 1
-    v2 = ratio_table(alpha, RatioKind.V2, p_max)
+    v2 = ratio_table(-alpha, p_max)
     w = np.concatenate((v2[2 * n - 1 : 0 : -1], v2[: 2 * n]))
-    v1 = ratio_table(alpha, RatioKind.V1, p_max)
+    v1 = ratio_table(alpha, p_max)
 
     def shells(l1, l2):
         # m = l1 n + l2 and S = (-1)^l1 V1(|m|), row l1 and column l2.
         m = l1[:, None] * n + l2
         return m, np.where(l1 % 2 == 0, 1.0, -1.0)[:, None] * v1[np.abs(m)]
 
-    # Each (2, 3) matrix is held column-major, which sets how BLAS rounds a
-    # one-column chunk (N = 3 and 4 files keep their bytes with it).  It is
-    # allocated before the arrays it is filled from, so that their heap is
-    # left free at the top (N = 16384: the build peaks 0.7 MiB lower).
-    weights = np.empty((3, n, 2)).transpose(1, 2, 0)
     m, s = shells(np.arange(-1, 2), np.arange(-(n // 2), (n + 1) // 2))
-    weights[:, 0], weights[:, 1] = s.T, (s * m).T
+    weights = np.stack((s.T, (s * m).T), axis=1)
     m, s = shells(np.r_[-l_lim:-1, 2 : l_lim + 1], l2_nodes)
     v2_far = v2[np.abs(k_nodes - m[:, :, None])]
     far_a = np.einsum("lq,lqk->qk", s, v2_far)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-from enum import Enum
 
 import numpy as np
 
@@ -38,11 +37,6 @@ _ASYMPTOTIC_TERMS = 60
 # every operator (the benchmark's matrix-build gate does); the caches then
 # evict the least recently used pair, and hold about 0.1 MB at most.
 _TABLE_PAIRS = 8
-
-
-class RatioKind(Enum):
-    V1 = "v1"
-    V2 = "v2"
 
 
 def check_order(alpha: float) -> None:
@@ -198,6 +192,8 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
     It keeps its last (a, b, x) and result, and no exception: the erf
     reference passes the mirrored nodes of its antisymmetric grid in turn,
     so the second call of each pair returns the double just computed.
+    After a call with numpy-scalar arguments, an equal call returns that
+    call's `numpy.float64`, with the same value.
     """
     if b <= 0.0 and b == math.floor(b):
         raise ValueError(f"b must not be a nonpositive integer, got {b}")
@@ -225,21 +221,18 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
         ) from None
 
 
-def ratio_table(alpha: float, kind: RatioKind, p_max: int) -> np.ndarray:
-    """Gamma((-1 +/- alpha)/2 + p) / Gamma((3 -/+ alpha)/2 + p) for
-    p = 0..p_max as a read-only array, built by the one-step recurrence from
-    the p = 0 value, so consecutive entries satisfy the exact one-step
-    ratio."""
-    if not (0.0 < alpha < 2.0) or alpha == 1.0:
-        raise ValueError(f"order must lie in (0,1) or (1,2), got {alpha}")
+def ratio_table(order: float, p_max: int) -> np.ndarray:
+    """Gamma((-1 + a)/2 + p) / Gamma((3 - a)/2 + p) at the signed order a,
+    for p = 0..p_max as a read-only array, built by the one-step recurrence
+    from the p = 0 value, so consecutive entries satisfy the exact one-step
+    ratio.  The series path's V1 is the order alpha and its V2 the order
+    -alpha; |a| must lie in (0, 1) or (1, 2)."""
+    if not 0.0 < abs(order) < 2.0 or abs(order) == 1.0:
+        raise ValueError(f"|order| must lie in (0,1) or (1,2), got {order}")
     if p_max < 0:
         raise ValueError(f"p_max must be nonnegative, got {p_max}")
-    if kind is RatioKind.V1:
-        num0 = (-1.0 + alpha) / 2.0
-        den0 = (3.0 - alpha) / 2.0
-    else:
-        num0 = (-1.0 - alpha) / 2.0
-        den0 = (3.0 + alpha) / 2.0
+    num0 = (-1.0 + order) / 2.0
+    den0 = (3.0 - order) / 2.0
     v0 = math.gamma(num0) / math.gamma(den0)
     p = np.arange(p_max, dtype=np.float64)
     ratios = (num0 + p) / (den0 + p)
@@ -249,4 +242,3 @@ def ratio_table(alpha: float, kind: RatioKind, p_max: int) -> np.ndarray:
     values[1:] = v0 * ratios
     values.setflags(write=False)
     return values
-

@@ -25,7 +25,7 @@ from rfspectral.opmatrix import (
     serialize,
     stored_columns,
 )
-from rfspectral.specfun import RatioKind, c_alpha, ratio_table
+from rfspectral.specfun import c_alpha, ratio_table
 
 
 class RecordingStream(io.BytesIO):
@@ -70,8 +70,8 @@ def reference_base_matrix(alpha, n, l_lim):
     has against a 40-digit evaluation of the same sum."""
     grid = make_grid(n, 1.0)
     p_max = l_lim * n + n - 1
-    v1 = ratio_table(alpha, RatioKind.V1, p_max)
-    v2 = ratio_table(alpha, RatioKind.V2, p_max)
+    v1 = ratio_table(alpha, p_max)
+    v2 = ratio_table(-alpha, p_max)
     k_modes = mode_numbers(n)
     entries = np.zeros((n, n), dtype=np.complex128)
     for col, k in enumerate(k_modes):
@@ -108,8 +108,8 @@ def per_column_base_entries(alpha, n, l_lim, dtype=np.float64):
     through one phased IFFT, in `dtype` from the double ratio tables and
     nodes."""
     p_max = l_lim * n + n - 1
-    v1 = ratio_table(alpha, RatioKind.V1, p_max).astype(dtype)
-    v2 = ratio_table(alpha, RatioKind.V2, p_max).astype(dtype)
+    v1 = ratio_table(alpha, p_max).astype(dtype)
+    v2 = ratio_table(-alpha, p_max).astype(dtype)
     l2 = mode_numbers(n)
     l1 = np.arange(-l_lim, l_lim + 1)
     folded = l1[:, None] * n + l2[None, :]

@@ -19,7 +19,6 @@ from rfspectral.errors import NumericError
 from rfspectral.evolve import initial_condition
 from rfspectral.opmatrix import check_base
 from rfspectral.specfun import (
-    RatioKind,
     c_alpha,
     check_skewness,
     kummer_1f1,
@@ -374,41 +373,41 @@ class TestKummer:
 
 class TestRatioTable:
     def test_v1_at_zero(self):
-        table = ratio_table(1.37, RatioKind.V1, 0)
+        table = ratio_table(1.37, 0)
         assert table[0] == pytest.approx(
             math.gamma(0.185) / math.gamma(0.815), rel=1e-14
         )
 
     def test_v2_one_step(self):
         alpha = 1.37
-        table = ratio_table(alpha, RatioKind.V2, 1)
+        table = ratio_table(-alpha, 1)
         expected = table[0] * ((-1.0 - alpha) / 2.0) / ((3.0 + alpha) / 2.0)
         assert table[1] == pytest.approx(expected, rel=1e-14)
 
     def test_recurrence_ratio_invariant(self):
-        for alpha, kind in ((0.62, RatioKind.V1), (1.37, RatioKind.V2)):
-            table = ratio_table(alpha, kind, 500)
-            up = 1.0 if kind is RatioKind.V1 else -1.0
-            num0 = (-1.0 + up * alpha) / 2.0
-            den0 = (3.0 - up * alpha) / 2.0
+        for order in (0.62, -1.37):
+            table = ratio_table(order, 500)
             p = np.arange(500)
-            expected = (num0 + p) / (den0 + p)
+            expected = ((-1.0 + order) / 2.0 + p) / ((3.0 - order) / 2.0 + p)
             ratios = table[1:] / table[:-1]
             assert np.max(np.abs(ratios / expected - 1.0)) < 1e-14
 
-    def test_deep_entry_against_log_gamma(self):
-        alpha, p = 0.62, 300
-        table = ratio_table(alpha, RatioKind.V1, p)
-        # Both arguments are positive at this depth, so Gamma has no sign.
-        num = math.lgamma((-1.0 + alpha) / 2.0 + p)
-        den = math.lgamma((3.0 - alpha) / 2.0 + p)
+    @pytest.mark.parametrize("order", [0.62, -0.62])
+    def test_deep_entry_against_log_gamma(self, order):
+        p = 300
+        table = ratio_table(order, p)
+        # Both arguments are positive at this depth for either sign of the
+        # order, so Gamma has no sign.
+        num = math.lgamma((-1.0 + order) / 2.0 + p)
+        den = math.lgamma((3.0 - order) / 2.0 + p)
         assert table[p] == pytest.approx(math.exp(num - den), rel=1e-12)
 
-    def test_alpha_one_rejected(self):
+    @pytest.mark.parametrize("order", [1.0, -1.0, 0.0, 2.0, -2.0, math.nan])
+    def test_alpha_one_rejected(self, order):
         with pytest.raises(ValueError):
-            ratio_table(1.0, RatioKind.V1, 10)
+            ratio_table(order, 10)
 
     def test_values_immutable(self):
-        table = ratio_table(0.62, RatioKind.V2, 5)
+        table = ratio_table(-0.62, 5)
         with pytest.raises(ValueError):
             table[0] = 0.0

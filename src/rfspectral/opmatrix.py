@@ -552,15 +552,19 @@ def deserialize(source) -> OperatorMatrix:
                 f"got {16 * n * start + got}"
             )
         kept = block[: max(0, top - start), 1 : half + 1]
-        entries[0, start : start + len(kept)] = kept.real
-        entries[1, start : start + len(kept)] = kept.imag
+        stored = entries[:, start : start + len(kept)]
+        stored[0] = kept.real
+        stored[1] = kept.imag
         expected = implied[:count]
         _full_rows(entries, start, expected)
         # A non-finite entry either differs from its implied value (NaN
-        # does from itself) or is a stored one.
-        bad = block != expected
-        bad[: len(kept), 1 : half + 1] |= ~np.isfinite(kept)
-        if bad.any():
+        # does from itself) or is a stored one.  The float64 views compare
+        # part by part with the complex verdicts (-0 equals +0); the complex
+        # mask is built only to name the first bad entry.
+        if (np.not_equal(block.view(np.float64), expected.view(np.float64)).any()
+                or not np.isfinite(stored).all()):
+            bad = block != expected
+            bad[: len(kept), 1 : half + 1] |= ~np.isfinite(kept)
             raise _payload_error(block, start, bad)
     return OperatorMatrix(
         kind=kind,

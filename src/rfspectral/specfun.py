@@ -234,11 +234,16 @@ def ratio_table(order: float, p_max: int) -> np.ndarray:
     num0 = (-1.0 + order) / 2.0
     den0 = (3.0 - order) / 2.0
     v0 = math.gamma(num0) / math.gamma(den0)
-    p = np.arange(p_max, dtype=np.float64)
-    ratios = (num0 + p) / (den0 + p)
+    # Built in place: entry p + 1 holds num0 + p, then the ratio over
+    # den0 + p, then the running product times v0, one IEEE operation at a
+    # time in that order.
     values = np.empty(p_max + 1, dtype=np.float64)
     values[0] = v0
+    den = np.arange(p_max, dtype=np.float64)
+    ratios = np.add(num0, den, out=values[1:])
+    den += den0
+    ratios /= den
     np.cumprod(ratios, out=ratios)
-    values[1:] = v0 * ratios
+    ratios *= v0
     values.setflags(write=False)
     return values

@@ -1,8 +1,9 @@
 """Reference formulas that only the tests check the package against: the
 Christov-type basis functions and their operator values, the order-1
 odd-index formulas, the x = 0 anchors for odd indices, the full-spectrum
-analysis, fast nodal synthesis, the full matrix as RFM1 writes it and
-Kummer 1F1 by its per-term recurrences.
+analysis, fast nodal synthesis, the full matrix as RFM1 writes it, the
+gamma-ratio tables as plain array expressions and Kummer 1F1 by its
+per-term recurrences.
 
 Imported by the test modules; pytest does not collect it.
 """
@@ -187,6 +188,20 @@ def weyl_phi_at_zero(alpha: float, k: int) -> tuple[complex, complex, complex]:
         * sum_sym
     )
     return d_right, d_left_neg, lap
+
+
+# --- Gamma-ratio tables ---------------------------------------------------
+
+
+def ratio_table_reference(order: float, p_max: int) -> np.ndarray:
+    """`specfun.ratio_table`'s entries as the formula it builds in place:
+    the ratios (num0 + p) / (den0 + p), their running product by
+    `np.cumprod`, then v0 times it, behind v0 = Gamma(num0) / Gamma(den0)."""
+    num0 = (-1.0 + order) / 2.0
+    den0 = (3.0 - order) / 2.0
+    v0 = math.gamma(num0) / math.gamma(den0)
+    p = np.arange(p_max, dtype=np.float64)
+    return np.concatenate(([v0], v0 * np.cumprod((num0 + p) / (den0 + p))))
 
 
 # --- Kummer 1F1 -----------------------------------------------------------

@@ -155,7 +155,7 @@ def test_criterion_4_slope_matches_converged_reference(front_2048):
 
 @pytest.mark.skipif(
     os.environ.get("RF_SPECTRAL_FULL_FISHER") != "1",
-    reason="full-size run takes about 4 min (232 s); set RF_SPECTRAL_FULL_FISHER=1",
+    reason="full-size run takes about 3 min (176 s); set RF_SPECTRAL_FULL_FISHER=1",
 )
 def test_criterion_4_full_paper_configuration():
     alpha, skew = 1.37, -0.63

@@ -673,6 +673,42 @@ class TestSerialization:
         with pytest.raises(FormatError, match=r"column 3 \(mode 3\) is not finite"):
             deserialize(io.BytesIO(buf.getvalue()))
 
+    @pytest.mark.parametrize("row, col, part", [(12, 3, 0), (3, 13, 1)],
+                             ids=["mirrored-row", "minus-k-column"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_implied_entry_rejected(self, value, row, col, part):
+        # Row 12 mirrors row 3, and column 13 holds mode -3; each is
+        # named at its own row and column.
+        n = 16
+        buf = io.BytesIO()
+        serialize(build_base_matrix(0.62, n, 10), buf)
+        data = bytearray(buf.getvalue())
+        offset = len(data) - 16 * n * n + 16 * (row * n + col) + 8 * part
+        data[offset : offset + 8] = np.array([value]).tobytes()
+        mode = mode_numbers(n)[col]
+        with pytest.raises(FormatError,
+                           match=rf"row {row} column {col} \(mode {mode}\) is not finite"):
+            deserialize(io.BytesIO(data))
+
+    def test_implied_zero_sign_in_middle_row_passes(self):
+        # At odd N the middle row (x = 0) holds entries whose imaginary
+        # part is exactly zero; the flipped sign of the zero in their
+        # implied -k copies still matches, and the planes read back the same.
+        n = 17
+        matrix = build_base_matrix(0.62, n, 10)
+        mid = n // 2
+        modes = 1 + np.flatnonzero(matrix.entries[1, mid] == 0.0)
+        assert len(modes)
+        buf = io.BytesIO()
+        serialize(matrix, buf)
+        data = bytearray(buf.getvalue())
+        for mode in modes:
+            # The sign bit of the imaginary part of row mid, column n - k.
+            data[len(data) - 16 * n * n + 16 * (mid * n + n - mode) + 15] ^= 0x80
+        assert bytes(data) != buf.getvalue()
+        back = deserialize(io.BytesIO(data))
+        assert back.entries.tobytes() == matrix.entries.tobytes()
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_size_below_two_rejected(self, n):
         buf = io.BytesIO()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import hyp1f1 as scipy_hyp1f1
 
-from reference_formulas import kummer_1f1_by_recurrence
+from reference_formulas import kummer_1f1_by_recurrence, ratio_table_reference
 from rfspectral import basis, oracle, specfun
 from rfspectral.closedform import OperatorKind, frac_lap_lambda, op_lambda, validate_kind
 from rfspectral.errors import NumericError
@@ -411,3 +411,15 @@ class TestRatioTable:
         table = ratio_table(-0.62, 5)
         with pytest.raises(ValueError):
             table[0] = 0.0
+
+    @pytest.mark.parametrize("p_max", [0, 1, 7, 103423])
+    @pytest.mark.parametrize("order", [0.05, 0.62, 1.37, 1.95,
+                                       -0.05, -0.62, -1.37, -1.95])
+    def test_bitwise_the_reference_formula(self, order, p_max):
+        # Built in place, the table holds the same doubles as the array
+        # expressions; 103423 is l_lim N + N - 1 at N = 1024, l_lim = 100.
+        table = ratio_table(order, p_max)
+        expected = ratio_table_reference(order, p_max)
+        assert table.shape == (p_max + 1,)
+        assert np.array_equal(table.view(np.uint64), expected.view(np.uint64))
+        assert not table.flags.writeable

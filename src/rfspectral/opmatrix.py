@@ -18,6 +18,14 @@ are kept.  The rest of the full N x N matrix is implied, as `_full_rows`
 builds it: row N-1-j is the conjugate of row j, the column of -k is the
 conjugate of that of k, and the mode-0 and even-N Nyquist columns are zero.
 The RFM1 file holds the full matrix.
+
+A build for alpha != 1 at N >= _FOLD_APPLY_MIN also keeps its fold: the same
+sums taken over k first, so that `apply` evaluates M+ g in O(N log N) with
+no read of the planes.  The near shells are two Toeplitz products of the
+V2 table, a band summed directly plus one FFT product, the far shells go
+through the build's interpolation factors, and one IFFT gives all N nodes.
+Matrices read from a file, alpha = 1 bases and smaller builds hold no fold
+and are applied through the planes.
 """
 
 from __future__ import annotations
@@ -27,8 +35,9 @@ import io
 import math
 import operator
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -66,6 +75,13 @@ _FOLD_TILE = 64
 
 # Interpolation nodes per axis, l2 and k, of the far shells 2 <= |l1| <= l_lim.
 _FAR_NODES = 20
+
+# Smallest N whose built matrices are applied through their fold (`apply`),
+# from a crossover sweep of the two paths; below it the dense products are
+# quicker.  Within _FOLD_BAND of the diagonal the fold's Toeplitz products
+# are summed directly, beyond it by FFT.
+_FOLD_APPLY_MIN = 1536
+_FOLD_BAND = 32
 
 # Size of one row block of the full matrix streamed to or from a file.
 _BLOCK_BYTES = 1 << 19
@@ -109,6 +125,11 @@ class OperatorMatrix:
     l_lim: int
     n: int
     entries: np.ndarray
+    # The base matrix's product M+ g at all N nodes, evaluated from the
+    # build's fold factors; None where only the planes are held.
+    fold: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self):
         shape = (2, _stored_rows(self.n), stored_columns(self.n))
@@ -175,17 +196,21 @@ def build_base_matrix(
 
     jobs > 1 spreads the column chunks over a thread pool.  The chunk bounds
     are fixed, so every entry is summed in the same order and the result is
-    identical to the serial build.
+    identical to the serial build.  For alpha != 1 and n >= _FOLD_APPLY_MIN
+    the matrix also carries its fold, which `apply` uses instead of the
+    planes.
     """
     check_base(alpha, n, l_lim)
+    s = make_grid(n, 1.0).s_nodes
     # The nodes of the stored top rows, as a column.
-    s = make_grid(n, 1.0).s_nodes[: _stored_rows(n), None]
-    entries = np.empty((2, len(s), stored_columns(n)))
+    s_top = s[: _stored_rows(n), None]
+    entries = np.empty((2, len(s_top), stored_columns(n)))
     half = entries.shape[2]
+    fold = None
     if alpha == 1.0:
-        columns = lambda k: 2.0 * k * np.sin(s) ** 2 * np.exp(2j * k * s)
+        columns = lambda k: 2.0 * k * np.sin(s_top) ** 2 * np.exp(2j * k * s_top)
     else:
-        columns = _series_columns(alpha, n, l_lim, s)
+        columns, fold = _series_columns(alpha, n, l_lim, s)
 
     def store(k0):
         # The top rows of the columns of modes k0..k0+c-1 as one row block;
@@ -209,12 +234,15 @@ def build_base_matrix(
         l_lim=int(l_lim),
         n=n,
         entries=entries,
+        fold=fold,
     )
 
 
 def _series_columns(alpha, n, l_lim, s):
-    # The top rows, at the nodes s, of a chunk of columns k, as a function
-    # of k.  Entry (l2, k) of the folded coefficients is the sum over
+    # The top rows of a chunk of columns k, as a function of k, and the
+    # fold operator (`_fold_operator`, None below _FOLD_APPLY_MIN), both from
+    # the same tables; s holds all N nodes.
+    # Entry (l2, k) of the folded coefficients is the sum over
     # |l1| <= l_lim of S ((1 - alpha) k^2 - 2 k m) V2(|k - m|), with
     # m = l1 n + l2 and S = (-1)^l1 V1(|m|), so it is (1 - alpha) k^2 A - 2 k B
     # with A = sum S V2(|k - m|) and B = sum S m V2(|k - m|).  The near
@@ -234,7 +262,8 @@ def _series_columns(alpha, n, l_lim, s):
         * np.sin(s) ** (alpha - 1.0)
         / (2.0 * math.tan(alpha * math.pi / 2.0))
     )
-    phase = np.exp(1j * math.pi * mode_numbers(n) / n)[:, None]
+    phase = np.exp(1j * math.pi * mode_numbers(n) / n)
+    top_scale = scale[: _stored_rows(n), None]
     # Tiles of the fold columns q (l2 = q - n//2, ascending), split at
     # l2 = 0 so that each is one slice in DFT order too.
     h = n // 2
@@ -265,16 +294,81 @@ def _series_columns(alpha, n, l_lim, s):
             coef = ab[:, 0] * a_weight - ab[:, 1] * b_weight
             coef += u_l[a:b] @ far
             rows = slice((a - h) % n, (a - h) % n + b - a)
-            np.multiply(coef, phase.real[rows], out=col.real[rows])
-            np.multiply(coef, phase.imag[rows], out=col.imag[rows])
+            np.multiply(coef, phase.real[rows, None], out=col.real[rows])
+            np.multiply(coef, phase.imag[rows, None], out=col.imag[rows])
         # sum_{l2} a(l2) e^{i 2 l2 s_j} over the midpoint nodes, as a phased
         # IFFT in place.
         np.fft.ifft(col, axis=0, out=col)
-        top = col[: len(scale)]
-        top *= scale
+        top = col[: len(top_scale)]
+        top *= top_scale
         return top
 
-    return fold_chunk
+    fold = None
+    if n >= _FOLD_APPLY_MIN:
+        fold = _fold_operator(alpha, w, weights, far_a @ u_k.T, far_b @ u_k.T,
+                              u_l, phase, 2.0 * scale)
+    return fold_chunk, fold
+
+
+def _fold_operator(alpha, w, weights, far_a, far_b, u_l, phase, scale):
+    # M+ g at all N nodes, for g the coefficients of the modes k = 1..h, by
+    # the sums of `_series_columns` taken over k first: scale(s) times the
+    # IFFT of phase(l2) F(l2), where F(l2) = sum_{|l1| <= 1} S D(m) plus the
+    # far part, D(m) = Cp(m) - m Cq(m), and Cp and Cq are the Toeplitz
+    # products sum_k V2(|m - k|) x_k of x = (1 - alpha) k^2 g and x = 2 k g
+    # at the 3 n values m = l1 n + l2.  Entry t of w is V2(|t - 2 n + 1|),
+    # so its first 3 n + h - 1 entries are the kernel from the smallest
+    # m - k on, and Cp and Cq at the i-th m are entry i + h - 1 of the full
+    # convolutions.  Kernel entries within _FOLD_BAND of the diagonal are
+    # convolved directly, because an FFT's rounding scales with the largest
+    # kernel entry, V2(0) here; the rest is one cyclic convolution whose
+    # length, at least the kernel's, keeps every wrapped term out of the
+    # entries read.  The far part is u_l (far_a diag(a) - far_b diag(b)) g,
+    # the far sums at the nodes already carried to every k.  scale holds
+    # twice the nodal scale, for 2 Re(M+ g).
+    n = len(phase)
+    h = far_a.shape[1]
+    k = np.arange(1, h + 1, dtype=np.float64)
+    ab = np.stack(((1.0 - alpha) * k * k, 2.0 * k))
+    far = far_a * ab[0] - far_b * ab[1]
+    kernel = w[: 3 * n + h - 1]
+    t0 = max(0, 2 * n - 1 - _FOLD_BAND)
+    t1 = min(len(kernel), 2 * n + _FOLD_BAND)
+    band = kernel[t0:t1].copy()
+    off_band = kernel.copy()
+    off_band[t0:t1] = 0.0
+    # The FFT length: the smallest one whose only prime factors are 2, 3
+    # and 5 (those of 30^64, which every such length divides).
+    size = len(kernel)
+    while 30**64 % size:
+        size += 1
+    # Divided by the length here, so the inverse FFT needs no scaling pass.
+    spectrum = np.fft.fft(off_band, size) / size
+    # Where the band's full convolution meets the product entries read.
+    shift = t0 - (h - 1)
+    dst = slice(max(0, shift), min(3 * n, shift + len(band) + h - 1))
+    src = slice(dst.start - shift, dst.stop - shift)
+    m = np.arange(-n - n // 2, 2 * n - n // 2, dtype=np.float64)
+    s_near = np.ascontiguousarray(weights[:, 0, :].T)
+
+    def fold(g):
+        x = ab * g
+        c = np.fft.fft(x, size)
+        c *= spectrum
+        c = np.fft.ifft(c, norm="forward")[:, h - 1 : h - 1 + 3 * n]
+        for row, xr in zip(c, x):
+            row[dst] += np.convolve(xr, band)[src]
+        # D = Cp - m Cq, then the near sum over the three shells.
+        cp, cq = c
+        cq *= m
+        cp -= cq
+        coef = np.einsum("rq,rq->q", s_near, cp.reshape(3, n))
+        # Real products only: a real matrix times a complex vector would
+        # copy the matrix to complex.
+        coef += (u_l @ (far @ g.view(np.float64).reshape(h, 2))).view(np.complex128)[:, 0]
+        return scale * np.fft.ifft(np.fft.ifftshift(coef) * phase).real
+
+    return fold
 
 
 def _fold_tables(alpha, n, l_lim, l2_nodes, k_nodes):
@@ -351,12 +445,16 @@ def apply(matrix: OperatorMatrix, coeffs: CoeffVector) -> np.ndarray:
 
     With f = matrix.factor and M+ the base columns of the modes
     k = 1..ceil(N/2)-1, the values are 2 Re(M+ f u+): the modes -k add the
-    conjugates of the modes k, and modes 0 and N/2 meet zero columns."""
+    conjugates of the modes k, and modes 0 and N/2 meet zero columns.  A
+    matrix with a fold evaluates them from it in O(N log N); any other
+    through two real products over the planes."""
     if coeffs.n != matrix.n:
         raise ValueError(
             f"coefficient length {coeffs.n} does not match matrix size {matrix.n}"
         )
     g = matrix.factor * coeffs.coeffs[1 : stored_columns(matrix.n) + 1]
+    if matrix.fold is not None:
+        return matrix.fold(g)
     # Both products are a real plane times a real vector: a real matrix
     # times a complex vector would copy the plane to complex.
     re, im = matrix.entries

@@ -486,3 +486,27 @@ class TestFrontMonotonicity:
         result = rk4_evolve(config)
         mask = result.trace.times >= 1.0
         assert np.all(np.diff(result.trace.x_half[mask]) >= 0.0)
+
+
+class TestFoldMarch:
+    def test_criterion_4_march_does_not_tell_fold_from_dense(self):
+        # The criterion-4 march at N = 2048 through the build's fold and
+        # through the same planes' dense products.  The bounds were fixed
+        # before the test was first run, about ten times the differences an
+        # earlier evaluation of the fold showed (7.2e-15 in the slope,
+        # 4.8e-14 in the final state).
+        config = EvolutionConfig(
+            alpha=1.37, gamma=-0.63, n=2048, l_scale=300.0, l_lim=100, dt=0.05,
+            t_end=12.0, snapshot_stride=10,
+        )
+        fold_system = FisherSystem.from_config(config)
+        assert fold_system.matrix.fold is not None
+        dense_system = FisherSystem(dataclasses.replace(fold_system.matrix, fold=None))
+        fold_run, dense_run = (rk4_evolve(config, s) for s in (fold_system, dense_system))
+        fold_fit, dense_fit = (
+            fit_exponential(r.trace, (8.0, 11.5)) for r in (fold_run, dense_run)
+        )
+        assert abs(fold_fit.slope - dense_fit.slope) <= 1e-13
+        assert abs(fold_fit.pearson_rho - dense_fit.pearson_rho) <= 1e-13
+        state_gap = np.max(np.abs(fold_run.snapshots[-1] - dense_run.snapshots[-1]))
+        assert state_gap <= 5e-13

@@ -13,9 +13,10 @@ import pytest
 from reference_formulas import full_analysis, full_payload
 from rfspectral import opmatrix
 from rfspectral.basis import CoeffVector, analyze, make_grid, mode_numbers
-from rfspectral.closedform import OperatorKind, frac_lap_lambda, phase_factor
+from rfspectral.closedform import CLOSED_FORMS, OperatorKind, frac_lap_lambda, phase_factor
 from rfspectral.errors import FormatError, NumericError
 from rfspectral.opmatrix import (
+    _FOLD_APPLY_MIN,
     _FOLD_CHUNK,
     OperatorMatrix,
     apply,
@@ -336,8 +337,8 @@ class TestBuild:
         fold = opmatrix._series_columns
 
         def poisoned(*args):
-            columns = fold(*args)
-            return lambda k: columns(k) * np.where(k == last, np.nan, 1.0)
+            columns, operator = fold(*args)
+            return lambda k: columns(k) * np.where(k == last, np.nan, 1.0), operator
 
         monkeypatch.setattr(opmatrix, "_series_columns", poisoned)
         with pytest.raises(NumericError, match="non-finite matrix entries"):
@@ -454,6 +455,112 @@ class TestApply:
         base = build_base_matrix(0.62, 16, 10)
         with pytest.raises(ValueError):
             apply(base, CoeffVector(np.zeros(5, dtype=np.complex128), 8))
+
+
+# Largest |fold - dense| over max |dense| allowed per alpha, about twice the
+# worst measured over the grid of test_fold_equals_dense (2.5e-12, 7.6e-15,
+# 1.8e-15 and 2.0e-15, all on white noise).  At alpha = 0.05 the FFT's
+# rounding of the near-shell Toeplitz products is amplified by the
+# cancellation of the fold coefficients at the nodes.
+FOLD_BOUNDS = {0.05: 5e-12, 0.62: 1.5e-14, 1.37: 4e-15, 1.95: 4e-15}
+
+
+def dense_values(matrix, coeffs):
+    """2 Re(M+ f u+) as the two plane products, top rows then the mirrored
+    bottom rows."""
+    g = matrix.factor * coeffs.coeffs[1 : stored_columns(matrix.n) + 1]
+    a = matrix.entries[0] @ g.real
+    b = matrix.entries[1] @ g.imag
+    return np.concatenate((2.0 * (a - b), 2.0 * (a + b)[matrix.n // 2 - 1 :: -1]))
+
+
+def fold_inputs(n, l_scale):
+    """White-noise samples and the smooth erf samples less their arctan
+    split, on the nodes of map scale L."""
+    x = make_grid(n, l_scale).x_nodes
+    erf = CLOSED_FORMS["erf"]
+    return [np.random.default_rng(n).normal(size=n), erf.value(x) - erf.aux.aux_values(x)]
+
+
+class TestFoldApply:
+    @pytest.mark.parametrize("alpha", list(FOLD_BOUNDS))
+    @pytest.mark.parametrize("n", [16, 17, 64, 65, 256, 257, 2048, 2049])
+    def test_fold_equals_dense(self, monkeypatch, n, alpha):
+        # The same build applied through its fold and through its planes,
+        # for fl and for rf at gamma = 0 and at the cusp; below the size
+        # rule only with the rule lowered.
+        if n < _FOLD_APPLY_MIN:
+            monkeypatch.setattr(opmatrix, "_FOLD_APPLY_MIN", 16)
+        base = build_base_matrix(alpha, n, 100)
+        assert base.fold is not None
+        cusp = min(alpha, 2.0 - alpha)
+        for kind, gamma, l_scale in [
+            (OperatorKind.FRAC_LAPLACIAN, 0.0, 1.0),
+            (OperatorKind.RIESZ_FELLER, 0.0, 1.5),
+            (OperatorKind.RIESZ_FELLER, cusp, 1.5),
+        ]:
+            matrix = scale_to_operator(base, kind, gamma, l_scale)
+            dense = replace(matrix, fold=None)
+            for samples in fold_inputs(n, l_scale):
+                coeffs = analyze(samples)
+                expected = apply(dense, coeffs)
+                out = apply(matrix, coeffs)
+                assert np.isrealobj(out) and out.shape == (n,)
+                gap = np.max(np.abs(out - expected))
+                assert gap <= FOLD_BOUNDS[alpha] * np.max(np.abs(expected))
+
+    def test_fold_only_at_or_above_the_size_rule(self):
+        coeffs = analyze(np.random.default_rng(3).normal(size=_FOLD_APPLY_MIN - 1))
+        below = build_base_matrix(0.62, _FOLD_APPLY_MIN - 1, 5)
+        assert below.fold is None
+        assert np.array_equal(apply(below, coeffs), dense_values(below, coeffs))
+        assert build_base_matrix(0.62, _FOLD_APPLY_MIN, 5).fold is not None
+
+    def test_alpha_one_has_no_fold(self, monkeypatch):
+        monkeypatch.setattr(opmatrix, "_FOLD_APPLY_MIN", 16)
+        matrix = build_base_matrix(1.0, 64, 10)
+        assert matrix.fold is None
+        coeffs = analyze(np.random.default_rng(4).normal(size=64))
+        assert np.array_equal(apply(matrix, coeffs), dense_values(matrix, coeffs))
+
+    def test_read_back_matrix_has_no_fold(self, monkeypatch):
+        # An RFM1 file holds only the dense matrix: the read-back applies
+        # through its planes, bit for bit as the build's planes do.
+        monkeypatch.setattr(opmatrix, "_FOLD_APPLY_MIN", 16)
+        built = build_base_matrix(1.37, 65, 20)
+        buf = io.BytesIO()
+        serialize(built, buf)
+        buf.seek(0)
+        read = deserialize(buf)
+        assert built.fold is not None and read.fold is None
+        coeffs = analyze(np.random.default_rng(5).normal(size=65))
+        out = apply(read, coeffs)
+        assert np.array_equal(out, apply(replace(built, fold=None), coeffs))
+        assert np.array_equal(out, dense_values(read, coeffs))
+
+    def test_fold_apply_allocates_o_of_n(self):
+        # The fold's products hold O(N) numbers: at most two (2, L) complex
+        # FFT rows at once, L < 4 N, so under 256 N bytes (N^2 / 6 here).
+        n = _FOLD_APPLY_MIN
+        matrix = scale_to_operator(
+            build_base_matrix(1.37, n, 5), OperatorKind.RIESZ_FELLER, 0.3, 2.0
+        )
+        coeffs = analyze(np.random.default_rng(7).normal(size=n))
+        apply(matrix, coeffs)
+        tracemalloc.start()
+        try:
+            apply(matrix, coeffs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * n
+
+    def test_scaling_keeps_the_fold(self, monkeypatch):
+        monkeypatch.setattr(opmatrix, "_FOLD_APPLY_MIN", 16)
+        base = build_base_matrix(0.62, 64, 10)
+        scaled = scale_to_operator(base, OperatorKind.RIESZ_FELLER, 0.3, 2.0)
+        assert scaled.fold is base.fold
+        assert "fold" not in repr(scaled)
 
 
 def random_matrix(n, rng):

@@ -9,6 +9,7 @@ modes, which the matrix build folds over.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,6 +95,15 @@ def lambda_k(x, k: int):
     return np.exp(2j * k * np.arctan2(1.0, x))
 
 
+@functools.lru_cache(maxsize=8)
+def _analysis_phase(n: int) -> np.ndarray:
+    # exp(-i pi k / N) for k = 0..N//2, read-only: threads share it.
+    k = np.arange(n // 2 + 1)
+    phase = np.exp(-1j * math.pi * k / n)
+    phase.setflags(write=False)
+    return phase
+
+
 def analyze(samples) -> CoeffVector:
     """Coefficients u_k = (exp(-i pi k / N) / N) * DFT(samples)_k,
     k = 0..N//2, of real samples at the N nodes of any map scale, with
@@ -106,8 +116,7 @@ def analyze(samples) -> CoeffVector:
     if np.iscomplexobj(samples):
         raise ValueError("expected real samples, got complex ones")
     n = len(samples)
-    k = np.arange(n // 2 + 1)
-    coeffs = np.fft.rfft(samples) * np.exp(-1j * math.pi * k / n) / n
+    coeffs = np.fft.rfft(samples) * _analysis_phase(n) / n
     magnitude = np.abs(coeffs)
     coeffs[magnitude <= KRASNY_EPS * magnitude.max()] = 0.0
     return CoeffVector(coeffs, n)

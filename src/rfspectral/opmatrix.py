@@ -21,11 +21,14 @@ The RFM1 file holds the full matrix.
 
 A build for alpha != 1 at N >= _FOLD_APPLY_MIN also keeps its fold: the same
 sums taken over k first, so that `apply` evaluates M+ g in O(N log N) with
-no read of the planes.  The near shells are two Toeplitz products of the
-V2 table, a band summed directly plus one FFT product, the far shells go
-through the build's interpolation factors, and one IFFT gives all N nodes.
-Matrices read from a file, alpha = 1 bases and smaller builds hold no fold
-and are applied through the planes.
+no read of the planes.  The near shells are Toeplitz products of the V2
+table: a band summed directly, and off the band one short cyclic product
+per aliasing shell, its kernel centred on the shell, formed in the spectral
+domain from two forward transforms that the shells share and taken back by
+one inverse transform each.  The far shells go through the build's
+interpolation factors, and one IFFT gives all N nodes.  Matrices read from
+a file, alpha = 1 bases and smaller builds hold no fold and are applied
+through the planes.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ _FAR_NODES = 20
 # from a crossover sweep of the two paths; below it the dense products are
 # quicker.  Within _FOLD_BAND of the diagonal the fold's Toeplitz products
 # are summed directly, beyond it by FFT.
-_FOLD_APPLY_MIN = 1536
+_FOLD_APPLY_MIN = 1152
 _FOLD_BAND = 32
 
 # Size of one row block of the full matrix streamed to or from a file.
@@ -314,22 +317,28 @@ def _fold_operator(alpha, w, weights, far_a, far_b, u_l, phase, scale):
     # M+ g at all N nodes, for g the coefficients of the modes k = 1..h, by
     # the sums of `_series_columns` taken over k first: scale(s) times the
     # IFFT of phase(l2) F(l2), where F(l2) = sum_{|l1| <= 1} S D(m) plus the
-    # far part, D(m) = Cp(m) - m Cq(m), and Cp and Cq are the Toeplitz
-    # products sum_k V2(|m - k|) x_k of x = (1 - alpha) k^2 g and x = 2 k g
-    # at the 3 n values m = l1 n + l2.  Entry t of w is V2(|t - 2 n + 1|),
-    # so its first 3 n + h - 1 entries are the kernel from the smallest
-    # m - k on, and Cp and Cq at the i-th m are entry i + h - 1 of the full
-    # convolutions.  Kernel entries within _FOLD_BAND of the diagonal are
-    # convolved directly, because an FFT's rounding scales with the largest
-    # kernel entry, V2(0) here; the rest is one cyclic convolution whose
-    # length, at least the kernel's, keeps every wrapped term out of the
-    # entries read.  The far part is u_l (far_a diag(a) - far_b diag(b)) g,
-    # the far sums at the nodes already carried to every k.  scale holds
-    # twice the nodal scale, for 2 Re(M+ g).
+    # far part and D(m) = sum_k V2(|m - k|) ((1 - alpha) k^2 - 2 k m) g_k at
+    # the 3 n values m = l1 n + l2.  Entry t of w is V2(|t - 2 n + 1|), so
+    # entries r n .. r n + n + h - 2 are the kernel of shell l1 = r - 1 from
+    # its smallest m - k on, and its D at the q-th l2 is entry q + h - 1 of
+    # a full convolution with them.  Kernel entries within _FOLD_BAND of the
+    # diagonal are convolved directly as Cp - m Cq, Cp and Cq the Toeplitz
+    # products of (1 - alpha) k^2 g and 2 k g, because an FFT's rounding
+    # scales with the largest kernel entry, V2(0) here.  Off the band each
+    # shell is one cyclic convolution whose length, at least its kernel's,
+    # keeps every wrapped term out of the entries read.  There m is split as
+    # (m - k - l1 n) + (k + l1 n), so that the kernel's weight is centred on
+    # the shell: D = V2 * (y - l1 n bg) - ((d - l1 n) V2) * bg, with
+    # y = -(1 + alpha) k^2 g, bg = 2 k g and d = m - k; the two products
+    # meet in the spectra, and each shell takes one inverse transform.  The
+    # far part is u_l (far_a diag(a) - far_b diag(b)) g, the far sums at the
+    # nodes already carried to every k.  scale holds twice the nodal scale,
+    # for 2 Re(M+ g).
     n = len(phase)
     h = far_a.shape[1]
     k = np.arange(1, h + 1, dtype=np.float64)
     ab = np.stack(((1.0 - alpha) * k * k, 2.0 * k))
+    y_weight = -(1.0 + alpha) * k * k
     far = far_a * ab[0] - far_b * ab[1]
     kernel = w[: 3 * n + h - 1]
     t0 = max(0, 2 * n - 1 - _FOLD_BAND)
@@ -339,34 +348,66 @@ def _fold_operator(alpha, w, weights, far_a, far_b, u_l, phase, scale):
     off_band[t0:t1] = 0.0
     # The FFT length: the smallest one whose only prime factors are 2, 3
     # and 5 (those of 30^64, which every such length divides).
-    size = len(kernel)
+    width = n + h - 1
+    size = width
     while 30**64 % size:
         size += 1
-    # Divided by the length here, so the inverse FFT needs no scaling pass.
-    spectrum = np.fft.fft(off_band, size) / size
-    # Where the band's full convolution meets the product entries read.
+    # Each shell's kernel and its centred weight t - (n - 1) = d - l1 n,
+    # transformed and divided by the length here, so the inverse FFT needs
+    # no scaling pass.
+    segments = sliding_window_view(off_band, width)[:: n]
+    spec_a = np.fft.fft(segments, size) / size
+    spec_b = np.fft.fft(segments * (np.arange(width) - (n - 1.0)), size) / size
+    shells = list(zip((-n, 0, n), spec_a, spec_b))
+    # Where the band's full convolution meets the 3 n values of m, shell by
+    # shell: (shell, its l2 columns, the band's entries).
     shift = t0 - (h - 1)
-    dst = slice(max(0, shift), min(3 * n, shift + len(band) + h - 1))
-    src = slice(dst.start - shift, dst.stop - shift)
-    m = np.arange(-n - n // 2, 2 * n - n // 2, dtype=np.float64)
+    lo, hi = max(0, shift), min(3 * n, shift + len(band) + h - 1)
+    src = slice(lo - shift, hi - shift)
+    m_band = np.arange(lo, hi, dtype=np.float64) - (n + n // 2)
+    pieces = []
+    for r in range(3):
+        a, b = max(lo, r * n), min(hi, (r + 1) * n)
+        if a < b:
+            pieces.append((r, slice(a - r * n, b - r * n), slice(a - lo, b - lo)))
     s_near = np.ascontiguousarray(weights[:, 0, :].T)
+    top = (n + 1) // 2
 
     def fold(g):
-        x = ab * g
-        c = np.fft.fft(x, size)
-        c *= spectrum
-        c = np.fft.ifft(c, norm="forward")[:, h - 1 : h - 1 + 3 * n]
-        for row, xr in zip(c, x):
-            row[dst] += np.convolve(xr, band)[src]
-        # D = Cp - m Cq, then the near sum over the three shells.
-        cp, cq = c
-        cq *= m
+        # The off-band products: y and bg forward in place, each shell's
+        # spectrum, and one inverse transform over the three.
+        spectra = np.zeros((2, size), dtype=np.complex128)
+        np.multiply(y_weight, g, out=spectra[0, :h])
+        np.multiply(ab[1], g, out=spectra[1, :h])
+        np.fft.fft(spectra, axis=1, out=spectra)
+        y_hat, b_hat = spectra
+        near = np.empty((3, size), dtype=np.complex128)
+        for row, (l1n, sa, sb) in zip(near, shells):
+            np.multiply(b_hat, -l1n, out=row)
+            row += y_hat
+            row *= sa
+            row -= sb * b_hat
+        # Freed before the inverse transform: an apply holds at most the two
+        # arrays and one product row at once.
+        del spectra, y_hat, b_hat
+        np.fft.ifft(near, axis=1, norm="forward", out=near)
+        near = near[:, h - 1 : h - 1 + n]
+        # The band: D = Cp - m Cq at the m it reaches.
+        cp = np.convolve(ab[0] * g, band)[src]
+        cq = np.convolve(ab[1] * g, band)[src]
+        cq *= m_band
         cp -= cq
-        coef = np.einsum("rq,rq->q", s_near, cp.reshape(3, n))
+        for r, cols, entries in pieces:
+            near[r, cols] += cp[entries]
+        coef = np.einsum("rq,rq->q", s_near, near)
         # Real products only: a real matrix times a complex vector would
         # copy the matrix to complex.
         coef += (u_l @ (far @ g.view(np.float64).reshape(h, 2))).view(np.complex128)[:, 0]
-        return scale * np.fft.ifft(np.fft.ifftshift(coef) * phase).real
+        # ifftshift(coef) * phase, as two slice products.
+        z = np.empty(n, dtype=np.complex128)
+        np.multiply(coef[n // 2 :], phase[:top], out=z[:top])
+        np.multiply(coef[: n // 2], phase[top:], out=z[top:])
+        return scale * np.fft.ifft(z).real
 
     return fold
 

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from reference_formulas import full_analysis, mu_k, phi_k, synthesize_nodes
+from rfspectral import basis
 from rfspectral.basis import (
+    KRASNY_EPS,
     CoeffVector,
     analyze,
     lambda_k,
@@ -184,6 +186,28 @@ class TestAnalyzeSynthesize:
             assert coeffs.n == n
             bound = 4.0 * np.finfo(np.float64).eps * np.max(np.abs(half))
             assert np.max(np.abs(coeffs.coeffs - half)) <= bound
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 2048, 2049])
+    def test_cached_phase_is_the_formula(self, n):
+        # The phase exp(-i pi k / N) is kept per N; the coefficients are the
+        # uncached formula's bit for bit, Krasny cut included, on the first
+        # call and on a repeat.
+        samples = np.random.default_rng(n).normal(size=n)
+        k = np.arange(n // 2 + 1)
+        expected = np.fft.rfft(samples) * np.exp(-1j * math.pi * k / n) / n
+        magnitude = np.abs(expected)
+        expected[magnitude <= KRASNY_EPS * magnitude.max()] = 0.0
+        for _ in range(2):
+            coeffs = analyze(samples).coeffs
+            assert coeffs.tobytes() == expected.tobytes()
+
+    def test_cached_phase_is_read_only(self):
+        # Threads (`--jobs`) share one phase per N: no caller may write it.
+        phase = basis._analysis_phase(16)
+        assert basis._analysis_phase(16) is phase
+        with pytest.raises(ValueError, match="read-only"):
+            phase[0] = 0.0
+        assert not np.shares_memory(analyze(np.ones(16)).coeffs, phase)
 
     def test_synthesize_constant(self):
         coeffs = CoeffVector(np.array([1.0 + 0.0j] + [0.0j] * 4), 8)

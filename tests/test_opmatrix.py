@@ -15,6 +15,7 @@ from rfspectral import opmatrix
 from rfspectral.basis import CoeffVector, analyze, make_grid, mode_numbers
 from rfspectral.closedform import CLOSED_FORMS, OperatorKind, frac_lap_lambda, phase_factor
 from rfspectral.errors import FormatError, NumericError
+from rfspectral.operators import apply_reference
 from rfspectral.opmatrix import (
     _FOLD_APPLY_MIN,
     _FOLD_CHUNK,
@@ -464,6 +465,21 @@ class TestApply:
 # cancellation of the fold coefficients at the nodes.
 FOLD_BOUNDS = {0.05: 5e-12, 0.62: 1.5e-14, 1.37: 4e-15, 1.95: 4e-15}
 
+# The erf battery's max-norm error through the fold at N = 4096 (rf at
+# gamma = 0 and at the cusp, L = 1.5, l_lim = 100), per alpha: about twice
+# the values measured before these bounds were set (1.58e-13 and 3.93e-14,
+# 7.94e-15 and 1.07e-14, 2.11e-15 and 2.44e-15, 4.93e-14 and 4.93e-14,
+# 6.29e-13 and 6.29e-13).  Dense gives 3.99e-14 at alpha = 0.05, gamma = 0
+# and 4.22e-15 at alpha = 0.3, gamma = 0; in the other cells the fold is
+# within 1.01x of dense.
+FOLD_ERF_BOUNDS_4096 = {
+    0.05: (3.2e-13, 8e-14),
+    0.3: (1.6e-14, 2.2e-14),
+    0.62: (4.2e-15, 5e-15),
+    1.37: (1e-13, 1e-13),
+    1.95: (1.3e-12, 1.3e-12),
+}
+
 
 def dense_values(matrix, coeffs):
     """2 Re(M+ f u+) as the two plane products, top rows then the mirrored
@@ -509,6 +525,18 @@ class TestFoldApply:
                 gap = np.max(np.abs(out - expected))
                 assert gap <= FOLD_BOUNDS[alpha] * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("alpha", list(FOLD_ERF_BOUNDS_4096))
+    def test_fold_erf_battery_at_4096(self, alpha):
+        # The small-alpha cells lose accuracy above N = 2048, where no other
+        # test applies a fold.
+        base = build_base_matrix(alpha, 4096, 100)
+        assert base.fold is not None
+        cusp = min(alpha, 2.0 - alpha)
+        for gamma, bound in zip((0.0, cusp), FOLD_ERF_BOUNDS_4096[alpha]):
+            report = apply_reference("erf", OperatorKind.RIESZ_FELLER, alpha, gamma,
+                                     4096, 1.5, 100, base=base)
+            assert report.linf_error <= bound
+
     def test_fold_only_at_or_above_the_size_rule(self):
         coeffs = analyze(np.random.default_rng(3).normal(size=_FOLD_APPLY_MIN - 1))
         below = build_base_matrix(0.62, _FOLD_APPLY_MIN - 1, 5)
@@ -539,8 +567,9 @@ class TestFoldApply:
         assert np.array_equal(out, dense_values(read, coeffs))
 
     def test_fold_apply_allocates_o_of_n(self):
-        # The fold's products hold O(N) numbers: at most two (2, L) complex
-        # FFT rows at once, L < 4 N, so under 256 N bytes (N^2 / 6 here).
+        # The fold's products hold O(N) numbers: at most a (2, P) and a
+        # (3, P) complex FFT array at once, P < 2 N, so under 256 N bytes
+        # (N^2 / 4.5 here).
         n = _FOLD_APPLY_MIN
         matrix = scale_to_operator(
             build_base_matrix(1.37, n, 5), OperatorKind.RIESZ_FELLER, 0.3, 2.0

@@ -3,15 +3,16 @@
 The base matrix holds the symmetric fractional operator at map scale 1; any
 of the six operator kinds at map scale L is the base with its k > 0 columns
 times one complex number, the kind's phase over L^alpha (its k < 0 columns
-times the conjugate).  Every OperatorMatrix stores the base entries.  The
-series entries come from the gamma-ratio sum folded onto the grid through
-the aliasing identity, truncated at |l1| <= l_lim.  One rule gives every
-shell's weights S = (-1)^l1 V1(|m|) and S m.  The three near shells
-|l1| <= 1 are summed for each fold column as one small product of a stack,
-its weights against a view of a two-sided table of the V2 ratios; the far
-shells, analytic over the grid, are interpolated from their exact sums at a
-few integer nodes per axis.  Both run one chunk of columns at a time, and
-each chunk of columns is one IFFT over all N rows.
+times the conjugate).  Every OperatorMatrix holds the base entries, which
+its scaled copies share.  The series entries come from the gamma-ratio sum
+folded onto the grid through the aliasing identity, truncated at
+|l1| <= l_lim.  One rule gives every shell's weights S = (-1)^l1 V1(|m|)
+and S m.  The three near shells |l1| <= 1 are summed for each fold column
+as one small product of a stack, its weights against a view of a two-sided
+table of the V2 ratios; the far shells, analytic over the grid, are
+interpolated from their exact sums at a few integer nodes per axis.  Both
+run one chunk of columns at a time, and each chunk of columns is one IFFT
+over all N rows.
 
 Only the top ceil(N/2) rows of the positive-mode columns k = 1..ceil(N/2)-1
 are kept.  The rest of the full N x N matrix is implied, as `_full_rows`
@@ -26,9 +27,12 @@ table: a band summed directly, and off the band one short cyclic product
 per aliasing shell, its kernel centred on the shell, formed in the spectral
 domain from two forward transforms that the shells share and taken back by
 one inverse transform each.  The far shells go through the build's
-interpolation factors, and one IFFT gives all N nodes.  Matrices read from
-a file, alpha = 1 bases and smaller builds hold no fold and are applied
-through the planes.
+interpolation factors, and one IFFT gives all N nodes.  Such a build makes
+no planes until `entries` is first read (by `serialize`, or by
+`replace(m, fold=None)`, the copy applied through the planes); they are
+then made once, by the same chunked build, and kept for every copy.  Its fold tables are checked finite when it
+is built.  Matrices read from a file, alpha = 1 bases and smaller builds
+hold no fold, make their planes when built and are applied through them.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import io
 import math
 import operator
 import struct
+import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -110,15 +115,16 @@ class OperatorMatrix:
     """Operator matrix taking the coefficients of real samples
     (`basis.analyze`) to nodal values.
 
-    `entries` always holds the base matrix: the symmetric operator at map
-    scale 1.  The matrix of (kind, gamma, l_scale) is `factor` times its
-    k > 0 columns and conj(factor) times its k < 0 columns.
+    `entries` holds the base matrix: the symmetric operator at map scale 1.
+    The matrix of (kind, gamma, l_scale) is `factor` times its k > 0
+    columns and conj(factor) times its k < 0 columns.
 
     `entries` is a float64 array of shape (2, ceil(N/2), ceil(N/2) - 1), the
     real and the imaginary plane of the top ceil(N/2) rows of the base
     matrix's positive-mode columns: entries[:, j, k - 1] holds row j of the
     column of mode k = 1..ceil(N/2)-1 of the full N x N base matrix.  The
-    other entries are implied (see the module docstring).
+    other entries are implied (see the module docstring).  A build that
+    carries a fold makes this array on the first read of `entries`.
     """
 
     kind: OperatorKind
@@ -127,7 +133,8 @@ class OperatorMatrix:
     l_scale: float
     l_lim: int
     n: int
-    entries: np.ndarray
+    # Not in the repr, which would make a fold build's planes.
+    entries: np.ndarray = field(repr=False)
     # The base matrix's product M+ g at all N nodes, evaluated from the
     # build's fold factors; None where only the planes are held.
     fold: Callable[[np.ndarray], np.ndarray] | None = field(
@@ -135,20 +142,58 @@ class OperatorMatrix:
     )
 
     def __post_init__(self):
-        shape = (2, _stored_rows(self.n), stored_columns(self.n))
-        if self.entries.shape != shape or self.entries.dtype != np.float64:
-            raise ValueError(
-                f"entries must be float64 of shape {shape} (real and imaginary "
-                f"planes of the top rows of the positive modes), got "
-                f"{self.entries.dtype} {self.entries.shape}"
-            )
-        self.entries.setflags(write=False)
+        # Deferred planes are checked when they are made.
+        if not isinstance(self._planes, _DeferredPlanes):
+            _check_planes(self.n, self._planes)
 
     @property
     def factor(self) -> complex:
         """Multiplier of the k > 0 columns: the kind's phase over L^alpha."""
         phase = phase_factor(self.kind, self.alpha, self.gamma)
         return phase / self.l_scale ** self.alpha
+
+
+def _check_planes(n: int, entries: np.ndarray) -> np.ndarray:
+    shape = (2, _stored_rows(n), stored_columns(n))
+    if entries.shape != shape or entries.dtype != np.float64:
+        raise ValueError(
+            f"entries must be float64 of shape {shape} (real and imaginary "
+            f"planes of the top rows of the positive modes), got "
+            f"{entries.dtype} {entries.shape}"
+        )
+    entries.setflags(write=False)
+    return entries
+
+
+class _DeferredPlanes:
+    # The planes of a build that carries a fold: made by `make` on the first
+    # read, checked, and then kept.  Every copy of the build holds this one
+    # object, and the lock makes concurrent first reads build once.
+    def __init__(self, n: int, make: Callable[[], np.ndarray]):
+        self._n = n
+        self._make = make
+        self._array = None
+        self._lock = threading.Lock()
+
+    def read(self) -> np.ndarray:
+        with self._lock:
+            if self._array is None:
+                self._array = _check_planes(self._n, self._make())
+                self._make = None
+        return self._array
+
+
+def _read_entries(matrix: OperatorMatrix) -> np.ndarray:
+    planes = matrix._planes
+    return planes.read() if isinstance(planes, _DeferredPlanes) else planes
+
+
+# The `entries` field keeps what it is given, an array or a _DeferredPlanes,
+# as `_planes`, and reads as the array; `scale_to_operator` passes `_planes`
+# on, so that its copies share a build's planes before they are made.
+OperatorMatrix.entries = property(
+    _read_entries, lambda matrix, value: object.__setattr__(matrix, "_planes", value)
+)
 
 
 def check_integer(what: str, value) -> None:
@@ -201,34 +246,39 @@ def build_base_matrix(
     are fixed, so every entry is summed in the same order and the result is
     identical to the serial build.  For alpha != 1 and n >= _FOLD_APPLY_MIN
     the matrix also carries its fold, which `apply` uses instead of the
-    planes.
+    planes, and its planes are made (on `jobs` threads) only when `entries`
+    is first read.  A non-finite entry raises NumericError when the planes
+    are made, and a fold build's non-finite tables when it is built.
     """
     check_base(alpha, n, l_lim)
     s = make_grid(n, 1.0).s_nodes
     # The nodes of the stored top rows, as a column.
     s_top = s[: _stored_rows(n), None]
-    entries = np.empty((2, len(s_top), stored_columns(n)))
-    half = entries.shape[2]
+    half = stored_columns(n)
     fold = None
     if alpha == 1.0:
         columns = lambda k: 2.0 * k * np.sin(s_top) ** 2 * np.exp(2j * k * s_top)
     else:
         columns, fold = _series_columns(alpha, n, l_lim, s)
 
-    def store(k0):
-        # The top rows of the columns of modes k0..k0+c-1 as one row block;
-        # the bottom rows see the conjugate node phases and are implied.
-        # Each chunk is checked on its own, with no N^2 mask of the planes.
-        c = min(_FOLD_CHUNK, half + 1 - k0)
-        top = columns(np.arange(k0, k0 + c, dtype=np.float64))
-        if not np.all(np.isfinite(top)):
-            raise NumericError(
-                f"non-finite matrix entries for alpha={alpha}, n={n}, l_lim={l_lim}"
-            )
-        entries[0, :, k0 - 1 : k0 - 1 + c] = top.real
-        entries[1, :, k0 - 1 : k0 - 1 + c] = top.imag
+    def planes():
+        entries = np.empty((2, len(s_top), half))
 
-    fan_out(store, range(1, half + 1, _FOLD_CHUNK), jobs)
+        def store(k0):
+            # The top rows of the columns of modes k0..k0+c-1 as one row
+            # block; the bottom rows see the conjugate node phases and are
+            # implied.  Each chunk is checked on its own, with no N^2 mask
+            # of the planes.
+            c = min(_FOLD_CHUNK, half + 1 - k0)
+            top = columns(np.arange(k0, k0 + c, dtype=np.float64))
+            if not np.all(np.isfinite(top)):
+                raise _non_finite(alpha, n, l_lim)
+            entries[0, :, k0 - 1 : k0 - 1 + c] = top.real
+            entries[1, :, k0 - 1 : k0 - 1 + c] = top.imag
+
+        fan_out(store, range(1, half + 1, _FOLD_CHUNK), jobs)
+        return entries
+
     return OperatorMatrix(
         kind=OperatorKind.FRAC_LAPLACIAN,
         alpha=float(alpha),
@@ -236,8 +286,14 @@ def build_base_matrix(
         l_scale=1.0,
         l_lim=int(l_lim),
         n=n,
-        entries=entries,
+        entries=planes() if fold is None else _DeferredPlanes(n, planes),
         fold=fold,
+    )
+
+
+def _non_finite(alpha, n, l_lim) -> NumericError:
+    return NumericError(
+        f"non-finite matrix entries for alpha={alpha}, n={n}, l_lim={l_lim}"
     )
 
 
@@ -308,6 +364,11 @@ def _series_columns(alpha, n, l_lim, s):
 
     fold = None
     if n >= _FOLD_APPLY_MIN:
+        # The planes wait for their first read, so the build checks the
+        # tables that the fold and the planes are both made from.
+        if not all(np.isfinite(table).all()
+                   for table in (w, weights, far_a, far_b, scale)):
+            raise _non_finite(alpha, n, l_lim)
         fold = _fold_operator(alpha, w, weights, far_a @ u_k.T, far_b @ u_k.T,
                               u_l, phase, 2.0 * scale)
     return fold_chunk, fold
@@ -470,14 +531,16 @@ def scale_to_operator(
 ) -> OperatorMatrix:
     """The matrix of an operator kind at map scale L: the same read-only
     base entries under the new labels, whose `factor` is the kind's phase
-    over L^alpha.  Nothing is copied, and rescaling a scaled matrix just
-    relabels it."""
+    over L^alpha.  Nothing is copied or made (a build's deferred planes
+    stay deferred and shared), and rescaling a scaled matrix just relabels
+    it."""
     check_operator(kind, base.alpha, gamma, base.n, l_scale, base.l_lim)
     return replace(
         base,
         kind=kind,
         gamma=float(gamma) if kind is OperatorKind.RIESZ_FELLER else 0.0,
         l_scale=float(l_scale),
+        entries=base._planes,
     )
 
 
@@ -543,7 +606,8 @@ def serialize(matrix: OperatorMatrix, sink) -> None:
     phase (its conjugate).  The payload is written in row blocks of 512
     KiB.  A field the header cannot hold raises ValueError, and a scaled
     matrix with an entry that would not be finite raises NumericError,
-    before anything is opened or written."""
+    before anything is opened or written; so does a build whose deferred
+    planes (`build_base_matrix`) fail their check when made here."""
     try:
         header = _HEADER.pack(
             matrix.n,
@@ -557,14 +621,15 @@ def serialize(matrix: OperatorMatrix, sink) -> None:
         raise ValueError(
             f"the header cannot hold N = {matrix.n}, l_lim = {matrix.l_lim}: {exc}"
         ) from None
+    # A build's deferred planes are made, and checked, here.
+    entries = matrix.entries
     scaled = not _is_base(matrix.kind, matrix.l_scale)
     phase = phase_factor(matrix.kind, matrix.alpha, matrix.gamma)
     if scaled:
         # A bound on every entry written: numpy divides by L^alpha as a
         # product with its reciprocal, and the phase moves at most
         # |Re| + |Im| of its unit modulus into either part.  Base entries
-        # were checked finite when built or read; N = 2 stores none.
-        entries = matrix.entries
+        # were checked finite when made or read; N = 2 stores none.
         largest = (float(max(entries.max(initial=0.0), -entries.min(initial=0.0)))
                    * (1.0 / matrix.l_scale ** matrix.alpha)
                    * (abs(phase.real) + abs(phase.imag)))
@@ -583,7 +648,7 @@ def serialize(matrix: OperatorMatrix, sink) -> None:
         fh.write(_MAGIC + header)
         for start in range(0, n, rows):
             out = block[: min(rows, n - start)]
-            _full_rows(matrix.entries, start, out)
+            _full_rows(entries, start, out)
             if scaled:
                 out = out / matrix.l_scale ** matrix.alpha
                 if matrix.kind is not OperatorKind.FRAC_LAPLACIAN:

@@ -3,10 +3,11 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Criterion 4's full-size configuration (N = 16384, L = 2100,
 t in [0, 22]) only runs when RF_SPECTRAL_FULL_FISHER=1.  It takes about
-14 s on one core (a 4.7 s set-up, most of it the matrix build, plus 1760
-right-hand sides at about 4.7 ms each, 4.0 ms of them the build's fold
-apply, 1184 MiB peak resident, on a 2-core x86 VM with one BLAS thread) and
-fails its slope bound: |sigma - 1/alpha| = 1.665e-4 > 1e-4.
+8 s on one core (a 0.11 s set-up, the build's fold tables with no planes,
+plus 1760 right-hand sides at about 4.7 ms each, 4.0 ms of them the build's
+fold apply; 108 MiB peak resident, `ru_maxrss` of the pytest process, on a
+2-core x86 VM with one BLAS thread) and fails its slope bound:
+|sigma - 1/alpha| = 1.665e-4 > 1e-4.
 """
 
 import math
@@ -155,7 +156,7 @@ def test_criterion_4_slope_matches_converged_reference(front_2048):
 
 @pytest.mark.skipif(
     os.environ.get("RF_SPECTRAL_FULL_FISHER") != "1",
-    reason="full-size run takes about 14 s; set RF_SPECTRAL_FULL_FISHER=1",
+    reason="full-size run takes about 8 s; set RF_SPECTRAL_FULL_FISHER=1",
 )
 def test_criterion_4_full_paper_configuration():
     alpha, skew = 1.37, -0.63

@@ -4,6 +4,8 @@ import cmath
 import io
 import math
 import struct
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -139,6 +141,30 @@ def column_relative_error(got, want):
     scale = np.max(np.abs(want), axis=0)
     assert np.all(err[:, scale == 0.0] == 0.0)
     return np.max(err[:, scale > 0.0] / scale[scale > 0.0], initial=0.0)
+
+
+def poison_last_column(monkeypatch, n):
+    """Make the series build's column of the last stored mode at size n NaN."""
+    last = stored_columns(n)
+    fold = opmatrix._series_columns
+
+    def poisoned(*args):
+        columns, operator = fold(*args)
+        return lambda k: columns(k) * np.where(k == last, np.nan, 1.0), operator
+
+    monkeypatch.setattr(opmatrix, "_series_columns", poisoned)
+
+
+def count_chunks(monkeypatch):
+    """The column chunks the build stores from now on, one entry per chunk."""
+    chunks = []
+    fan_out = opmatrix.fan_out
+
+    def counting(store, items, jobs):
+        return fan_out(lambda k0: (chunks.append(k0), store(k0))[1], items, jobs)
+
+    monkeypatch.setattr(opmatrix, "fan_out", counting)
+    return chunks
 
 
 class TestBuild:
@@ -334,14 +360,7 @@ class TestBuild:
     def test_non_finite_entries_raise(self, monkeypatch, jobs):
         # Only the last of three column chunks holds the poisoned mode.
         n = 4 * _FOLD_CHUNK + 7
-        last = stored_columns(n)
-        fold = opmatrix._series_columns
-
-        def poisoned(*args):
-            columns, operator = fold(*args)
-            return lambda k: columns(k) * np.where(k == last, np.nan, 1.0), operator
-
-        monkeypatch.setattr(opmatrix, "_series_columns", poisoned)
+        poison_last_column(monkeypatch, n)
         with pytest.raises(NumericError, match="non-finite matrix entries"):
             build_base_matrix(0.62, n, 5, jobs=jobs)
 
@@ -590,6 +609,134 @@ class TestFoldApply:
         scaled = scale_to_operator(base, OperatorKind.RIESZ_FELLER, 0.3, 2.0)
         assert scaled.fold is base.fold
         assert "fold" not in repr(scaled)
+
+
+class TestDeferredPlanes:
+    def test_fold_build_makes_no_planes_until_read(self, monkeypatch):
+        # At N = 4096 the planes take 4 N^2 bytes (64 MiB).  A build with
+        # l_lim = 5 and one apply peaked at 4.6 MiB under tracemalloc, so
+        # N^2 / 2 bytes (8 MiB, a quarter of one plane) bounds them.
+        n = 4096
+        chunks = count_chunks(monkeypatch)
+        coeffs = analyze(np.random.default_rng(8).normal(size=n))
+        tracemalloc.start()
+        try:
+            base = build_base_matrix(1.37, n, 5)
+            apply(base, coeffs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert base.fold is not None
+        assert peak < n * n / 2
+        copies = [
+            scale_to_operator(base, OperatorKind.RIESZ_FELLER, 0.3, 2.0),
+            scale_to_operator(base, OperatorKind.DX_WEYL_RIGHT, 0.0, 1.5),
+        ]
+        repr(copies[0])
+        assert chunks == []
+        # The first read makes the planes once, for the build and every copy.
+        entries = copies[0].entries
+        made = len(chunks)
+        assert made == -(-stored_columns(n) // _FOLD_CHUNK)
+        for matrix in (base, *copies, replace(copies[1], fold=None)):
+            assert np.shares_memory(matrix.entries, entries)
+        assert len(chunks) == made
+        assert not entries.flags.writeable
+        monkeypatch.setattr(opmatrix, "_FOLD_APPLY_MIN", n + 1)
+        eager = build_base_matrix(1.37, n, 5)
+        assert eager.fold is None
+        assert entries.tobytes() == eager.entries.tobytes()
+
+    def test_concurrent_first_reads_make_the_planes_once(self, monkeypatch):
+        # More readers than cores, switching every microsecond: a lost
+        # check-then-make would build the planes twice or hand out two
+        # arrays.
+        monkeypatch.setattr(opmatrix, "_FOLD_APPLY_MIN", 16)
+        chunks = count_chunks(monkeypatch)
+        n = 2 * _FOLD_CHUNK + 3
+        base = build_base_matrix(0.62, n, 5)
+        got = []
+        readers = [
+            threading.Thread(target=lambda m: got.append(m.entries), args=(matrix,))
+            for matrix in [base] * 4 + [
+                scale_to_operator(base, OperatorKind.RIESZ_FELLER, 0.3, l_scale)
+                for l_scale in (1.5, 2.0, 2.5, 3.0)
+            ]
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert len(got) == len(readers)
+        assert all(entries is got[0] for entries in got)
+        assert len(chunks) == -(-stored_columns(n) // _FOLD_CHUNK)
+
+    def test_paper_scale_apply_makes_no_n2_object(self):
+        # At N = 65536 the planes would take 16 GiB.  The build and one
+        # apply peaked at 170 MiB under tracemalloc.
+        n = 65536
+        coeffs = analyze(np.random.default_rng(9).normal(size=n))
+        tracemalloc.start()
+        try:
+            out = apply(build_base_matrix(1.37, n, 100), coeffs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n,) and np.all(np.isfinite(out))
+        assert peak < 512 * 2**20
+
+    @pytest.mark.parametrize("table", range(4), ids=["w", "weights", "far_a", "far_b"])
+    def test_non_finite_fold_tables_raise_at_build(self, monkeypatch, table):
+        # The planes are not made at build time, so the tables of the fold
+        # carry the check.
+        monkeypatch.setattr(opmatrix, "_FOLD_APPLY_MIN", 16)
+        tables = opmatrix._fold_tables
+
+        def poisoned(*args):
+            got = [array.copy() for array in tables(*args)]
+            got[table].flat[-1] = np.nan
+            return tuple(got)
+
+        monkeypatch.setattr(opmatrix, "_fold_tables", poisoned)
+        with pytest.raises(NumericError, match="non-finite matrix entries"):
+            build_base_matrix(0.62, 64, 5)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_non_finite_planes_raise_when_read(self, monkeypatch, tmp_path, jobs):
+        # Only the last of three column chunks holds the poisoned mode: the
+        # fold build passes, and its planes fail when they are made, before
+        # serialize opens its path.
+        monkeypatch.setattr(opmatrix, "_FOLD_APPLY_MIN", 16)
+        n = 4 * _FOLD_CHUNK + 7
+        poison_last_column(monkeypatch, n)
+        base = build_base_matrix(0.62, n, 5, jobs=jobs)
+        assert base.fold is not None
+        path = tmp_path / "m.rfm"
+        for matrix in (base, scale_to_operator(base, OperatorKind.RIESZ_FELLER, 0.3, 2.0)):
+            with pytest.raises(NumericError, match="non-finite matrix entries"):
+                serialize(matrix, path)
+            assert not path.exists()
+        with pytest.raises(NumericError, match="non-finite matrix entries"):
+            base.entries
+
+    def test_entries_given_as_an_array(self, monkeypatch):
+        # An array given as entries, to a fold build's copy too, is checked
+        # and made read-only on construction.
+        monkeypatch.setattr(opmatrix, "_FOLD_APPLY_MIN", 16)
+        base = build_base_matrix(0.62, 64, 5)
+        planes = np.random.default_rng(10).normal(size=(2, 32, stored_columns(64)))
+        matrix = replace(base, entries=planes)
+        assert matrix.entries is planes and not planes.flags.writeable
+        assert matrix.fold is base.fold
+        for bad in (planes[:, 1:], planes.astype(np.float32)):
+            with pytest.raises(ValueError, match="entries must be float64"):
+                replace(base, entries=bad)
 
 
 def random_matrix(n, rng):
